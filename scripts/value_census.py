@@ -13,8 +13,8 @@ import argparse
 import json
 from collections import Counter
 
-from trigrat.sweep import _descriptor_of, reduced_angles
-from trigrat.trig import Case, TrigFunc, classify
+from trigrat.sweep import reduced_angles
+from trigrat.trig import Case, TrigFunc, classify, value_descriptor
 
 FUNCS = (TrigFunc.COS, TrigFunc.SIN, TrigFunc.TAN)
 
@@ -27,7 +27,7 @@ def census(q_max: int):
             result = classify(func, angle)
             counts[func][result.case] += 1
             if result.case in (Case.VALUE_RATIONAL, Case.SQUARE_RATIONAL):
-                descriptor = _descriptor_of(result)
+                descriptor = value_descriptor(result)
                 first_seen[func].setdefault(descriptor, angle)
     return counts, first_seen
 

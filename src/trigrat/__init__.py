@@ -59,6 +59,7 @@ from .trig import (
     power_rational,
     theorem_value_list,
     trig_elem,
+    value_descriptor,
 )
 from .cli import run_cli
 
@@ -110,6 +111,7 @@ __all__ = [
     "subset_unity_product",
     "theorem_value_list",
     "trig_elem",
+    "value_descriptor",
     "verify_remark_factorization",
     "verify_theorem_sweep",
     "zeta",

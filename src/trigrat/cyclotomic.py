@@ -385,6 +385,24 @@ def zeta(m: int) -> CycElem:
     return zeta_power(m, 1)
 
 
+def root_combination(m: int, terms: Iterable[tuple[int, int]], den: int = 1) -> CycElem:
+    """The element sum(c * zeta_m^k for k, c in terms) / den.
+
+    ``terms`` holds (exponent, integer coefficient) pairs; exponents are
+    taken mod m and repeated ones add up.  Each term is reduced into the
+    power basis through one row of the power table, so no intermediate
+    field element is built.
+    """
+    table = _power_table(m)
+    out = [0] * len(table[0])
+    for k, c in terms:
+        if c:
+            for i, t in enumerate(table[k % m]):
+                if t:
+                    out[i] += c * t
+    return CycElem._raw(m, out, den)
+
+
 # ----------------------------------------------------------------------
 # polynomials over a cyclotomic field
 

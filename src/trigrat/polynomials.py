@@ -34,10 +34,6 @@ class RatPoly:
     def monomial(cls, degree: int, coeff: Scalar = 1) -> "RatPoly":
         return cls([0] * degree + [coeff])
 
-    @classmethod
-    def parse_coeffs(cls, texts: Iterable[str]) -> "RatPoly":
-        return cls(Fraction(t) for t in texts)
-
     @property
     def degree(self) -> int:
         """Index of the last nonzero coefficient; -1 for the zero polynomial."""
@@ -155,10 +151,6 @@ class RatPoly:
         if result is None:
             return Fraction(0)
         return result
-
-    def coeff_strings(self) -> list[str]:
-        """Serialized form: coefficient list, constant term first."""
-        return [str(c) for c in self.coeffs]
 
     def __str__(self) -> str:
         if self.is_zero():

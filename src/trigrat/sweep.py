@@ -28,12 +28,11 @@ from .numtheory import format_rational
 from .trig import (
     Angle,
     Case,
-    Classification,
     TrigFunc,
-    ValueDescriptor,
     classify,
     theorem_value_list,
     trig_elem,
+    value_descriptor,
 )
 
 _FUNC_ORDER = {TrigFunc.COS: 0, TrigFunc.SIN: 1, TrigFunc.TAN: 2}
@@ -148,22 +147,6 @@ def reduced_angles(q_max: int) -> list[Angle]:
     ]
 
 
-def _descriptor_of(classification: Classification) -> ValueDescriptor:
-    """The base value func(pi*theta) as sign * sqrt(square), exactly.
-
-    For the rational case this is immediate.  For the rational-square case
-    the square is exact and only the sign comes from the numeric embedding;
-    the candidate magnitudes are bounded away from zero, so the float sign
-    is reliable, and the predicted value lists are symmetric under negation
-    anyway.
-    """
-    if classification.case is Case.VALUE_RATIONAL:
-        return ValueDescriptor.from_rational(classification.value)
-    square = classification.value
-    sign = 1 if classification.witness.numeric_eval().real > 0 else -1
-    return ValueDescriptor(sign, square)
-
-
 def _survey(func: TrigFunc, angle: Angle, n_max: int) -> tuple[list[Hit], list[Violation], Case]:
     """Hits and violations for one (func, angle) pair, exponents 1..n_max."""
     hits: list[Hit] = []
@@ -180,7 +163,7 @@ def _survey(func: TrigFunc, angle: Angle, n_max: int) -> tuple[list[Hit], list[V
     x = trig_elem(func, angle)
     odd_list = theorem_value_list(func, "odd")
     even_list = theorem_value_list(func, "even")
-    base = _descriptor_of(classification) if case is not Case.NEVER else None
+    base = value_descriptor(classification) if case is not Case.NEVER else None
 
     power = None
     first_hit_n = None

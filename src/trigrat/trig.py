@@ -1,19 +1,28 @@
 """Rationality of powers of cos, sin and tan at rational multiples of pi.
 
 For theta = p/q the three functions at pi*theta live in Q(zeta_M) with
-M = lcm(2q, 4): writing z = zeta_M and e = pM/(2q),
+M = lcm(2q, 4).  Writing z = zeta_M, e = pM/(2q), i = z^(M/4) (so that
+1/i = z^(-M/4)), w = z^(2e) and u = -w, each value is an integer
+combination of roots of unity over one denominator, built without any
+field division:
 
     cos(pi p/q) = (z^e + z^-e) / 2
-    sin(pi p/q) = (z^e - z^-e) / (2i),  i = z^(M/4)
-    tan(pi p/q) = sin / cos
+    sin(pi p/q) = (z^(e - M/4) - z^(-e - M/4)) / 2
+    tan(pi p/q) = (w - 1) * z^(-M/4) * (1 - u)^-1,
+                  (1 - u)^-1 = -(1/r) * sum(k * u^k for k < r)
 
-so every power can be expanded exactly and tested for rationality with
+where r is the order of u.  The last line follows from the identity
+sum(k * u^k for k < r) = r / (u - 1), valid for every root of unity
+u != 1 of order r; u = 1 exactly when cos vanishes, i.e. at the tangent
+poles q = 2.
+
+Every power can then be expanded exactly and tested for rationality with
 :meth:`CycElem.as_rational`.  ``classify`` summarises the full picture for
 one (function, angle) pair: either some power is rational and we report the
-least such exponent with its value, or no power ever is, which happens only
-when the value itself is zero-free of rational powers entirely (irrational
-tangent squares, for instance, stay irrational for all even exponents and
-odd powers of an irrational number whose square is rational are irrational).
+least such exponent with its value, or no power is rational at all.  The
+latter is the common case: an irrational value whose square is irrational
+has no rational power, since a least rational exponent of 3 or more never
+occurs (see :func:`classify`).
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .cyclotomic import CycElem, zeta_power
+from .cyclotomic import CycElem, root_combination
 from .numtheory import format_rational, nth_root_rational, parse_rational
 
 
@@ -119,10 +128,6 @@ class Classification:
     value: Fraction | None
     witness: CycElem | None
 
-    @property
-    def value_at_minimal_n(self) -> Fraction | None:
-        return self.value
-
     def to_json(self) -> dict:
         return {
             "func": str(self.func),
@@ -137,22 +142,23 @@ class Classification:
 @lru_cache(maxsize=None)
 def trig_elem(func: TrigFunc, angle: Angle) -> CycElem:
     """The exact value of func(pi * angle) as an element of Q(zeta_M),
-    M = lcm(2q, 4).  Raises UndefinedTrigValue at tangent poles."""
+    M = lcm(2q, 4), from the division-free closed forms in the module
+    docstring.  Raises UndefinedTrigValue at tangent poles."""
     m = lcm(2 * angle.q, 4)
     e = angle.p * m // (2 * angle.q)
-    plus = zeta_power(m, e)
-    minus = zeta_power(m, -e)
-    half = Fraction(1, 2)
     if func is TrigFunc.COS:
-        return (plus + minus) * half
-    i_unit = zeta_power(m, m // 4)
-    sine = (plus - minus) * half / i_unit
+        return root_combination(m, [(e, 1), (-e, 1)], 2)
+    quarter = m // 4
     if func is TrigFunc.SIN:
-        return sine
-    cosine = (plus + minus) * half
-    if cosine.is_zero():
+        return root_combination(m, [(e - quarter, 1), (-e - quarter, -1)], 2)
+    if angle.q == 2:
         raise UndefinedTrigValue(f"tan(pi * {angle}) is undefined")
-    return sine / cosine
+    s = 2 * e + m // 2  # u = -w = z^s
+    r = m // gcd(s, m)
+    # (w - 1) * sum(k * u^k) = -(1 + u) * sum(k * u^k): collecting powers of u
+    # (u^r = 1) leaves r - 1 at u^0 and 2j - 1 at u^j, over the denominator r.
+    terms = [(-quarter, r - 1)] + [(j * s - quarter, 2 * j - 1) for j in range(1, r)]
+    return root_combination(m, terms, r)
 
 
 def power_rational(func: TrigFunc, angle: Angle, n: int) -> Fraction | None:
@@ -231,6 +237,25 @@ class ValueDescriptor:
             return format_rational(r)
         body = f"sqrt({format_rational(self.square)})"
         return body if self.sign > 0 else f"-{body}"
+
+
+def value_descriptor(classification: Classification) -> ValueDescriptor:
+    """The base value func(pi*theta) of a VALUE_RATIONAL or SQUARE_RATIONAL
+    classification as sign * sqrt(square), exactly.
+
+    For the rational case this is immediate.  For the rational-square case
+    the square is exact and only the sign comes from the numeric embedding;
+    the candidate magnitudes are bounded away from zero, so the float sign
+    is reliable, and the predicted value lists are symmetric under negation
+    anyway.
+    """
+    if classification.case not in (Case.VALUE_RATIONAL, Case.SQUARE_RATIONAL):
+        raise ValueError(f"no base value to describe in the {classification.case} case")
+    if classification.case is Case.VALUE_RATIONAL:
+        return ValueDescriptor.from_rational(classification.value)
+    square = classification.value
+    sign = 1 if classification.witness.numeric_eval().real > 0 else -1
+    return ValueDescriptor(sign, square)
 
 
 def theorem_value_list(func: TrigFunc, parity: str) -> frozenset[ValueDescriptor]:

@@ -32,7 +32,7 @@ from trigrat.kummer import (
 )
 from trigrat.numtheory import divisors, euler_phi
 from trigrat.polynomials import RatPoly
-from trigrat.sweep import SweepConfig, _descriptor_of, verify_theorem_sweep
+from trigrat.sweep import SweepConfig, verify_theorem_sweep
 from trigrat.trig import (
     Angle,
     Case,
@@ -40,6 +40,7 @@ from trigrat.trig import (
     classify,
     theorem_value_list,
     trig_elem,
+    value_descriptor,
 )
 
 SWEEP_TIME_BUDGET = 60.0
@@ -78,7 +79,7 @@ def test_criterion_01_sweep_clean_and_value_sets(sweep):
     )
     observed = {func: set() for func in report.config.funcs}
     for hit in report.hits:
-        observed[hit.func].add(_descriptor_of(classify(hit.func, hit.angle)))
+        observed[hit.func].add(value_descriptor(classify(hit.func, hit.angle)))
     for func in (TrigFunc.COS, TrigFunc.SIN, TrigFunc.TAN):
         assert observed[func] == theorem_value_list(func, "even"), func
     assert elapsed < SWEEP_TIME_BUDGET

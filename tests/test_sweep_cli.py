@@ -76,11 +76,10 @@ def test_sweep_hits_are_sorted(small_report):
 
 
 def test_small_sweep_cos_values_fill_the_even_list(small_report):
-    from trigrat.sweep import _descriptor_of
-    from trigrat.trig import classify, theorem_value_list
+    from trigrat.trig import classify, theorem_value_list, value_descriptor
 
     observed = {
-        _descriptor_of(classify(COS, h.angle))
+        value_descriptor(classify(COS, h.angle))
         for h in small_report.hits
         if h.func is COS
     }

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trigrat.cyclotomic import CycElem, zeta_power
+from trigrat.sweep import SweepConfig, reduced_angles, verify_theorem_sweep
 from trigrat.trig import (
     Angle,
     Case,
@@ -16,9 +18,30 @@ from trigrat.trig import (
     power_rational,
     theorem_value_list,
     trig_elem,
+    value_descriptor,
 )
 
 COS, SIN, TAN = TrigFunc.COS, TrigFunc.SIN, TrigFunc.TAN
+
+
+def reference_trig_elem(func, angle):
+    """Reference formula, frozen: cos = (z^e + z^-e)/2, sin = that difference
+    over 2i and tan = sin/cos, each division by field inversion."""
+    m = lcm(2 * angle.q, 4)
+    e = angle.p * m // (2 * angle.q)
+    plus = zeta_power(m, e)
+    minus = zeta_power(m, -e)
+    half = Fraction(1, 2)
+    if func is COS:
+        return (plus + minus) * half
+    i_unit = zeta_power(m, m // 4)
+    sine = (plus - minus) * half / i_unit
+    if func is SIN:
+        return sine
+    cosine = (plus + minus) * half
+    if cosine.is_zero():
+        raise UndefinedTrigValue(f"tan(pi * {angle}) is undefined")
+    return sine / cosine
 
 
 @st.composite
@@ -155,7 +178,6 @@ def test_classify_cases():
     assert c.case is Case.VALUE_RATIONAL
     assert c.minimal_n == 1
     assert c.value == Fraction(1, 2)
-    assert c.value_at_minimal_n == Fraction(1, 2)
 
     c = classify(COS, Angle(1, 4))
     assert c.case is Case.SQUARE_RATIONAL
@@ -275,3 +297,65 @@ def test_value_descriptor_behaviour():
         ValueDescriptor(2, Fraction(1))
     with pytest.raises(ValueError):
         ValueDescriptor(0, Fraction(1))
+
+
+def test_value_descriptor_of_classifications():
+    assert value_descriptor(classify(COS, Angle(2, 3))) == ValueDescriptor.from_rational(Fraction(-1, 2))
+    assert value_descriptor(classify(SIN, Angle(5, 4))) == ValueDescriptor(-1, Fraction(1, 2))
+    for func, angle in [(COS, Angle(1, 5)), (TAN, Angle(1, 2))]:
+        with pytest.raises(ValueError):
+            value_descriptor(classify(func, angle))
+
+
+def test_trig_elem_matches_reference_formula():
+    for angle in reduced_angles(24):
+        for func in (COS, SIN, TAN):
+            if func is TAN and angle.q == 2:
+                with pytest.raises(UndefinedTrigValue):
+                    reference_trig_elem(func, angle)
+                with pytest.raises(UndefinedTrigValue):
+                    trig_elem(func, angle)
+                continue
+            assert trig_elem(func, angle) == reference_trig_elem(func, angle), (func, angle)
+
+
+def test_classify_and_sweep_never_invert(monkeypatch):
+    """Trig values and their powers need no field division, so classify and
+    the sweep must run with inversion disabled."""
+    rational = {
+        (COS, Angle(1, 3)): (Case.VALUE_RATIONAL, 1, Fraction(1, 2)),
+        (COS, Angle(1, 4)): (Case.SQUARE_RATIONAL, 2, Fraction(1, 2)),
+        (SIN, Angle(1, 3)): (Case.SQUARE_RATIONAL, 2, Fraction(3, 4)),
+        (SIN, Angle(1, 6)): (Case.VALUE_RATIONAL, 1, Fraction(1, 2)),
+        (TAN, Angle(1, 3)): (Case.SQUARE_RATIONAL, 2, Fraction(3)),
+        (TAN, Angle(1, 4)): (Case.VALUE_RATIONAL, 1, Fraction(1)),
+        (TAN, Angle(1, 6)): (Case.SQUARE_RATIONAL, 2, Fraction(1, 3)),
+    }
+    never = [(func, Angle(p, q)) for func in (COS, SIN, TAN) for p, q in [(1, 7), (5, 12)]]
+    witnesses = {key: reference_trig_elem(*key) for key in [*rational, *never]}
+
+    def no_division(*args, **kwargs):
+        raise AssertionError("field division on the trig hot path")
+
+    monkeypatch.setattr(CycElem, "inverse", no_division)
+    monkeypatch.setattr("trigrat.cyclotomic.poly_xgcd", no_division)
+    trig_elem.cache_clear()
+    classify.cache_clear()
+
+    for key, witness in witnesses.items():
+        c = classify(*key)
+        assert c.witness == witness, key
+        assert (c.case, c.minimal_n, c.value) == rational.get(key, (Case.NEVER, None, None)), key
+    assert classify(TAN, Angle(1, 2)).case is Case.UNDEFINED
+
+    totals = verify_theorem_sweep(SweepConfig(q_max=12, n_max=4)).to_json()["totals"]
+    assert totals == {
+        "queries": 1096,
+        "hits": 136,
+        "violations": 0,
+        "cases": {
+            "cos": {"never": 76, "square_rational": 8, "value_rational": 8},
+            "sin": {"never": 76, "square_rational": 8, "value_rational": 8},
+            "tan": {"never": 76, "square_rational": 8, "undefined": 2, "value_rational": 6},
+        },
+    }
