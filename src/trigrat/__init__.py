@@ -30,7 +30,6 @@ from .kummer import (
     meta_group_checks,
     nth_root_in_cyclotomic,
     sqrt_in_cyclotomic,
-    subset_factorization_oracle,
     subset_factorizations,
     subset_unity_product,
     verify_remark_factorization,
@@ -46,7 +45,7 @@ from .numtheory import (
     radical_condition,
     squarefree_decompose,
 )
-from .polynomials import RatPoly, poly_xgcd
+from .polynomials import RatPoly
 from .sweep import Hit, SweepConfig, SweepReport, Violation, reduced_angles, verify_theorem_sweep
 from .trig import (
     Angle,
@@ -98,7 +97,6 @@ __all__ = [
     "nth_root_in_cyclotomic",
     "nth_root_rational",
     "parse_rational",
-    "poly_xgcd",
     "power_rational",
     "prime_factorization",
     "radical_condition",
@@ -106,7 +104,6 @@ __all__ = [
     "run_cli",
     "sqrt_in_cyclotomic",
     "squarefree_decompose",
-    "subset_factorization_oracle",
     "subset_factorizations",
     "subset_unity_product",
     "theorem_value_list",

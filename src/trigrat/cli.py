@@ -21,7 +21,6 @@ from .kummer import (
     meta_group_checks,
     nth_root_in_cyclotomic,
     sqrt_in_cyclotomic,
-    subset_factorization_oracle,
     subset_factorizations,
     verify_remark_factorization,
 )
@@ -96,9 +95,8 @@ def _cmd_sqrt_embed(args) -> int:
 def _cmd_root_member(args) -> int:
     alpha = parse_rational(args.alpha)
     verdict = nth_root_in_cyclotomic(alpha, args.n, args.m)
-    answer = "YES" if verdict.member else "NO"
     human = (
-        f"{format_rational(alpha)}^(1/{args.n}) in Q(zeta_{args.m}): {answer}"
+        f"{format_rational(alpha)}^(1/{args.n}) in Q(zeta_{args.m}): {verdict.answer}"
         f"  [{verdict.justification}]"
     )
     if verdict.witness is not None:

@@ -21,7 +21,7 @@ from math import gcd
 from typing import Iterable, Sequence, Union
 
 from .numtheory import divisors, euler_phi, mobius
-from .polynomials import RatPoly, poly_xgcd
+from .polynomials import RatPoly
 
 Scalar = Union[int, Fraction]
 
@@ -272,16 +272,20 @@ class CycElem:
         return result
 
     def inverse(self) -> "CycElem":
-        """Multiplicative inverse via extended Euclid against Phi_m in Q[x]."""
+        """Multiplicative inverse via the Galois norm: with cofactor the
+        product of sigma_c(x) over the units c != 1 mod m, the norm
+        N(x) = x * cofactor is a nonzero rational and 1/x = cofactor / N(x)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in a cyclotomic field")
-        g, s, _ = poly_xgcd(RatPoly(self.coeffs), cyclotomic_polynomial(self.modulus))
-        # Phi_m is irreducible and self is nonzero, so the gcd is 1
-        if g.degree != 0:
-            raise ArithmeticError("gcd with the cyclotomic polynomial is not constant")
-        inv = s * (Fraction(1) / g[0])
-        coords = [inv[k] for k in range(len(self._nums))]
-        return CycElem(self.modulus, coords)
+        m = self.modulus
+        cofactor = CycElem.one(m)
+        for c in range(2, m):
+            if gcd(c, m) == 1:
+                cofactor = cofactor * self.galois_apply(c)
+        norm = (self * cofactor).as_rational()
+        if norm is None:
+            raise ArithmeticError("Galois norm is not rational")
+        return cofactor * (1 / norm)
 
     def galois_apply(self, c: int) -> "CycElem":
         """Image under the automorphism zeta_m -> zeta_m^c (needs gcd(c, m) = 1)."""
@@ -507,11 +511,13 @@ class CycPoly:
 def express_in_submodulus(x: CycElem, sub_modulus: int) -> CycElem | None:
     """Coordinates of x in the power basis of Q(zeta_sub), or None.
 
-    ``sub_modulus`` must divide ``x.modulus``.  The embedded images of
-    1, zeta_sub, ..., zeta_sub^(phi(sub)-1) span the subfield inside the big
-    power basis, so membership is an exact linear system over Q: solvable
-    (with a unique solution, the images being linearly independent) exactly
-    when x lies in the subfield.
+    A general descent by Gauss-Jordan elimination, kept as an independent
+    test oracle: no decision procedure calls it (root membership decides by
+    the conductor).  ``sub_modulus`` must divide ``x.modulus``.  The
+    embedded images of 1, zeta_sub, ..., zeta_sub^(phi(sub)-1) span the
+    subfield inside the big power basis, so membership is an exact linear
+    system over Q: solvable (with a unique solution, the images being
+    linearly independent) exactly when x lies in the subfield.
     """
     m = x.modulus
     if m % sub_modulus != 0:

@@ -6,14 +6,16 @@ rational alpha, which cyclotomic fields contain the real root alpha^(1/n)?
 * ``binomial_irreducible`` settles irreducibility of x^n - alpha over Q by
   the radical criterion (no prime-order root of alpha is rational; for
   positive alpha the quartic exception of the general theorem cannot occur).
-* ``subset_factorization_oracle`` gives a second opinion with no theory in
-  it: over C the monic factors of x^n - alpha are exactly the subset
-  products of (x - alpha^(1/n) zeta_n^j); floats nominate subsets whose
-  product looks rational, exact division confirms or rejects.
+* ``subset_factorizations`` gives a second opinion with no theory in it:
+  over C the monic factors of x^n - alpha are exactly the subset products
+  of (x - alpha^(1/n) zeta_n^j); floats nominate subsets whose product
+  looks rational, exact division confirms or rejects.
 * ``gauss_sum`` and ``sqrt_in_cyclotomic`` build explicit square-root
-  witnesses, pinning the quadratic case down constructively.
+  witnesses at the conductor of Q(sqrt(alpha)), pinning the quadratic case
+  down constructively.
 * ``nth_root_in_cyclotomic`` combines them into a decision procedure whose
-  verdict carries a machine-checkable justification.
+  verdict carries a machine-checkable justification: a square root lies in
+  Q(zeta_m) iff its conductor divides m.
 * ``meta_group_checks`` verifies the abstract group that acts on the roots:
   pairs (a, c) with composition (a1 + c1 a2, c1 c2) mod n, the semidirect
   product of Z/n by its unit group.
@@ -30,12 +32,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Union
 
-from .cyclotomic import (
-    CycElem,
-    CycPoly,
-    express_in_submodulus,
-    zeta_power,
-)
+from .cyclotomic import CycElem, CycPoly, zeta_power
 from .numtheory import (
     divisors,
     euler_phi,
@@ -122,13 +119,6 @@ def subset_factorizations(alpha: Scalar, n: int) -> list[SubsetFactor]:
             if remainder.is_zero():
                 found.append(SubsetFactor(frozenset(subset), candidate, quotient))
     return found
-
-
-def subset_factorization_oracle(alpha: Scalar, n: int) -> bool:
-    """Reducibility of x^n - alpha decided with no number theory: True iff
-    the exhaustive subset scan finds a proper rational factor (so this is
-    the exact negation of ``binomial_irreducible`` when both apply)."""
-    return bool(subset_factorizations(alpha, n))
 
 
 def subset_unity_product(n: int, subset: frozenset[int]) -> CycElem:
@@ -341,7 +331,7 @@ class RootJustification(enum.Enum):
 
     CONSTRUCTED_WITNESS = "constructed_witness"  # n = 1, the value itself
     EXPONENT_REDUCED = "exponent_reduced"        # root is outright rational
-    GALOIS_INVARIANCE = "galois_invariance"      # square root, fixed-field test
+    GALOIS_INVARIANCE = "galois_invariance"      # square root: conductor divides m
     THEOREM_1_3 = "theorem_1_3"                  # genuine degree >= 3: never
 
     def __str__(self) -> str:
@@ -379,12 +369,6 @@ class RootMembershipVerdict:
         }
 
 
-def _normalized_modulus(m: int) -> int:
-    """Q(zeta_m) = Q(zeta_(m/2)) for m = 2 mod 4; the reduced modulus makes
-    divisibility of moduli equivalent to inclusion of fields."""
-    return m // 2 if m % 4 == 2 else m
-
-
 def nth_root_in_cyclotomic(alpha: Scalar, n: int, m: int) -> RootMembershipVerdict:
     """Decide whether the positive real n-th root of alpha lies in Q(zeta_m).
 
@@ -392,12 +376,14 @@ def nth_root_in_cyclotomic(alpha: Scalar, n: int, m: int) -> RootMembershipVerdi
     alpha^(1/e) is rational, the query becomes beta^(1/k) with beta rational
     and k = n/e, and beta then has no rational prime-order root.  Three
     ranges of k remain.  k = 1: the root is rational, hence a member.
-    k = 2: sqrt(beta) has an explicit cyclotomic witness; membership in
-    Q(zeta_m) holds iff the witness is fixed by every automorphism of the
-    compositum that fixes Q(zeta_m), and in that case solving a linear
-    system rewrites it in the target power basis.  k >= 3: membership fails
-    for every modulus, because the root would generate a non-abelian
-    extension inside an abelian one.
+    k = 2: sqrt(beta) has an explicit witness at the conductor f of
+    Q(sqrt(beta)) (d when the squarefree part d of beta is 1 mod 4, else
+    4d), and Q(zeta_m) contains it iff f divides m, the closed form of the
+    Galois-invariance test; a YES witness is that witness embedded into
+    Q(zeta_m).  f is odd or a multiple of 4, so for m = 2 mod 4, where
+    Q(zeta_m) = Q(zeta_(m/2)), it divides m iff it divides m/2.  k >= 3:
+    membership fails for every modulus, because the root would generate a
+    non-abelian extension inside an abelian one.
     """
     alpha = _check_positive_rational(alpha)
     if n < 1:
@@ -417,25 +403,12 @@ def nth_root_in_cyclotomic(alpha: Scalar, n: int, m: int) -> RootMembershipVerdi
         return RootMembershipVerdict(alpha, n, m, True, justification, witness)
 
     if k == 2:
-        m_norm = _normalized_modulus(m)
         w_mod, w = sqrt_in_cyclotomic(beta)
-        big = lcm(m_norm, w_mod)
-        w_big = w.embed(big)
-        fixed = all(
-            w_big.galois_apply(c) == w_big
-            for c in range(1, big + 1)
-            if gcd(c, big) == 1 and (c - 1) % m_norm == 0
-        )
-        if not fixed:
+        if m % w_mod:
             return RootMembershipVerdict(alpha, n, m, False, RootJustification.GALOIS_INVARIANCE, None)
-        descended = express_in_submodulus(w_big, m_norm)
-        if descended is None:
-            raise ArithmeticError(
-                f"Galois-fixed element failed to descend to modulus {m_norm}"
-            )
-        witness = descended.embed(m)
+        witness = w.embed(m)
         if (witness ** n).as_rational() != alpha:
-            raise ArithmeticError("descended witness fails the defining equation")
+            raise ArithmeticError("embedded witness fails the defining equation")
         return RootMembershipVerdict(alpha, n, m, True, RootJustification.GALOIS_INVARIANCE, witness)
 
     return RootMembershipVerdict(alpha, n, m, False, RootJustification.THEOREM_1_3, None)

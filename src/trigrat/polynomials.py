@@ -182,20 +182,3 @@ def _coerce(value) -> RatPoly | None:
     if isinstance(value, (int, Fraction)):
         return RatPoly([value])
     return None
-
-
-def poly_xgcd(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly, RatPoly]:
-    """Extended Euclid in Q[x]: returns (g, s, t) with s*a + t*b = g, g monic."""
-    r0, r1 = a, b
-    s0, s1 = RatPoly([1]), RatPoly()
-    t0, t1 = RatPoly(), RatPoly([1])
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    lead = r0.leading
-    scale = Fraction(1) / lead
-    return r0.monic(), s0 * scale, t0 * scale

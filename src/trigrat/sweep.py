@@ -218,10 +218,6 @@ def _survey(func: TrigFunc, angle: Angle, n_max: int) -> tuple[list[Hit], list[V
     return hits, violations, case
 
 
-def _survey_task(task: tuple[TrigFunc, Angle, int]):
-    return _survey(*task)
-
-
 def verify_theorem_sweep(config: SweepConfig) -> SweepReport:
     """Run the full sweep described by ``config`` and collect the report.
 
@@ -232,9 +228,9 @@ def verify_theorem_sweep(config: SweepConfig) -> SweepReport:
     tasks = [(func, angle, config.n_max) for func in config.funcs for angle in angles]
     if config.parallel > 1:
         with multiprocessing.Pool(config.parallel) as pool:
-            results = pool.map(_survey_task, tasks, chunksize=16)
+            results = pool.starmap(_survey, tasks, chunksize=16)
     else:
-        results = [_survey_task(t) for t in tasks]
+        results = [_survey(*t) for t in tasks]
 
     report = SweepReport(config=config)
     for (func, angle, n_max), (hits, violations, case) in zip(tasks, results):

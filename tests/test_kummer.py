@@ -1,10 +1,12 @@
+import json
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trigrat.cli import run_cli
 from trigrat.cyclotomic import CycElem, CycPoly, express_in_submodulus, zeta_power
 from trigrat.kummer import (
     GroupReport,
@@ -17,7 +19,6 @@ from trigrat.kummer import (
     meta_group_checks,
     nth_root_in_cyclotomic,
     sqrt_in_cyclotomic,
-    subset_factorization_oracle,
     subset_factorizations,
     subset_unity_product,
     verify_remark_factorization,
@@ -90,7 +91,7 @@ def test_subset_oracle_range():
 )
 @settings(max_examples=40)
 def test_oracle_agrees_with_radical_criterion(alpha, n):
-    assert subset_factorization_oracle(alpha, n) == (not binomial_irreducible(alpha, n))
+    assert bool(subset_factorizations(alpha, n)) == (not binomial_irreducible(alpha, n))
 
 
 def test_unity_product_is_plus_or_minus_one_on_found_factors():
@@ -331,6 +332,68 @@ def test_root_membership_matches_conductor_rule():
             if verdict.member:
                 assert (verdict.witness ** 2).as_rational() == alpha
                 assert verdict.witness.modulus == m
+
+
+def reference_sqrt_member(beta, m: int) -> CycElem | None:
+    """Reference for the conductor rule: the general Galois-invariance
+    procedure.  sqrt(beta) lies in Q(zeta_m) iff its witness is fixed by
+    every automorphism of the compositum that fixes Q(zeta_m); a fixed
+    witness is then descended by solving a linear system.  Returns the
+    witness in Q(zeta_m), or None."""
+    m_norm = m // 2 if m % 4 == 2 else m
+    w_mod, w = sqrt_in_cyclotomic(beta)
+    big = lcm(m_norm, w_mod)
+    w_big = w.embed(big)
+    fixed = all(
+        w_big.galois_apply(c) == w_big
+        for c in range(1, big + 1)
+        if gcd(c, big) == 1 and (c - 1) % m_norm == 0
+    )
+    if not fixed:
+        return None
+    descended = express_in_submodulus(w_big, m_norm)
+    assert descended is not None, (beta, m)
+    return descended.embed(m)
+
+
+def test_root_membership_matches_galois_reference():
+    for alpha in (2, 3, 5, 6, 7, 10, 15, 21, Fraction(1, 2), Fraction(3, 5)):
+        for m in range(1, 61):
+            verdict = nth_root_in_cyclotomic(alpha, 2, m)
+            expected = reference_sqrt_member(alpha, m)
+            assert verdict.member == (expected is not None), (alpha, m)
+            assert verdict.witness == expected, (alpha, m)
+
+
+def test_sqrt_membership_needs_no_galois_action_or_descent(monkeypatch, capsys):
+    """Square-root membership is decided by the conductor alone: the CLI
+    answers with the Galois action and the linear descent disabled."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("general Galois machinery on the square-root decision path")
+
+    monkeypatch.setattr(CycElem, "galois_apply", forbidden)
+    monkeypatch.setattr("trigrat.cyclotomic.express_in_submodulus", forbidden)
+
+    sqrt2 = {"modulus": 8, "coeffs": ["0", "1", "0", "-1"]}
+    sqrt3 = {"modulus": 24, "coeffs": ["0", "0", "2", "0", "0", "0", "-1", "0"]}
+    cases = [
+        (("2", "2", "8"), "YES", sqrt2),
+        (("8", "6", "8"), "YES", sqrt2),
+        (("3", "2", "24"), "YES", sqrt3),
+        (("2", "2", "12"), "NO", None),
+        (("15", "2", "239"), "NO", None),
+    ]
+    for (alpha, n, m), answer, witness in cases:
+        code = run_cli(["root-member", alpha, n, m, "--json"])
+        assert code == 0, (alpha, n, m)
+        assert json.loads(capsys.readouterr().out) == {
+            "alpha": alpha,
+            "n": int(n),
+            "modulus": int(m),
+            "answer": answer,
+            "justification": "galois_invariance",
+            "witness": witness,
+        }, (alpha, n, m)
 
 
 def test_root_membership_json_shape():

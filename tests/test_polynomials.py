@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trigrat.polynomials import RatPoly, poly_xgcd
+from trigrat.polynomials import RatPoly
 
 rationals = st.fractions(max_denominator=20, min_value=-10, max_value=10)
 polys = st.lists(rationals, max_size=7).map(RatPoly)
@@ -60,22 +60,6 @@ def test_division_example():
     q, r = divmod(a, b)
     assert r.is_zero()
     assert q == RatPoly([4, 0, 2, 0, 1])
-
-
-@given(polys, polys)
-def test_xgcd_bezout(a, b):
-    if a.is_zero() and b.is_zero():
-        return
-    g, s, t = poly_xgcd(a, b)
-    assert s * a + t * b == g
-    assert g.is_monic()
-    assert (a % g).is_zero() and (b % g).is_zero()
-
-
-def test_xgcd_coprime_gives_constant():
-    g, s, t = poly_xgcd(RatPoly([1, 1]), RatPoly([2, 1]))
-    assert g == RatPoly([1])
-    assert s * RatPoly([1, 1]) + t * RatPoly([2, 1]) == RatPoly([1])
 
 
 @given(polys, rationals)
