@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .kummer import (
     binomial_irreducible,
@@ -199,7 +200,10 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls
+    (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="trigrat",
         description="Exact rationality of powers of cos, sin and tan at rational multiples of pi.",

@@ -6,10 +6,14 @@ polynomial.  Phi_m is irreducible over Q, so the representation is canonical:
 two elements of the same modulus are equal iff their coordinates are equal.
 
 Internally an element stores integer numerators over one common positive
-denominator (with overall content 1), so products are integer convolutions;
-the public ``coeffs`` view is a tuple of ``Fraction``.  Floating point enters
-only in :meth:`CycElem.numeric_eval`, which is for sanity checks and never
-decides anything.
+denominator (with overall content 1); the public ``coeffs`` view is a tuple
+of ``Fraction``.  Products, Galois images, embeddings and sums of roots of
+unity lay their terms out as integer coefficients of powers of z and reduce
+once, through ``_reduce``: exponents mod m, then the remainder modulo the
+monic integer Phi_m.  The table of reduced powers of z (``_power_table``)
+is an independent oracle for tests.  Floating point enters only in
+:meth:`CycElem.numeric_eval`, which is for sanity checks and never decides
+anything.
 """
 
 from __future__ import annotations
@@ -31,26 +35,29 @@ Scalar = Union[int, Fraction]
 
 def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
+    b_terms = [(j, y) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
+            for j, y in b_terms:
                 out[i + j] += x * y
     return out
 
 
-def _int_divexact(num: Sequence[int], den: Sequence[int]) -> list[int]:
-    # den is monic; the division must be exact
-    num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    for k in range(len(q) - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        q[k] = c
+def _divide_monic(num: list[int], den: Sequence[int]) -> list[int]:
+    """Long division by the monic integer polynomial ``den``, over its
+    nonzero coefficients only.  Returns the quotient and leaves the
+    remainder in ``num[:len(den) - 1]`` (``num`` is overwritten)."""
+    d = len(den) - 1
+    tail = [(j, c) for j, c in enumerate(den[:d]) if c]
+    quotient = [0] * max(len(num) - d, 0)
+    for k in range(len(num) - 1, d - 1, -1):
+        c = num[k]
         if c:
-            for j, y in enumerate(den):
-                num[k + j] -= c * y
-    if any(num[: len(den) - 1]):
-        raise ArithmeticError("inexact polynomial division")
-    return q
+            base = k - d
+            quotient[base] = c
+            for j, t in tail:
+                num[base + j] -= c * t
+    return quotient
 
 
 @lru_cache(maxsize=None)
@@ -70,7 +77,34 @@ def _cyclotomic_int_coeffs(m: int) -> tuple[int, ...]:
             num = _int_mul(num, binomial)
         else:
             den = _int_mul(den, binomial)
-    return tuple(_int_divexact(num, den))
+    quotient = _divide_monic(num, den)
+    if any(num[: len(den) - 1]):
+        raise ArithmeticError("inexact polynomial division")
+    return tuple(quotient)
+
+
+def _reduce(m: int, coeffs: list[int]) -> list[int]:
+    """Power-basis coordinates of sum(coeffs[k] * zeta_m^k).
+
+    The single reduction kernel of the module: exponents are folded mod m
+    (zeta_m^m = 1) and, for even m, mod m/2 with a sign (zeta_m^(m/2) = -1);
+    then the remainder modulo the monic Phi_m is taken.  The folds only
+    shorten the long division.  ``coeffs`` needs at least phi(m) entries
+    and is overwritten.
+    """
+    if len(coeffs) > m:
+        folded = coeffs[:m]
+        for k in range(m, len(coeffs)):
+            folded[k % m] += coeffs[k]
+        coeffs = folded
+    if m % 2 == 0:
+        half = m // 2
+        for k in range(half, len(coeffs)):
+            coeffs[k - half] -= coeffs[k]
+        del coeffs[half:]
+    phi_coeffs = _cyclotomic_int_coeffs(m)
+    _divide_monic(coeffs, phi_coeffs)
+    return coeffs[: len(phi_coeffs) - 1]
 
 
 def cyclotomic_polynomial(m: int) -> RatPoly:
@@ -82,9 +116,9 @@ def cyclotomic_polynomial(m: int) -> RatPoly:
 def _power_table(m: int) -> tuple[tuple[int, ...], ...]:
     """Coordinates of zeta_m^k for 0 <= k < max(m, 2*phi(m) - 1).
 
-    Row k is the integer coordinate vector of z^k in the power basis
-    (roots of unity are algebraic integers, so rows are integral).
-    Products, Galois images and embeddings all reduce through this table.
+    Row k is the integer coordinate vector of z^k in the power basis, built
+    by the recurrence z^(k+1) = z * z^k.  A test oracle for ``_reduce``; of
+    the library only ``express_in_submodulus`` reads it.
     """
     phi_coeffs = _cyclotomic_int_coeffs(m)
     phi = len(phi_coeffs) - 1
@@ -225,22 +259,7 @@ class CycElem:
         if other is None:
             return NotImplemented
         self._check_same_field(other)
-        a, b = self._nums, other._nums
-        phi = len(a)
-        conv = [0] * (2 * phi - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    conv[i + j] += x * y
-        table = _power_table(self.modulus)
-        out = conv[:phi]
-        for k in range(phi, 2 * phi - 1):
-            c = conv[k]
-            if c:
-                row = table[k]
-                for i, t in enumerate(row):
-                    if t:
-                        out[i] += c * t
+        out = _reduce(self.modulus, _int_mul(self._nums, other._nums))
         return CycElem._raw(self.modulus, out, self._den * other._den)
 
     __rmul__ = __mul__
@@ -293,15 +312,7 @@ class CycElem:
         c %= m
         if gcd(c, m) != 1:
             raise ValueError(f"galois_apply needs gcd(c, m) = 1, got c = {c}, m = {m}")
-        table = _power_table(m)
-        out = [0] * len(self._nums)
-        for i, a in enumerate(self._nums):
-            if a:
-                row = table[(i * c) % m]
-                for k, t in enumerate(row):
-                    if t:
-                        out[k] += a * t
-        return CycElem._raw(m, out, self._den)
+        return root_combination(m, ((i * c, a) for i, a in enumerate(self._nums)), self._den)
 
     def conjugate(self) -> "CycElem":
         """Complex conjugation (the automorphism c = m - 1; identity for m <= 2)."""
@@ -331,15 +342,8 @@ class CycElem:
         if new_modulus == m:
             return self
         stride = new_modulus // m
-        table = _power_table(new_modulus)
-        out = [0] * euler_phi(new_modulus)
-        for i, a in enumerate(self._nums):
-            if a:
-                row = table[(i * stride) % new_modulus]
-                for k, t in enumerate(row):
-                    if t:
-                        out[k] += a * t
-        return CycElem._raw(new_modulus, out, self._den)
+        terms = ((i * stride, a) for i, a in enumerate(self._nums))
+        return root_combination(new_modulus, terms, self._den)
 
     def numeric_eval(self) -> complex:
         """Floating-point value (sanity checks only; never used for verdicts)."""
@@ -381,8 +385,7 @@ class CycElem:
 
 def zeta_power(m: int, k: int) -> CycElem:
     """The element zeta_m^(k mod m), reduced into the power basis."""
-    table = _power_table(m)
-    return CycElem._raw(m, list(table[k % m]), 1)
+    return root_combination(m, [(k, 1)])
 
 
 def zeta(m: int) -> CycElem:
@@ -393,18 +396,13 @@ def root_combination(m: int, terms: Iterable[tuple[int, int]], den: int = 1) -> 
     """The element sum(c * zeta_m^k for k, c in terms) / den.
 
     ``terms`` holds (exponent, integer coefficient) pairs; exponents are
-    taken mod m and repeated ones add up.  Each term is reduced into the
-    power basis through one row of the power table, so no intermediate
-    field element is built.
+    taken mod m and repeated ones add up.  The whole combination is reduced
+    modulo Phi_m once, so no intermediate field element is built.
     """
-    table = _power_table(m)
-    out = [0] * len(table[0])
+    out = [0] * m
     for k, c in terms:
-        if c:
-            for i, t in enumerate(table[k % m]):
-                if t:
-                    out[i] += c * t
-    return CycElem._raw(m, out, den)
+        out[k % m] += c
+    return CycElem._raw(m, _reduce(m, out), den)
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Union
 
-from .cyclotomic import CycElem, CycPoly, zeta_power
+from .cyclotomic import CycElem, CycPoly, root_combination, zeta_power
 from .numtheory import (
     divisors,
     euler_phi,
@@ -251,10 +251,7 @@ def gauss_sum(m: int) -> CycElem:
     as an exact element of Q(zeta_m)."""
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
-    total = CycElem.zero(m)
-    for k in range(m):
-        total = total + zeta_power(m, k * k)
-    return total
+    return root_combination(m, [(k * k, 1) for k in range(m)])
 
 
 def gauss_sum_case_check(m: int) -> bool:

@@ -31,7 +31,6 @@ from .trig import (
     TrigFunc,
     classify,
     theorem_value_list,
-    trig_elem,
     value_descriptor,
 )
 
@@ -160,7 +159,7 @@ def _survey(func: TrigFunc, angle: Angle, n_max: int) -> tuple[list[Hit], list[V
     if case is Case.UNDEFINED:
         return hits, violations, case
 
-    x = trig_elem(func, angle)
+    x = classification.witness
     odd_list = theorem_value_list(func, "odd")
     even_list = theorem_value_list(func, "even")
     base = value_descriptor(classification) if case is not Case.NEVER else None

@@ -1,4 +1,5 @@
 import cmath
+import random
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from trigrat.cyclotomic import (
     CycElem,
+    _power_table,
     CycPoly,
     cyclotomic_polynomial,
     express_in_submodulus,
@@ -61,6 +63,61 @@ def test_zeta_power_examples():
     assert zeta_power(5, 7) == zeta_power(5, 2)
     # zeta_8^-1 = -zeta_8^3 in the power basis
     assert zeta_power(8, -1).coeffs == (0, 0, 0, -1)
+
+
+# Frozen table-based reference: products, Galois images and embeddings
+# reduced through the rows of the power table, a route to the coordinates
+# that shares no code with the reduction kernel.
+
+def _reference_combination(m, terms):
+    table = _power_table(m)
+    out = [Fraction(0)] * len(table[0])
+    for k, c in terms:
+        if c:
+            for i, t in enumerate(table[k]):
+                out[i] += c * t
+    return CycElem(m, out)
+
+
+def reference_mul(x, y):
+    conv = [Fraction(0)] * (2 * len(x.coeffs) - 1)
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            conv[i + j] += a * b
+    return _reference_combination(x.modulus, enumerate(conv))
+
+
+def reference_galois_apply(x, c):
+    m = x.modulus
+    return _reference_combination(m, [(i * c % m, a) for i, a in enumerate(x.coeffs)])
+
+
+def reference_embed(x, big):
+    stride = big // x.modulus
+    return _reference_combination(big, [(i * stride, a) for i, a in enumerate(x.coeffs)])
+
+
+def test_zeta_power_matches_power_table_rows():
+    for m in range(1, 151):
+        for k, row in enumerate(_power_table(m)):
+            assert zeta_power(m, k).coeffs == row, (m, k)
+
+
+def test_arithmetic_matches_table_reference():
+    rng = random.Random(20201)
+    for m in (1, 2, 3, 4, 7, 8, 11, 12, 15, 60, 105):
+        phi = euler_phi(m)
+        units = [c for c in range(1, m + 1) if gcd(c, m) == 1]
+        for _ in range(6):
+            x, y = (
+                CycElem(m, [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(phi)])
+                for _ in range(2)
+            )
+            assert x * y == reference_mul(x, y), m
+            c = rng.choice(units)
+            assert x.galois_apply(c) == reference_galois_apply(x, c), (m, c)
+            big = m * rng.choice([1, 2, 3, 5])
+            assert x.embed(big) == reference_embed(x, big), (m, big)
 
 
 def test_sqrt2_combination():

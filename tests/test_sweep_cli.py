@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from trigrat.cli import run_cli
+from trigrat.kummer import gauss_sum
 from trigrat.sweep import (
     Hit,
     SweepConfig,
@@ -13,7 +15,7 @@ from trigrat.sweep import (
     reduced_angles,
     verify_theorem_sweep,
 )
-from trigrat.trig import Angle, Case, TrigFunc
+from trigrat.trig import Angle, Case, TrigFunc, classify, trig_elem
 
 COS, SIN, TAN = TrigFunc.COS, TrigFunc.SIN, TrigFunc.TAN
 
@@ -288,3 +290,68 @@ def test_cli_module_entry_point():
     )
     assert result.returncode == 0
     assert "1/2" in result.stdout
+
+
+def test_consecutive_cli_calls_do_not_share_flags(capsys):
+    code, out, _ = run(capsys, "irreducible", "8", "6", "--oracle", "--json")
+    assert code == 0 and "oracle_reducible" in json.loads(out)
+    code, out, _ = run(capsys, "irreducible", "8", "6", "--json")
+    assert code == 0 and "oracle_reducible" not in json.loads(out)
+
+    code, out, _ = run(capsys, "verify", "sweep", "--json", "--q-max", "3", "--n-max", "2")
+    assert code == 0 and "totals" in json.loads(out)
+    code, out, _ = run(capsys, "verify", "sweep", "--q-max", "3", "--n-max", "2")
+    assert code == 0 and out.startswith("sweep q <= 3, n <= 2:")
+
+
+# sha256 of the --json output of each command, as the table-based
+# arithmetic printed it
+PAYLOAD_DIGESTS = [
+    ("classify cos 1/3", "9194bdf014c10c12af573df675e011dc953f498a820096da59ec80c495acc437"),
+    ("classify sin 1/4", "d7efd6566a598842e46f788ce18e0f80029698a8ab03b45ef3b0c8d7cffd6390"),
+    ("classify tan 1/6", "4aa8c103f6a48d5802d3b8c99f176d3a43dfb01b2a97c6e88a5f9ecb230d4770"),
+    ("classify cos 2/7", "04434a5eebbe7ef7c7fcff2d0b50013ca6bfa759c9a70ab09e06001258740fed"),
+    ("classify tan 1/2", "899a85c97c0a4604fcd10b2a19a2c63ac910cfa5ec0cfa56f5d3f72a9b92ad36"),
+    ("eval cos 2/3 --pow 3", "3867261fc5962f6180c76af1016a6cf7a9fe69260c8f808465dace0956cea7d2"),
+    ("eval sin 1/4 --pow 2", "8ba22909e16a94db864eb7b50a5fad1bc142ea5155084df64e2bdf3c5b660a7d"),
+    ("eval tan 5/12 --pow 2", "ee15a8e2b67e840871fae421a3114e441f4c92d14b799b064e5b559f76860db8"),
+    ("verify sweep --q-max 12", "025caea64e5345f0423266febeec002229b2d9f74fef276c4214d34309b7c80e"),
+    ("root-member 2 2 8", "04dfd098644f83a86371e5021a6fa4e2d6159640249692cf40efbdabe10dc3dc"),
+    ("root-member 21 2 8400", "8c11bf20b552d99cfe348222416bf998ca196f838750cbd1f354ec2b661061c5"),
+    ("sqrt-embed 15", "07de6c97c88face9035d68ce0ddad1e02de233774acd928c4c5fb221de24921b"),
+    ("sqrt-embed 2310", "3082fbd59cae097e635f5770651c7d371493b791b569f27378951adc4bf0a282"),
+    ("gauss 60", "01e40f36a8ddc7a50735f018456dc0360aec7f466b0669f24aae9b64a0c54ee7"),
+    ("verify gauss --m-max 30", "5b7c87d73f1e3789f91400a7797a910708023fe3ba220e4c090033c20a8f06cd"),
+    ("verify remark", "5bde941e80617baf8bc61be5a479bb561b8467ae5e4a7ef6fe7bd2ef6140e13b"),
+    ("irreducible 8 6 --oracle", "baaa8cfac8621beb8342be73a5c53d210127a358d6ebbf8af77b061250e40175"),
+]
+
+
+def test_decision_paths_build_no_power_table(monkeypatch, capsys):
+    """Every answer reduces modulo Phi_m directly: with the power table
+    disabled the CLI still prints the payloads the table-based code did."""
+    def forbidden(m):
+        raise AssertionError(f"power table built for modulus {m}")
+
+    monkeypatch.setattr("trigrat.cyclotomic._power_table", forbidden)
+    for cached in (trig_elem, classify, gauss_sum):
+        cached.cache_clear()
+
+    for command, digest in PAYLOAD_DIGESTS:
+        code, out, _ = run(capsys, *command.split(), "--json")
+        assert code == 0, command
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+    # sqrt(2) = z8 - z8^3 lands on z^12500 - z^37500, below phi(100000) = 40000
+    code, out, _ = run(capsys, "root-member", "2", "2", "100000", "--json")
+    assert code == 0
+    coeffs = ["0"] * 40000
+    coeffs[12500], coeffs[37500] = "1", "-1"
+    assert json.loads(out) == {
+        "alpha": "2",
+        "n": 2,
+        "modulus": 100000,
+        "answer": "YES",
+        "justification": "galois_invariance",
+        "witness": {"modulus": 100000, "coeffs": coeffs},
+    }
