@@ -10,7 +10,6 @@ independent computation.
 
 from .cyclotomic import (
     CycElem,
-    CycPoly,
     cyclotomic_polynomial,
     express_in_submodulus,
     minimal_polynomial,
@@ -67,7 +66,6 @@ __all__ = [
     "Case",
     "Classification",
     "CycElem",
-    "CycPoly",
     "GroupReport",
     "Hit",
     "MetaGaloisElem",

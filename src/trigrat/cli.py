@@ -57,8 +57,6 @@ def _cmd_classify(args) -> int:
 def _cmd_eval(args) -> int:
     func = TrigFunc.parse(args.func)
     angle = Angle.parse(args.theta)
-    if args.n < 1:
-        raise ValueError(f"exponent must be >= 1, got {args.n}")
     try:
         value = power_rational(func, angle, args.n)
     except UndefinedTrigValue:

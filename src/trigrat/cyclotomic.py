@@ -10,10 +10,13 @@ denominator (with overall content 1); the public ``coeffs`` view is a tuple
 of ``Fraction``.  Products, Galois images, embeddings and sums of roots of
 unity lay their terms out as integer coefficients of powers of z and reduce
 once, through ``_reduce``: exponents mod m, then the remainder modulo the
-monic integer Phi_m.  The table of reduced powers of z (``_power_table``)
-is an independent oracle for tests.  Floating point enters only in
-:meth:`CycElem.numeric_eval`, which is for sanity checks and never decides
-anything.
+monic integer Phi_m.  The polynomial arithmetic itself (the convolution,
+the monic long division and square-and-multiply) is the shared kernel of
+``polynomials``; ``minimal_polynomial`` runs the same convolution with
+``CycElem`` coefficients.  The table of reduced powers of z
+(``_power_table``) is an independent oracle for tests.  Floating point
+enters only in :meth:`CycElem.numeric_eval`, which is for sanity checks
+and never decides anything.
 """
 
 from __future__ import annotations
@@ -22,43 +25,16 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .numtheory import divisors, euler_phi, mobius
-from .polynomials import RatPoly
+from .polynomials import RatPoly, _divide_monic, _poly_mul, _power
 
 Scalar = Union[int, Fraction]
 
 
 # ----------------------------------------------------------------------
 # cyclotomic polynomials (integer arithmetic throughout)
-
-def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    b_terms = [(j, y) for j, y in enumerate(b) if y]
-    for i, x in enumerate(a):
-        if x:
-            for j, y in b_terms:
-                out[i + j] += x * y
-    return out
-
-
-def _divide_monic(num: list[int], den: Sequence[int]) -> list[int]:
-    """Long division by the monic integer polynomial ``den``, over its
-    nonzero coefficients only.  Returns the quotient and leaves the
-    remainder in ``num[:len(den) - 1]`` (``num`` is overwritten)."""
-    d = len(den) - 1
-    tail = [(j, c) for j, c in enumerate(den[:d]) if c]
-    quotient = [0] * max(len(num) - d, 0)
-    for k in range(len(num) - 1, d - 1, -1):
-        c = num[k]
-        if c:
-            base = k - d
-            quotient[base] = c
-            for j, t in tail:
-                num[base + j] -= c * t
-    return quotient
-
 
 @lru_cache(maxsize=None)
 def _cyclotomic_int_coeffs(m: int) -> tuple[int, ...]:
@@ -74,9 +50,9 @@ def _cyclotomic_int_coeffs(m: int) -> tuple[int, ...]:
             continue
         binomial = [-1] + [0] * (m // d - 1) + [1]
         if mu == 1:
-            num = _int_mul(num, binomial)
+            num = _poly_mul(num, binomial)
         else:
-            den = _int_mul(den, binomial)
+            den = _poly_mul(den, binomial)
     quotient = _divide_monic(num, den)
     if any(num[: len(den) - 1]):
         raise ArithmeticError("inexact polynomial division")
@@ -259,7 +235,7 @@ class CycElem:
         if other is None:
             return NotImplemented
         self._check_same_field(other)
-        out = _reduce(self.modulus, _int_mul(self._nums, other._nums))
+        out = _reduce(self.modulus, _poly_mul(self._nums, other._nums))
         return CycElem._raw(self.modulus, out, self._den * other._den)
 
     __rmul__ = __mul__
@@ -281,14 +257,7 @@ class CycElem:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = CycElem.one(self.modulus)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, CycElem.one(self.modulus))
 
     def inverse(self) -> "CycElem":
         """Multiplicative inverse via the Galois norm: with cofactor the
@@ -405,107 +374,6 @@ def root_combination(m: int, terms: Iterable[tuple[int, int]], den: int = 1) -> 
     return CycElem._raw(m, _reduce(m, out), den)
 
 
-# ----------------------------------------------------------------------
-# polynomials over a cyclotomic field
-
-class CycPoly:
-    """A univariate polynomial with CycElem coefficients (constant first)."""
-
-    __slots__ = ("modulus", "coeffs")
-
-    def __init__(self, modulus: int, coeffs: Iterable[Union[CycElem, Scalar]] = ()):
-        cs = []
-        for c in coeffs:
-            if isinstance(c, CycElem):
-                if c.modulus != modulus:
-                    raise ValueError("coefficient modulus mismatch")
-                cs.append(c)
-            else:
-                cs.append(CycElem.from_rational(modulus, c))
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CycPoly is immutable")
-
-    def __reduce__(self):
-        return (CycPoly, (self.modulus, self.coeffs))
-
-    @classmethod
-    def from_ratpoly(cls, poly: RatPoly, modulus: int) -> "CycPoly":
-        return cls(modulus, poly.coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __getitem__(self, k: int) -> CycElem:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return CycElem.zero(self.modulus)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CycPoly):
-            return NotImplemented
-        return self.modulus == other.modulus and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.modulus, self.coeffs))
-
-    def __add__(self, other: "CycPoly") -> "CycPoly":
-        if self.modulus != other.modulus:
-            raise ValueError("modulus mismatch")
-        n = max(len(self.coeffs), len(other.coeffs))
-        return CycPoly(self.modulus, [self[k] + other[k] for k in range(n)])
-
-    def __neg__(self) -> "CycPoly":
-        return CycPoly(self.modulus, [-c for c in self.coeffs])
-
-    def __sub__(self, other: "CycPoly") -> "CycPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "CycPoly") -> "CycPoly":
-        if self.modulus != other.modulus:
-            raise ValueError("modulus mismatch")
-        if self.is_zero() or other.is_zero():
-            return CycPoly(self.modulus)
-        out = [CycElem.zero(self.modulus) for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for i, a in enumerate(self.coeffs):
-            if not a.is_zero():
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-        return CycPoly(self.modulus, out)
-
-    def evaluate(self, x: CycElem) -> CycElem:
-        result = CycElem.zero(self.modulus)
-        for c in reversed(self.coeffs):
-            result = result * x + c
-        return result
-
-    def as_rational_poly(self) -> RatPoly | None:
-        """Downcast to Q[x] if every coefficient is rational, else None."""
-        rats = []
-        for c in self.coeffs:
-            r = c.as_rational()
-            if r is None:
-                return None
-            rats.append(r)
-        return RatPoly(rats)
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        return " + ".join(f"({c})*x^{k}" if k else f"({c})" for k, c in enumerate(self.coeffs) if not c.is_zero())
-
-    def __repr__(self) -> str:
-        return f"CycPoly(m={self.modulus}, {self})"
-
-
 def express_in_submodulus(x: CycElem, sub_modulus: int) -> CycElem | None:
     """Coordinates of x in the power basis of Q(zeta_sub), or None.
 
@@ -569,10 +437,11 @@ def minimal_polynomial(x: CycElem) -> RatPoly:
             y = x.galois_apply(c)
             if y not in orbit:
                 orbit.append(y)
-    poly = CycPoly(m, [1])
+    one = CycElem.one(m)
+    poly = [one]
     for y in orbit:
-        poly = poly * CycPoly(m, [-y, 1])
-    result = poly.as_rational_poly()
-    if result is None:
+        poly = _poly_mul(poly, [-y, one])
+    rationals = [c.as_rational() for c in poly]
+    if any(r is None for r in rationals):
         raise ArithmeticError("orbit product has an irrational coefficient")
-    return result
+    return RatPoly(rationals)

@@ -29,19 +29,19 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from typing import Union
 
-from .cyclotomic import CycElem, CycPoly, root_combination, zeta_power
+from .cyclotomic import CycElem, root_combination, zeta_power
 from .numtheory import (
+    _check_positive,
     divisors,
-    euler_phi,
     format_rational,
     nth_root_rational,
     radical_condition,
     squarefree_decompose,
 )
-from .polynomials import RatPoly
+from .polynomials import RatPoly, _poly_mul
 
 Scalar = Union[int, Fraction]
 
@@ -49,13 +49,6 @@ Scalar = Union[int, Fraction]
 # the cap just has to exceed every denominator a true factor can carry
 _RECONSTRUCT_DENOMINATOR_CAP = 10 ** 6
 _IMAG_TOLERANCE = 1e-6
-
-
-def _check_positive_rational(alpha: Scalar, name: str = "alpha") -> Fraction:
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise ValueError(f"{name} must be positive, got {alpha}")
-    return alpha
 
 
 # ----------------------------------------------------------------------
@@ -68,7 +61,7 @@ def binomial_irreducible(alpha: Scalar, n: int) -> bool:
     for any prime r dividing n.  The classical extra obstruction at 4 | n
     concerns alpha in -4*Q^4 and is vacuous for positive alpha.
     """
-    alpha = _check_positive_rational(alpha)
+    alpha = _check_positive(alpha)
     if n < 2:
         raise ValueError(f"degree must be >= 2, got {n}")
     return radical_condition(alpha, n)
@@ -94,7 +87,7 @@ def subset_factorizations(alpha: Scalar, n: int) -> list[SubsetFactor]:
     only when the exactly reconstructed polynomial divides x^n - alpha
     with zero remainder.  Intended for small n (the scan is exponential).
     """
-    alpha = _check_positive_rational(alpha)
+    alpha = _check_positive(alpha)
     if not 2 <= n <= 12:
         raise ValueError(f"subset scan supports 2 <= n <= 12, got {n}")
     rho = float(alpha) ** (1.0 / n)
@@ -282,6 +275,12 @@ def gauss_sum_case_check(m: int) -> bool:
     return exact_ok and numeric_ok
 
 
+def _quadratic_conductor(d: int) -> int:
+    """The conductor of Q(sqrt(d)) for a squarefree positive integer d: the
+    least m with sqrt(d) in Q(zeta_m), d when d = 1 mod 4 and 4d otherwise."""
+    return d if d % 4 == 1 else 4 * d
+
+
 def sqrt_in_cyclotomic(alpha: Scalar) -> tuple[int, CycElem]:
     """An exact square-root witness: the smallest cyclotomic modulus m with
     sqrt(alpha) in Q(zeta_m), together with the element itself.
@@ -289,29 +288,26 @@ def sqrt_in_cyclotomic(alpha: Scalar) -> tuple[int, CycElem]:
     Write alpha = r^2 * d with d a squarefree positive integer.  The even
     part of d contributes sqrt(2) = zeta_8 + 1/zeta_8; the odd part d' > 1
     contributes its Gauss sum, divided by i when d' = 3 mod 4 (where the sum
-    is i*sqrt(d')).  The combined modulus is d for d = 1 mod 4 and 4d
-    otherwise, which is the least possible.  The witness is verified by
-    squaring before it is returned, and its numeric value is the positive
-    root.
+    is i*sqrt(d')).  The modulus is the conductor of Q(sqrt(d)), d for
+    d = 1 mod 4 and 4d otherwise, which is the least possible and a multiple
+    of every part's modulus.  The witness is verified by squaring before it
+    is returned, and its numeric value is the positive root.
     """
-    alpha = _check_positive_rational(alpha)
+    alpha = _check_positive(alpha)
     r, d = squarefree_decompose(alpha)
-    parts: list[tuple[int, CycElem]] = []
+    modulus = _quadratic_conductor(d)
+    witness = CycElem.from_rational(modulus, r)
     if d % 2 == 0:
-        parts.append((8, zeta_power(8, 1) + zeta_power(8, -1)))
+        witness = witness * (zeta_power(8, 1) + zeta_power(8, -1)).embed(modulus)
     odd = d if d % 2 else d // 2
     if odd > 1:
         g = gauss_sum(odd)
         if odd % 4 == 1:
-            parts.append((odd, g))
+            witness = witness * g.embed(modulus)
         else:
             m2 = 4 * odd
             # divide by i = zeta_4: multiply by zeta_4^(-1) inside Q(zeta_m2)
-            parts.append((m2, g.embed(m2) * zeta_power(m2, -(m2 // 4))))
-    modulus = lcm(1, *(m for m, _ in parts))
-    witness = CycElem.from_rational(modulus, r)
-    for m, elem in parts:
-        witness = witness * elem.embed(modulus)
+            witness = witness * (g.embed(m2) * zeta_power(m2, -(m2 // 4))).embed(modulus)
     if (witness * witness).as_rational() != alpha:
         raise ArithmeticError(f"witness square mismatch for alpha = {alpha}")
     numeric = witness.numeric_eval()
@@ -376,13 +372,13 @@ def nth_root_in_cyclotomic(alpha: Scalar, n: int, m: int) -> RootMembershipVerdi
     k = 2: sqrt(beta) has an explicit witness at the conductor f of
     Q(sqrt(beta)) (d when the squarefree part d of beta is 1 mod 4, else
     4d), and Q(zeta_m) contains it iff f divides m, the closed form of the
-    Galois-invariance test; a YES witness is that witness embedded into
-    Q(zeta_m).  f is odd or a multiple of 4, so for m = 2 mod 4, where
+    Galois-invariance test.  f follows from d alone, so a NO builds no
+    witness; a YES witness is that witness embedded into Q(zeta_m).  f is odd or a multiple of 4, so for m = 2 mod 4, where
     Q(zeta_m) = Q(zeta_(m/2)), it divides m iff it divides m/2.  k >= 3:
     membership fails for every modulus, because the root would generate a
     non-abelian extension inside an abelian one.
     """
-    alpha = _check_positive_rational(alpha)
+    alpha = _check_positive(alpha)
     if n < 1:
         raise ValueError(f"root degree must be >= 1, got {n}")
     if m < 1:
@@ -400,10 +396,9 @@ def nth_root_in_cyclotomic(alpha: Scalar, n: int, m: int) -> RootMembershipVerdi
         return RootMembershipVerdict(alpha, n, m, True, justification, witness)
 
     if k == 2:
-        w_mod, w = sqrt_in_cyclotomic(beta)
-        if m % w_mod:
+        if m % _quadratic_conductor(squarefree_decompose(beta)[1]):
             return RootMembershipVerdict(alpha, n, m, False, RootJustification.GALOIS_INVARIANCE, None)
-        witness = w.embed(m)
+        witness = sqrt_in_cyclotomic(beta)[1].embed(m)
         if (witness ** n).as_rational() != alpha:
             raise ArithmeticError("embedded witness fails the defining equation")
         return RootMembershipVerdict(alpha, n, m, True, RootJustification.GALOIS_INVARIANCE, witness)
@@ -423,7 +418,4 @@ def verify_remark_factorization() -> bool:
     product matches, False otherwise.
     """
     s = zeta_power(8, 1) + zeta_power(8, -1)
-    x4 = CycPoly(8, [CycElem.zero(8)] * 4 + [CycElem.one(8)])
-    lhs = (x4 - CycPoly(8, [s])) * (x4 + CycPoly(8, [s]))
-    rhs = CycPoly(8, [-CycElem.from_rational(8, 2)] + [CycElem.zero(8)] * 7 + [CycElem.one(8)])
-    return lhs == rhs
+    return _poly_mul([-s, 0, 0, 0, 1], [s, 0, 0, 0, 1]) == [-2, 0, 0, 0, 0, 0, 0, 0, 1]

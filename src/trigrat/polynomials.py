@@ -1,16 +1,70 @@
-"""Dense univariate polynomials with exact rational coefficients.
+"""Dense univariate polynomials, and the one polynomial kernel of the package.
 
-Coefficients are stored constant-term first, as a tuple of ``Fraction``
-with no trailing zeros; the zero polynomial is the empty tuple.
+``RatPoly`` is a polynomial over Q: coefficients are stored constant-term
+first, as a tuple of ``Fraction`` with no trailing zeros; the zero
+polynomial is the empty tuple.
+
+The kernel works on plain coefficient lists, constant term first, over any
+ring whose elements support ``+``, ``-`` and ``*`` with each other and with
+``0``: ``int`` (Phi_m and the reduction modulo Phi_m in ``cyclotomic``),
+``Fraction`` (``RatPoly``) and ``CycElem`` (the Galois-orbit products of
+``minimal_polynomial``).  ``_poly_mul`` is the dense convolution,
+``_divide_monic`` the long division by a monic polynomial and ``_power``
+square-and-multiply.  Zero coefficients are skipped by truthiness; a
+``CycElem`` is always truthy, so over Q(zeta_m) every product is formed.
+The names are private: the span tracer of ``perfbench/tracer.py`` wraps
+every public callable, and a span per product would move the products'
+time out of the layer that asks for them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
+
+
+def _poly_mul(a: Sequence, b: Sequence) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    b_terms = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in b_terms:
+                out[i + j] += x * y
+    return out
+
+
+def _divide_monic(num: list, den: Sequence) -> list:
+    """Long division by the monic polynomial ``den``, over its nonzero
+    coefficients only.  Returns the quotient and leaves the remainder in
+    ``num[:len(den) - 1]`` (``num`` is overwritten)."""
+    d = len(den) - 1
+    tail = [(j, c) for j, c in enumerate(den[:d]) if c]
+    quotient = [0] * max(len(num) - d, 0)
+    for k in range(len(num) - 1, d - 1, -1):
+        c = num[k]
+        if c:
+            base = k - d
+            quotient[base] = c
+            for j, t in tail:
+                num[base + j] -= c * t
+    return quotient
+
+
+def _power(base, n: int, one):
+    """base ** n for n >= 0 by left-to-right square-and-multiply:
+    floor(log2 n) squarings and popcount(n) - 1 products, none past the
+    last bit; ``one`` is returned for n = 0."""
+    if n == 0:
+        return one
+    result = base
+    for bit in bin(n)[3:]:
+        result = result * result
+        if bit == "1":
+            result = result * base
+    return result
 
 
 class RatPoly:
@@ -47,13 +101,6 @@ class RatPoly:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
-
-    def is_monic(self) -> bool:
-        return not self.is_zero() and self.leading == 1
-
-    def monic(self) -> "RatPoly":
-        lead = self.leading
-        return RatPoly(c / lead for c in self.coeffs)
 
     def __getitem__(self, k: int) -> Fraction:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
@@ -92,56 +139,27 @@ class RatPoly:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return RatPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return RatPoly(out)
+        return RatPoly(_poly_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "RatPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = RatPoly([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, RatPoly([1]))
 
     def __divmod__(self, other) -> tuple["RatPoly", "RatPoly"]:
+        """Quotient and remainder by ``other``: the division by the monic
+        other / lead gives lead * quotient, exact over Q."""
         other = _coerce(other)
         if other is None:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        quotient = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
-        rem = list(self.coeffs)
-        d = other.degree
         lead = other.leading
-        while len(rem) - 1 >= d and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            factor = rem[-1] / lead
-            quotient[k] = factor
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] -= factor * b
-        return RatPoly(quotient), RatPoly(rem)
-
-    def __floordiv__(self, other) -> "RatPoly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other) -> "RatPoly":
-        return divmod(self, other)[1]
+        rem = list(self.coeffs)
+        quotient = _divide_monic(rem, [c / lead for c in other.coeffs])
+        return RatPoly(c / lead for c in quotient), RatPoly(rem[: other.degree])
 
     def evaluate(self, x):
         """Horner evaluation; x may be anything supporting * and + with Fraction."""

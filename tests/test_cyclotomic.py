@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from trigrat.cyclotomic import (
     CycElem,
     _power_table,
-    CycPoly,
     cyclotomic_polynomial,
     express_in_submodulus,
     minimal_polynomial,
@@ -19,7 +18,7 @@ from trigrat.cyclotomic import (
     zeta_power,
 )
 from trigrat.numtheory import divisors, euler_phi
-from trigrat.polynomials import RatPoly
+from trigrat.polynomials import RatPoly, _poly_mul
 
 
 @lru_cache(maxsize=None)
@@ -329,17 +328,38 @@ def test_coordinate_length_is_validated():
 def test_cycpoly_remark_shape():
     # (x - z)(x - z^-1) over Q(zeta_5) has rational-free middle coefficient
     z = zeta(5)
-    p = CycPoly(5, [z, CycElem.from_rational(5, -1)]) * CycPoly(
-        5, [z.inverse(), CycElem.from_rational(5, -1)]
-    )
-    assert p.degree == 2
+    minus_one = CycElem.from_rational(5, -1)
+    p = _poly_mul([z, minus_one], [z.inverse(), minus_one])
+    assert len(p) == 3 and not p[-1].is_zero()  # degree 2
     assert p[0].as_rational() == 1
-    assert p.as_rational_poly() is None
+    assert any(c.as_rational() is None for c in p)  # not in Q[x]
 
 
 def test_cycpoly_evaluate():
     # x^8 - 2 at x = sqrt(2) gives 16 - 2 = 14
     z = zeta(8)
-    poly = CycPoly.from_ratpoly(RatPoly([-2, 0, 0, 0, 0, 0, 0, 0, 1]), 8)
+    poly = RatPoly([-2, 0, 0, 0, 0, 0, 0, 0, 1])
     value = poly.evaluate(z + z.inverse())
     assert value.as_rational() == 14
+
+
+def test_pow_does_no_wasted_product(monkeypatch):
+    """x ** n costs floor(log2 n) squarings and popcount(n) - 1 products."""
+    x = zeta(7) + 2
+    powers = [CycElem.one(7)]
+    for _ in range(8):
+        powers.append(powers[-1] * x)
+    calls = []
+    product = CycElem.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(CycElem, "__mul__", counting)
+    counts = []
+    for n in range(1, 9):
+        calls.clear()
+        assert x ** n == powers[n], n
+        counts.append(len(calls))
+    assert counts == [0, 1, 2, 2, 3, 3, 4, 3]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trigrat.cli import run_cli
-from trigrat.cyclotomic import CycElem, CycPoly, express_in_submodulus, zeta_power
+from trigrat.cyclotomic import CycElem, express_in_submodulus, zeta_power
 from trigrat.kummer import (
     GroupReport,
     MetaGaloisElem,
@@ -24,7 +24,7 @@ from trigrat.kummer import (
     verify_remark_factorization,
 )
 from trigrat.numtheory import divisors, prime_factorization
-from trigrat.polynomials import RatPoly
+from trigrat.polynomials import RatPoly, _poly_mul
 
 
 # ----------------------------------------------------------------------
@@ -396,6 +396,27 @@ def test_sqrt_membership_needs_no_galois_action_or_descent(monkeypatch, capsys):
         }, (alpha, n, m)
 
 
+def test_sqrt_non_membership_builds_no_witness(monkeypatch, capsys):
+    """A square-root NO follows from the conductor of the squarefree part:
+    the CLI answers with the witness construction disabled."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("square-root witness built for a NO")
+
+    monkeypatch.setattr("trigrat.kummer.sqrt_in_cyclotomic", forbidden)
+    monkeypatch.setattr("trigrat.kummer.gauss_sum", forbidden)
+    for alpha, n, m in (("4199", "2", "7"), ("15", "2", "239"), ("2", "2", "12"), ("9", "4", "8")):
+        code = run_cli(["root-member", alpha, n, m, "--json"])
+        assert code == 0, (alpha, n, m)
+        assert json.loads(capsys.readouterr().out) == {
+            "alpha": alpha,
+            "n": int(n),
+            "modulus": int(m),
+            "answer": "NO",
+            "justification": "galois_invariance",
+            "witness": None,
+        }, (alpha, n, m)
+
+
 def test_root_membership_json_shape():
     data = nth_root_in_cyclotomic(2, 2, 8).to_json()
     assert data["answer"] == "YES"
@@ -427,16 +448,14 @@ def test_remark_factorization_holds():
 
 def test_remark_factorization_is_sign_sensitive():
     s = zeta_power(8, 1) + zeta_power(8, -1)
-    x4 = CycPoly(8, [CycElem.zero(8)] * 4 + [CycElem.one(8)])
-    wrong = (x4 - CycPoly(8, [s])) * (x4 - CycPoly(8, [s]))
-    octic = CycPoly(8, [-CycElem.from_rational(8, 2)] + [CycElem.zero(8)] * 7 + [CycElem.one(8)])
+    wrong = _poly_mul([-s, 0, 0, 0, 1], [-s, 0, 0, 0, 1])
+    octic = [-2, 0, 0, 0, 0, 0, 0, 0, 1]
     assert wrong != octic
 
 
 def test_remark_expansion_has_no_middle_terms():
     s = zeta_power(8, 1) + zeta_power(8, -1)
-    x4 = CycPoly(8, [CycElem.zero(8)] * 4 + [CycElem.one(8)])
-    product = (x4 - CycPoly(8, [s])) * (x4 + CycPoly(8, [s]))
-    assert all(product[k].is_zero() for k in range(1, 8))
+    product = _poly_mul([-s, 0, 0, 0, 1], [s, 0, 0, 0, 1])
+    assert all(product[k] == 0 for k in range(1, 8))
     assert product[0] == -(s * s)
     assert (s * s).as_rational() == 2

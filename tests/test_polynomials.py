@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -78,3 +79,21 @@ def test_immutability():
     p = RatPoly([1, 2])
     with pytest.raises(AttributeError):
         p.coeffs = ()
+
+
+def test_pow_does_no_wasted_product(monkeypatch):
+    x = RatPoly([1, 1])
+    calls = []
+    product = RatPoly.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(RatPoly, "__mul__", counting)
+    counts = []
+    for n in range(1, 9):
+        calls.clear()
+        assert (x ** n).coeffs == tuple(Fraction(comb(n, k)) for k in range(n + 1))
+        counts.append(len(calls))
+    assert counts == [0, 1, 2, 2, 3, 3, 4, 3]
