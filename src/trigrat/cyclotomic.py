@@ -28,7 +28,7 @@ from math import gcd
 from typing import Iterable, Union
 
 from .numtheory import divisors, euler_phi, mobius
-from .polynomials import RatPoly, _divide_monic, _poly_mul, _power
+from .polynomials import RatPoly, _divide_monic, _monic_tail, _poly_mul, _power
 
 Scalar = Union[int, Fraction]
 
@@ -53,10 +53,17 @@ def _cyclotomic_int_coeffs(m: int) -> tuple[int, ...]:
             num = _poly_mul(num, binomial)
         else:
             den = _poly_mul(den, binomial)
-    quotient = _divide_monic(num, den)
+    quotient = _divide_monic(num, *_monic_tail(den))
     if any(num[: len(den) - 1]):
         raise ArithmeticError("inexact polynomial division")
     return tuple(quotient)
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_divisor(m: int) -> tuple[int, tuple]:
+    """Phi_m as the long division reads it: its degree phi(m) and its
+    nonzero lower coefficients (see ``polynomials._monic_tail``)."""
+    return _monic_tail(_cyclotomic_int_coeffs(m))
 
 
 def _reduce(m: int, coeffs: list[int]) -> list[int]:
@@ -78,9 +85,9 @@ def _reduce(m: int, coeffs: list[int]) -> list[int]:
         for k in range(half, len(coeffs)):
             coeffs[k - half] -= coeffs[k]
         del coeffs[half:]
-    phi_coeffs = _cyclotomic_int_coeffs(m)
-    _divide_monic(coeffs, phi_coeffs)
-    return coeffs[: len(phi_coeffs) - 1]
+    phi, tail = _cyclotomic_divisor(m)
+    _divide_monic(coeffs, phi, tail)
+    return coeffs[:phi]
 
 
 def cyclotomic_polynomial(m: int) -> RatPoly:

@@ -9,16 +9,20 @@ ring whose elements support ``+``, ``-`` and ``*`` with each other and with
 ``0``: ``int`` (Phi_m and the reduction modulo Phi_m in ``cyclotomic``),
 ``Fraction`` (``RatPoly``) and ``CycElem`` (the Galois-orbit products of
 ``minimal_polynomial``).  ``_poly_mul`` is the dense convolution,
-``_divide_monic`` the long division by a monic polynomial and ``_power``
-square-and-multiply.  Zero coefficients are skipped by truthiness; a
-``CycElem`` is always truthy, so over Q(zeta_m) every product is formed.
-The names are private: the span tracer of ``perfbench/tracer.py`` wraps
-every public callable, and a span per product would move the products'
-time out of the layer that asks for them.
+``_divide_monic`` the long division by a monic polynomial, which reads the
+divisor as its nonzero tail (``_monic_tail``, cached per modulus for
+Phi_m), and ``_power`` square-and-multiply over any product (the
+group-ring powers of ``trig`` pass their own).  Zero coefficients are
+skipped by truthiness; a ``CycElem`` is always truthy, so over Q(zeta_m)
+every product is formed.  The names are private: the span tracer of
+``perfbench/tracer.py`` wraps every public callable, and a span per
+product would move the products' time out of the layer that asks for
+them.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Sequence, Union
@@ -36,12 +40,19 @@ def _poly_mul(a: Sequence, b: Sequence) -> list:
     return out
 
 
-def _divide_monic(num: list, den: Sequence) -> list:
-    """Long division by the monic polynomial ``den``, over its nonzero
-    coefficients only.  Returns the quotient and leaves the remainder in
-    ``num[:len(den) - 1]`` (``num`` is overwritten)."""
+def _monic_tail(den: Sequence) -> tuple[int, tuple]:
+    """The degree d of the monic polynomial ``den`` and its nonzero
+    coefficients below the leading one, as (j, c) pairs: the divisor as
+    ``_divide_monic`` reads it."""
     d = len(den) - 1
-    tail = [(j, c) for j, c in enumerate(den[:d]) if c]
+    return d, tuple((j, c) for j, c in enumerate(den[:d]) if c)
+
+
+def _divide_monic(num: list, d: int, tail: Sequence) -> list:
+    """Long division by the monic polynomial of degree ``d`` whose lower
+    nonzero coefficients are ``tail`` (see ``_monic_tail``).  Returns the
+    quotient and leaves the remainder in ``num[:d]`` (``num`` is
+    overwritten)."""
     quotient = [0] * max(len(num) - d, 0)
     for k in range(len(num) - 1, d - 1, -1):
         c = num[k]
@@ -53,17 +64,17 @@ def _divide_monic(num: list, den: Sequence) -> list:
     return quotient
 
 
-def _power(base, n: int, one):
+def _power(base, n: int, one, mul=operator.mul):
     """base ** n for n >= 0 by left-to-right square-and-multiply:
-    floor(log2 n) squarings and popcount(n) - 1 products, none past the
-    last bit; ``one`` is returned for n = 0."""
+    floor(log2 n) squarings and popcount(n) - 1 products ``mul``, none
+    past the last bit; ``one`` is returned for n = 0."""
     if n == 0:
         return one
     result = base
     for bit in bin(n)[3:]:
-        result = result * result
+        result = mul(result, result)
         if bit == "1":
-            result = result * base
+            result = mul(result, base)
     return result
 
 
@@ -158,7 +169,7 @@ class RatPoly:
             raise ZeroDivisionError("polynomial division by zero")
         lead = other.leading
         rem = list(self.coeffs)
-        quotient = _divide_monic(rem, [c / lead for c in other.coeffs])
+        quotient = _divide_monic(rem, *_monic_tail([c / lead for c in other.coeffs]))
         return RatPoly(c / lead for c in quotient), RatPoly(rem[: other.degree])
 
     def evaluate(self, x):

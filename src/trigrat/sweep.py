@@ -1,9 +1,11 @@
 """Exhaustive verification of the rational-power classification.
 
 ``verify_theorem_sweep`` walks every reduced angle p/q with q up to a bound,
-raises cos, sin and tan of pi*p/q to every exponent up to another bound by
-exact cyclotomic arithmetic, and checks each outcome against what the
-classification and the predicted value lists say must happen:
+raises cos, sin and tan of pi*p/q to every exponent up to another bound
+exactly (each power is decided in the group ring by ``trig._powers``, one
+sparse product with a two-term base per exponent), and checks each outcome
+against what the classification and the predicted value lists say must
+happen:
 
 * a rational n-th power forces the base value into the finite list for the
   parity of n (0, +-1/2, +-1 and, for even n, +-sqrt(2)/2, +-sqrt(3)/2 for
@@ -29,6 +31,7 @@ from .trig import (
     Angle,
     Case,
     TrigFunc,
+    _powers,
     classify,
     theorem_value_list,
     value_descriptor,
@@ -159,16 +162,12 @@ def _survey(func: TrigFunc, angle: Angle, n_max: int) -> tuple[list[Hit], list[V
     if case is Case.UNDEFINED:
         return hits, violations, case
 
-    x = classification.witness
     odd_list = theorem_value_list(func, "odd")
     even_list = theorem_value_list(func, "even")
     base = value_descriptor(classification) if case is not Case.NEVER else None
 
-    power = None
     first_hit_n = None
-    for n in range(1, n_max + 1):
-        power = x if power is None else power * x
-        value = power.as_rational()
+    for n, value in zip(range(1, n_max + 1), _powers(func, angle)):
         if value is None:
             if case is Case.VALUE_RATIONAL:
                 violations.append(

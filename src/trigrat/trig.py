@@ -16,13 +16,17 @@ sum(k * u^k for k < r) = r / (u - 1), valid for every root of unity
 u != 1 of order r; u = 1 exactly when cos vanishes, i.e. at the tangent
 poles q = 2.
 
-Every power can then be expanded exactly and tested for rationality with
-:meth:`CycElem.as_rational`.  ``classify`` summarises the full picture for
-one (function, angle) pair: either some power is rational and we report the
-least such exponent with its value, or no power is rational at all.  The
-latter is the common case: an irrational value whose square is irrational
-has no rational power, since a least rational exponent of 3 or more never
-occurs (see :func:`classify`).
+Powers are decided in the group ring, never expanded in the power basis:
+2 cos and 2 sin are two-term elements of Z[z]/(z^(M/2) + 1), their n-th
+powers have at most n + 1 terms, and a power is reduced modulo Phi_M only
+to read whether it is rational; tan^n is rational iff the reductions of
+the numerators of sin^n and cos^n are proportional (see ``_powers``).
+``classify`` summarises the full picture for one (function, angle) pair:
+either some power is rational and we report the least such exponent with
+its value, or no power is rational at all.  The latter is the common case:
+an irrational value whose square is irrational has no rational power,
+since a least rational exponent of 3 or more never occurs (see
+:func:`classify`).
 """
 
 from __future__ import annotations
@@ -33,8 +37,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .cyclotomic import CycElem, root_combination
+from .cyclotomic import CycElem, _cyclotomic_divisor, root_combination
 from .numtheory import format_rational, nth_root_rational, parse_rational
+from .polynomials import _divide_monic, _power
 
 
 class TrigFunc(enum.Enum):
@@ -161,6 +166,84 @@ def trig_elem(func: TrigFunc, angle: Angle) -> CycElem:
     return root_combination(m, terms, r)
 
 
+def _ring_element(h: int, terms) -> dict[int, int]:
+    """sum(c * z^k for k, c in terms) in Z[z]/(z^h + 1) as {k: c},
+    0 <= k < h, zero coefficients dropped."""
+    out: dict[int, int] = {}
+    for k, c in terms:
+        k %= 2 * h
+        if k >= h:
+            k, c = k - h, -c
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def _ring_mul(h: int, a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The product of two elements of Z[z]/(z^h + 1) given as {k: c}."""
+    out: dict[int, int] = {}
+    get = out.get
+    for j, y in b.items():
+        for i, x in a.items():
+            k = i + j
+            if k < h:
+                out[k] = get(k, 0) + x * y
+            else:
+                k -= h
+                out[k] = get(k, 0) - x * y
+    return out
+
+
+def _powers(func: TrigFunc, angle: Angle, n: int = 1):
+    """Yield func(pi*angle)^k for k = n, n + 1, ...: the exact value when
+    rational, else None.  Raises UndefinedTrigValue at tangent poles.
+
+    No power is formed in the power basis.  With z = zeta_M and h = M/2
+    (M = lcm(2q, 4) is a multiple of 4, so z^h = -1), the numerators
+    2 cos = z^e + z^-e and 2 sin = z^(e - M/4) - z^(-e - M/4) are two-term
+    elements of the group ring Z[z]/(z^h + 1); their k-th powers have at
+    most k + 1 terms, and each next power is one sparse product with the
+    base.  A power is reduced modulo Phi_M only to be read: cos^k or sin^k
+    is rational iff the reduction's coordinates 1, 2, ... vanish, and then
+    equals coordinate 0 over 2^k.  tan^k = sin^k / cos^k is rational iff
+    the reductions S and C of the two numerators are proportional, i.e.
+    S[j] * C[i] == S[i] * C[j] for all j with i the first index where
+    C[i] != 0 (cos^k != 0 off the poles); then it equals S[i] / C[i].
+    The first power x^n comes from square-and-multiply, reduced after each
+    product, since high powers turn dense.
+    """
+    if func is TrigFunc.TAN and angle.q == 2:
+        raise UndefinedTrigValue(f"tan(pi * {angle}) is undefined")
+    m = lcm(2 * angle.q, 4)
+    h, quarter = m // 2, m // 4
+    e = angle.p * m // (2 * angle.q)
+    cos_num = _ring_element(h, [(e, 1), (-e, 1)])
+    sin_num = _ring_element(h, [(e - quarter, 1), (-e - quarter, -1)])
+    bases = {TrigFunc.COS: [cos_num], TrigFunc.SIN: [sin_num], TrigFunc.TAN: [sin_num, cos_num]}[func]
+    phi, tail = _cyclotomic_divisor(m)
+
+    def reduced(a: dict[int, int]) -> list[int]:
+        coeffs = [0] * h
+        for k, c in a.items():
+            coeffs[k] = c
+        _divide_monic(coeffs, phi, tail)
+        return coeffs[:phi]
+
+    def mul_reduced(a, b):
+        return {k: c for k, c in enumerate(reduced(_ring_mul(h, a, b))) if c}
+
+    powers = [_power(base, n, {0: 1}, mul_reduced) for base in bases]
+    while True:
+        if func is TrigFunc.TAN:
+            s, c = map(reduced, powers)
+            i = next(j for j, cj in enumerate(c) if cj)
+            yield Fraction(s[i], c[i]) if all(sj * c[i] == s[i] * cj for sj, cj in zip(s, c)) else None
+        else:
+            v = reduced(powers[0])
+            yield None if any(v[1:]) else Fraction(v[0], 2 ** n)
+        n += 1
+        powers = [_ring_mul(h, power, base) for power, base in zip(powers, bases)]
+
+
 def power_rational(func: TrigFunc, angle: Angle, n: int) -> Fraction | None:
     """Exact value of func(pi*angle)^n when rational, else None.
 
@@ -168,7 +251,7 @@ def power_rational(func: TrigFunc, angle: Angle, n: int) -> Fraction | None:
     """
     if n < 1:
         raise ValueError(f"exponent must be >= 1, got {n}")
-    return (trig_elem(func, angle) ** n).as_rational()
+    return next(_powers(func, angle, n))
 
 
 @lru_cache(maxsize=None)
@@ -182,7 +265,9 @@ def classify(func: TrigFunc, angle: Angle) -> Classification:
     least rational exponent of 3 or more: if x^n is rational with n minimal,
     x generates a Kummer-type extension whose degree divides both n and the
     abelian field Q(zeta_M), forcing n <= 2.  ``classify`` certifies the
-    verdict by exact computation of x and x^2 alone.
+    verdict by exact computation of x and x^2 alone: x is the witness, and
+    x^2 is decided in the group ring (``_powers``), not as the dense product
+    x * x.
     """
     try:
         x = trig_elem(func, angle)
@@ -191,7 +276,7 @@ def classify(func: TrigFunc, angle: Angle) -> Classification:
     v1 = x.as_rational()
     if v1 is not None:
         return Classification(func, angle, Case.VALUE_RATIONAL, 1, v1, x)
-    v2 = (x * x).as_rational()
+    v2 = next(_powers(func, angle, 2))
     if v2 is not None:
         return Classification(func, angle, Case.SQUARE_RATIONAL, 2, v2, x)
     return Classification(func, angle, Case.NEVER, None, None, x)
@@ -258,6 +343,7 @@ def value_descriptor(classification: Classification) -> ValueDescriptor:
     return ValueDescriptor(sign, square)
 
 
+@lru_cache(maxsize=6)
 def theorem_value_list(func: TrigFunc, parity: str) -> frozenset[ValueDescriptor]:
     """The complete set of values func(pi*theta) can take when its n-th power
     is rational, split by the parity of n.

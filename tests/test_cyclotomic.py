@@ -20,6 +20,8 @@ from trigrat.cyclotomic import (
 from trigrat.numtheory import divisors, euler_phi
 from trigrat.polynomials import RatPoly, _poly_mul
 
+from reference import reference_embed, reference_galois_apply, reference_mul
+
 
 @lru_cache(maxsize=None)
 def phi_by_division(m):
@@ -62,38 +64,6 @@ def test_zeta_power_examples():
     assert zeta_power(5, 7) == zeta_power(5, 2)
     # zeta_8^-1 = -zeta_8^3 in the power basis
     assert zeta_power(8, -1).coeffs == (0, 0, 0, -1)
-
-
-# Frozen table-based reference: products, Galois images and embeddings
-# reduced through the rows of the power table, a route to the coordinates
-# that shares no code with the reduction kernel.
-
-def _reference_combination(m, terms):
-    table = _power_table(m)
-    out = [Fraction(0)] * len(table[0])
-    for k, c in terms:
-        if c:
-            for i, t in enumerate(table[k]):
-                out[i] += c * t
-    return CycElem(m, out)
-
-
-def reference_mul(x, y):
-    conv = [Fraction(0)] * (2 * len(x.coeffs) - 1)
-    for i, a in enumerate(x.coeffs):
-        for j, b in enumerate(y.coeffs):
-            conv[i + j] += a * b
-    return _reference_combination(x.modulus, enumerate(conv))
-
-
-def reference_galois_apply(x, c):
-    m = x.modulus
-    return _reference_combination(m, [(i * c % m, a) for i, a in enumerate(x.coeffs)])
-
-
-def reference_embed(x, big):
-    stride = big // x.modulus
-    return _reference_combination(big, [(i * stride, a) for i, a in enumerate(x.coeffs)])
 
 
 def test_zeta_power_matches_power_table_rows():

@@ -1,6 +1,6 @@
 import json
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +25,8 @@ from trigrat.kummer import (
 )
 from trigrat.numtheory import divisors, prime_factorization
 from trigrat.polynomials import RatPoly, _poly_mul
+
+from reference import reference_sqrt_member
 
 
 # ----------------------------------------------------------------------
@@ -332,28 +334,6 @@ def test_root_membership_matches_conductor_rule():
             if verdict.member:
                 assert (verdict.witness ** 2).as_rational() == alpha
                 assert verdict.witness.modulus == m
-
-
-def reference_sqrt_member(beta, m: int) -> CycElem | None:
-    """Reference for the conductor rule: the general Galois-invariance
-    procedure.  sqrt(beta) lies in Q(zeta_m) iff its witness is fixed by
-    every automorphism of the compositum that fixes Q(zeta_m); a fixed
-    witness is then descended by solving a linear system.  Returns the
-    witness in Q(zeta_m), or None."""
-    m_norm = m // 2 if m % 4 == 2 else m
-    w_mod, w = sqrt_in_cyclotomic(beta)
-    big = lcm(m_norm, w_mod)
-    w_big = w.embed(big)
-    fixed = all(
-        w_big.galois_apply(c) == w_big
-        for c in range(1, big + 1)
-        if gcd(c, big) == 1 and (c - 1) % m_norm == 0
-    )
-    if not fixed:
-        return None
-    descended = express_in_submodulus(w_big, m_norm)
-    assert descended is not None, (beta, m)
-    return descended.embed(m)
 
 
 def test_root_membership_matches_galois_reference():

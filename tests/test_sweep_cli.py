@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from trigrat.cli import run_cli
+from trigrat.cyclotomic import CycElem
 from trigrat.kummer import gauss_sum
 from trigrat.sweep import (
     Hit,
@@ -355,3 +356,54 @@ def test_decision_paths_build_no_power_table(monkeypatch, capsys):
         "justification": "galois_invariance",
         "witness": {"modulus": 100000, "coeffs": coeffs},
     }
+
+
+def grid_digest(capsys, q_max):
+    """sha256 over `classify --json` and `eval --pow 1..4 --json` for cos,
+    sin and tan at every reduced angle with q <= q_max: each command line,
+    its exit code, then its stdout and stderr."""
+    digest = hashlib.sha256()
+    for angle in reduced_angles(q_max):
+        for func in ("cos", "sin", "tan"):
+            commands = [["classify", func, str(angle)]]
+            commands += [["eval", func, str(angle), "--pow", str(n)] for n in range(1, 5)]
+            for argv in commands:
+                argv.append("--json")
+                code, out, err = run(capsys, *argv)
+                digest.update(f"{' '.join(argv)}\n{code}\n{out}{err}".encode())
+    return digest.hexdigest()
+
+
+def sweep_digest(capsys, q_max, n_max):
+    code, out, _ = run(capsys, "verify", "sweep", "--q-max", str(q_max), "--n-max", str(n_max), "--json")
+    assert code == 0
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+# the same digests as printed by the code that expanded every power densely
+# in the power basis
+GRID_12_DIGEST = "9fee70126c649227baecd1844c6848c0767d43aaf0c7c29c9db595145f13749c"
+GRID_30_DIGEST = "0a51256d41cd0df42e593e0c6d1c8f300428dff3d42d32b6d30d4053e1a69908"
+SWEEP_12_8_DIGEST = "025caea64e5345f0423266febeec002229b2d9f74fef276c4214d34309b7c80e"
+SWEEP_32_8_DIGEST = "0b4454e4edee6b5c78e0ad96b78ed21a8c4769af13c2a151426bf35407561da2"
+
+
+def test_payloads_match_dense_power_digests(capsys):
+    assert sweep_digest(capsys, 32, 8) == SWEEP_32_8_DIGEST
+    assert grid_digest(capsys, 30) == GRID_30_DIGEST
+
+
+def test_decision_paths_build_no_dense_power(monkeypatch, capsys):
+    """classify, eval and the sweep decide every power in the group ring:
+    with field products and powers disabled they still print the payloads
+    of the dense code."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense power-basis product on a decision path")
+
+    for name in ("__mul__", "__rmul__", "__pow__"):
+        monkeypatch.setattr(CycElem, name, forbidden)
+    trig_elem.cache_clear()
+    classify.cache_clear()
+
+    assert grid_digest(capsys, 12) == GRID_12_DIGEST
+    assert sweep_digest(capsys, 12, 8) == SWEEP_12_8_DIGEST

@@ -1,12 +1,13 @@
 import math
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trigrat.cyclotomic import CycElem, zeta_power
+from trigrat.cyclotomic import CycElem
 from trigrat.sweep import SweepConfig, reduced_angles, verify_theorem_sweep
 from trigrat.trig import (
     Angle,
@@ -14,6 +15,7 @@ from trigrat.trig import (
     TrigFunc,
     UndefinedTrigValue,
     ValueDescriptor,
+    _powers,
     classify,
     power_rational,
     theorem_value_list,
@@ -21,27 +23,9 @@ from trigrat.trig import (
     value_descriptor,
 )
 
+from reference import reference_power_values, reference_trig_elem
+
 COS, SIN, TAN = TrigFunc.COS, TrigFunc.SIN, TrigFunc.TAN
-
-
-def reference_trig_elem(func, angle):
-    """Reference formula, frozen: cos = (z^e + z^-e)/2, sin = that difference
-    over 2i and tan = sin/cos, each division by field inversion."""
-    m = lcm(2 * angle.q, 4)
-    e = angle.p * m // (2 * angle.q)
-    plus = zeta_power(m, e)
-    minus = zeta_power(m, -e)
-    half = Fraction(1, 2)
-    if func is COS:
-        return (plus + minus) * half
-    i_unit = zeta_power(m, m // 4)
-    sine = (plus - minus) * half / i_unit
-    if func is SIN:
-        return sine
-    cosine = (plus + minus) * half
-    if cosine.is_zero():
-        raise UndefinedTrigValue(f"tan(pi * {angle}) is undefined")
-    return sine / cosine
 
 
 @st.composite
@@ -317,6 +301,23 @@ def test_trig_elem_matches_reference_formula():
                     trig_elem(func, angle)
                 continue
             assert trig_elem(func, angle) == reference_trig_elem(func, angle), (func, angle)
+
+
+def test_group_ring_powers_match_dense_reference():
+    """Every power decided in the group ring agrees with the frozen dense
+    power in the power basis, both as the sweep reads them (n = 1, 2, ...)
+    and as eval asks for one exponent."""
+    for angle in reduced_angles(24):
+        for func in (COS, SIN, TAN):
+            if func is TAN and angle.q == 2:
+                with pytest.raises(UndefinedTrigValue):
+                    next(_powers(func, angle))
+                with pytest.raises(UndefinedTrigValue):
+                    power_rational(func, angle, 3)
+                continue
+            expected = reference_power_values(func, angle, 8)
+            assert list(islice(_powers(func, angle), 8)) == expected, (func, angle)
+            assert [power_rational(func, angle, n) for n in range(1, 9)] == expected, (func, angle)
 
 
 def test_classify_and_sweep_never_invert(monkeypatch):
