@@ -11,7 +11,6 @@ independent computation.
 from .cyclotomic import (
     CycElem,
     cyclotomic_polynomial,
-    express_in_submodulus,
     minimal_polynomial,
     zeta,
     zeta_power,
@@ -84,7 +83,6 @@ __all__ = [
     "cyclotomic_polynomial",
     "divisors",
     "euler_phi",
-    "express_in_submodulus",
     "format_rational",
     "gauss_sum",
     "gauss_sum_case_check",

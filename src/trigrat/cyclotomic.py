@@ -14,9 +14,11 @@ monic integer Phi_m.  The polynomial arithmetic itself (the convolution,
 the monic long division and square-and-multiply) is the shared kernel of
 ``polynomials``; ``minimal_polynomial`` runs the same convolution with
 ``CycElem`` coefficients.  The table of reduced powers of z
-(``_power_table``) is an independent oracle for tests.  Floating point
-enters only in :meth:`CycElem.numeric_eval`, which is for sanity checks
-and never decides anything.
+(``_power_table``) has no reader in the library: it is an independent
+oracle for the tests, and the span tracer of ``perfbench`` records the
+moduli it is built for.  Floating point enters only in
+:meth:`CycElem.numeric_eval`, which is for sanity checks and never
+decides anything.
 """
 
 from __future__ import annotations
@@ -69,7 +71,8 @@ def _cyclotomic_divisor(m: int) -> tuple[int, tuple]:
 def _reduce(m: int, coeffs: list[int]) -> list[int]:
     """Power-basis coordinates of sum(coeffs[k] * zeta_m^k).
 
-    The single reduction kernel of the module: exponents are folded mod m
+    The single reduction kernel of the package (``trig`` reads its
+    group-ring powers through it too): exponents are folded mod m
     (zeta_m^m = 1) and, for even m, mod m/2 with a sign (zeta_m^(m/2) = -1);
     then the remainder modulo the monic Phi_m is taken.  The folds only
     shorten the long division.  ``coeffs`` needs at least phi(m) entries
@@ -80,8 +83,8 @@ def _reduce(m: int, coeffs: list[int]) -> list[int]:
         for k in range(m, len(coeffs)):
             folded[k % m] += coeffs[k]
         coeffs = folded
-    if m % 2 == 0:
-        half = m // 2
+    half = m // 2
+    if m % 2 == 0 and len(coeffs) > half:
         for k in range(half, len(coeffs)):
             coeffs[k - half] -= coeffs[k]
         del coeffs[half:]
@@ -100,8 +103,9 @@ def _power_table(m: int) -> tuple[tuple[int, ...], ...]:
     """Coordinates of zeta_m^k for 0 <= k < max(m, 2*phi(m) - 1).
 
     Row k is the integer coordinate vector of z^k in the power basis, built
-    by the recurrence z^(k+1) = z * z^k.  A test oracle for ``_reduce``; of
-    the library only ``express_in_submodulus`` reads it.
+    by the recurrence z^(k+1) = z * z^k.  No library code reads it: the
+    tests check ``_reduce`` and descend into subfields with it, and
+    ``perfbench/tracer.py`` wraps it to record the moduli it is built for.
     """
     phi_coeffs = _cyclotomic_int_coeffs(m)
     phi = len(phi_coeffs) - 1
@@ -296,9 +300,6 @@ class CycElem:
             return self
         return self.galois_apply(self.modulus - 1)
 
-    def is_real(self) -> bool:
-        return self.conjugate() == self
-
     def as_rational(self) -> Fraction | None:
         """The exact rational value if all coordinates of index >= 1 vanish.
 
@@ -379,55 +380,6 @@ def root_combination(m: int, terms: Iterable[tuple[int, int]], den: int = 1) -> 
     for k, c in terms:
         out[k % m] += c
     return CycElem._raw(m, _reduce(m, out), den)
-
-
-def express_in_submodulus(x: CycElem, sub_modulus: int) -> CycElem | None:
-    """Coordinates of x in the power basis of Q(zeta_sub), or None.
-
-    A general descent by Gauss-Jordan elimination, kept as an independent
-    test oracle: no decision procedure calls it (root membership decides by
-    the conductor).  ``sub_modulus`` must divide ``x.modulus``.  The
-    embedded images of 1, zeta_sub, ..., zeta_sub^(phi(sub)-1) span the
-    subfield inside the big power basis, so membership is an exact linear
-    system over Q: solvable (with a unique solution, the images being
-    linearly independent) exactly when x lies in the subfield.
-    """
-    m = x.modulus
-    if m % sub_modulus != 0:
-        raise ValueError(f"{sub_modulus} does not divide the modulus {m}")
-    if sub_modulus == m:
-        return x
-    stride = m // sub_modulus
-    phi_sub = euler_phi(sub_modulus)
-    phi_m = euler_phi(m)
-    table = _power_table(m)
-    target = x.coeffs
-    # augmented matrix, one row per big-basis coordinate
-    rows = [
-        [Fraction(table[(j * stride) % m][i]) for j in range(phi_sub)] + [target[i]]
-        for i in range(phi_m)
-    ]
-    pivot_cols: list[int] = []
-    r = 0
-    for col in range(phi_sub):
-        pivot = next((i for i in range(r, phi_m) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        lead = rows[r][col]
-        rows[r] = [v / lead for v in rows[r]]
-        for i in range(phi_m):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivot_cols.append(col)
-        r += 1
-    if any(row[-1] != 0 for row in rows[r:]):
-        return None
-    solution = [Fraction(0)] * phi_sub
-    for i, col in enumerate(pivot_cols):
-        solution[col] = rows[i][-1]
-    return CycElem(sub_modulus, solution)
 
 
 def minimal_polynomial(x: CycElem) -> RatPoly:

@@ -37,9 +37,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .cyclotomic import CycElem, _cyclotomic_divisor, root_combination
+from .cyclotomic import CycElem, _reduce, root_combination
 from .numtheory import format_rational, nth_root_rational, parse_rational
-from .polynomials import _divide_monic, _power
+from .polynomials import _power
 
 
 class TrigFunc(enum.Enum):
@@ -219,14 +219,12 @@ def _powers(func: TrigFunc, angle: Angle, n: int = 1):
     cos_num = _ring_element(h, [(e, 1), (-e, 1)])
     sin_num = _ring_element(h, [(e - quarter, 1), (-e - quarter, -1)])
     bases = {TrigFunc.COS: [cos_num], TrigFunc.SIN: [sin_num], TrigFunc.TAN: [sin_num, cos_num]}[func]
-    phi, tail = _cyclotomic_divisor(m)
 
     def reduced(a: dict[int, int]) -> list[int]:
         coeffs = [0] * h
         for k, c in a.items():
             coeffs[k] = c
-        _divide_monic(coeffs, phi, tail)
-        return coeffs[:phi]
+        return _reduce(m, coeffs)
 
     def mul_reduced(a, b):
         return {k: c for k, c in enumerate(reduced(_ring_mul(h, a, b))) if c}
@@ -306,9 +304,6 @@ class ValueDescriptor:
         if value == 0:
             return cls(0, Fraction(0))
         return cls(1 if value > 0 else -1, value * value)
-
-    def is_rational(self) -> bool:
-        return nth_root_rational(self.square, 2) is not None if self.square else True
 
     def as_rational(self) -> Fraction | None:
         if self.square == 0:

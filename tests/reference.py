@@ -10,15 +10,21 @@ checks:
   the division-free closed forms;
 * ``reference_power_values`` raises that value to dense powers in the
   power basis, not in the group ring;
+* ``reference_sqrt_witness`` builds the square-root witness as a product
+  of a rational, sqrt(2), a Gauss sum and 1/i, each embedded into the
+  conductor, not as one combination of roots of unity;
 * ``reference_sqrt_member`` decides square-root membership by the general
-  Galois-invariance procedure and a linear descent, not by the conductor.
+  Galois-invariance procedure and a linear descent
+  (``express_in_submodulus``, Gauss-Jordan over the power table), not by
+  the conductor.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
-from trigrat.cyclotomic import CycElem, _power_table, express_in_submodulus, zeta_power
-from trigrat.kummer import sqrt_in_cyclotomic
+from trigrat.cyclotomic import CycElem, _power_table, zeta_power
+from trigrat.kummer import gauss_sum, sqrt_in_cyclotomic
+from trigrat.numtheory import euler_phi, squarefree_decompose
 from trigrat.trig import TrigFunc, UndefinedTrigValue
 
 
@@ -75,6 +81,75 @@ def reference_power_values(func, angle, n_max):
     basis read off by ``as_rational``: the exact value or None."""
     x = reference_trig_elem(func, angle)
     return [(x ** n).as_rational() for n in range(1, n_max + 1)]
+
+
+def reference_sqrt_witness(alpha):
+    """(conductor, sqrt(alpha)) as a product: r, times zeta_8 + 1/zeta_8
+    when the squarefree part d is even, times the Gauss sum of the odd part
+    d', divided by i = zeta_4 when d' = 3 mod 4."""
+    r, d = squarefree_decompose(Fraction(alpha))
+    modulus = d if d % 4 == 1 else 4 * d
+    witness = CycElem.from_rational(modulus, r)
+    if d % 2 == 0:
+        witness = witness * (zeta_power(8, 1) + zeta_power(8, -1)).embed(modulus)
+    odd = d if d % 2 else d // 2
+    if odd > 1:
+        g = gauss_sum(odd)
+        if odd % 4 == 1:
+            witness = witness * g.embed(modulus)
+        else:
+            m2 = 4 * odd
+            witness = witness * (g.embed(m2) * zeta_power(m2, -(m2 // 4))).embed(modulus)
+    return modulus, witness
+
+
+def express_in_submodulus(x: CycElem, sub_modulus: int) -> CycElem | None:
+    """Coordinates of x in the power basis of Q(zeta_sub), or None.
+
+    A general descent by Gauss-Jordan elimination; the library decides root
+    membership by the conductor instead.  ``sub_modulus`` must divide
+    ``x.modulus``.  The
+    embedded images of 1, zeta_sub, ..., zeta_sub^(phi(sub)-1) span the
+    subfield inside the big power basis, so membership is an exact linear
+    system over Q: solvable (with a unique solution, the images being
+    linearly independent) exactly when x lies in the subfield.
+    """
+    m = x.modulus
+    if m % sub_modulus != 0:
+        raise ValueError(f"{sub_modulus} does not divide the modulus {m}")
+    if sub_modulus == m:
+        return x
+    stride = m // sub_modulus
+    phi_sub = euler_phi(sub_modulus)
+    phi_m = euler_phi(m)
+    table = _power_table(m)
+    target = x.coeffs
+    # augmented matrix, one row per big-basis coordinate
+    rows = [
+        [Fraction(table[(j * stride) % m][i]) for j in range(phi_sub)] + [target[i]]
+        for i in range(phi_m)
+    ]
+    pivot_cols: list[int] = []
+    r = 0
+    for col in range(phi_sub):
+        pivot = next((i for i in range(r, phi_m) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        lead = rows[r][col]
+        rows[r] = [v / lead for v in rows[r]]
+        for i in range(phi_m):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivot_cols.append(col)
+        r += 1
+    if any(row[-1] != 0 for row in rows[r:]):
+        return None
+    solution = [Fraction(0)] * phi_sub
+    for i, col in enumerate(pivot_cols):
+        solution[col] = rows[i][-1]
+    return CycElem(sub_modulus, solution)
 
 
 def reference_sqrt_member(beta, m: int) -> CycElem | None:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from math import gcd
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trigrat.cli import run_cli
-from trigrat.cyclotomic import CycElem, express_in_submodulus, zeta_power
+from trigrat.cyclotomic import CycElem, zeta_power
 from trigrat.kummer import (
     GroupReport,
     MetaGaloisElem,
@@ -23,10 +24,10 @@ from trigrat.kummer import (
     subset_unity_product,
     verify_remark_factorization,
 )
-from trigrat.numtheory import divisors, prime_factorization
+from trigrat.numtheory import divisors, mobius, prime_factorization
 from trigrat.polynomials import RatPoly, _poly_mul
 
-from reference import reference_sqrt_member
+from reference import express_in_submodulus, reference_sqrt_member, reference_sqrt_witness
 
 
 # ----------------------------------------------------------------------
@@ -259,6 +260,88 @@ def test_sqrt_witness_modulus_is_minimal():
             assert express_in_submodulus(witness, sub) is None, (alpha, sub)
 
 
+def test_sqrt_witness_matches_product_reference():
+    """The closed-form root combination is the element the product of r,
+    sqrt(2), the Gauss sum and 1/i gives: same modulus, same coordinates."""
+    for d in range(1, 301):
+        if mobius(d) == 0:
+            continue
+        for r in (1, Fraction(3, 2), Fraction(2, 7)):
+            alpha = r * r * d
+            modulus, witness = sqrt_in_cyclotomic(alpha)
+            expected_modulus, expected = reference_sqrt_witness(alpha)
+            assert modulus == witness.modulus == expected_modulus, alpha
+            assert witness == expected, alpha
+
+
+def test_sqrt_witness_is_one_combination_checked_once(monkeypatch, capsys):
+    """The witness is built with no product, embedding, root of unity or
+    Gauss sum; its one product is the check witness * witness == alpha."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("square-root witness built from field elements")
+
+    products = []  # the modulus of each dense product or power
+
+    def counting(original):
+        def counted(self, *args):
+            products.append(self.modulus)
+            return original(self, *args)
+        return counted
+
+    for name in ("__mul__", "__rmul__", "__pow__"):
+        monkeypatch.setattr(CycElem, name, counting(getattr(CycElem, name)))
+    with monkeypatch.context() as patch:
+        patch.setattr(CycElem, "embed", forbidden)
+        patch.setattr("trigrat.kummer.zeta_power", forbidden)
+        patch.setattr("trigrat.kummer.gauss_sum", forbidden)
+        for alpha in (2, 3, 5, 6, 7, 10, 15, 21, 30, Fraction(50, 9), Fraction(9, 4)):
+            products.clear()
+            modulus, _ = sqrt_in_cyclotomic(alpha)
+            assert products == [modulus], alpha
+
+    # m is the conductor of Q(sqrt(15)): the YES is checked once, at 60
+    products.clear()
+    code = run_cli(["root-member", "15", "2", "60", "--json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["answer"] == "YES"
+    assert products == [60]
+
+
+def kummer_digest(capsys, commands):
+    """sha256 over each command line, its exit code, stdout and stderr."""
+    digest = hashlib.sha256()
+    for argv in commands:
+        code = run_cli(argv)
+        captured = capsys.readouterr()
+        digest.update(f"{' '.join(argv)}\n{code}\n{captured.out}{captured.err}".encode())
+    return digest.hexdigest()
+
+
+def coprime_fractions(bound):
+    return [f"{a}/{b}" for b in range(1, bound + 1) for a in range(1, bound + 1) if gcd(a, b) == 1]
+
+
+# the same digests as printed by the witness built as a product of field
+# elements and checked a second time after the embedding
+SQRT_EMBED_30_DIGEST = "87002b3edc1cd95a33fc0c1487da0749358cf243f6b1f4980e614a95a5b5f967"
+ROOT_MEMBER_12_DIGEST = "effbf581c1c6b920a9b0b3cbb12800fc90c315cf5c2f9ccf0d9f203d6a94f92d"
+
+
+def test_sqrt_embed_payloads_match_product_digest(capsys):
+    commands = [["sqrt-embed", alpha, "--json"] for alpha in coprime_fractions(30)]
+    assert kummer_digest(capsys, commands) == SQRT_EMBED_30_DIGEST
+
+
+def test_root_member_payloads_match_product_digest(capsys):
+    commands = [
+        ["root-member", alpha, str(n), str(m), "--json"]
+        for alpha in coprime_fractions(12)
+        for n in (1, 2, 4, 6)
+        for m in range(1, 61)
+    ]
+    assert kummer_digest(capsys, commands) == ROOT_MEMBER_12_DIGEST
+
+
 def test_sqrt_rejects_nonpositive():
     with pytest.raises(ValueError):
         sqrt_in_cyclotomic(0)
@@ -347,12 +430,12 @@ def test_root_membership_matches_galois_reference():
 
 def test_sqrt_membership_needs_no_galois_action_or_descent(monkeypatch, capsys):
     """Square-root membership is decided by the conductor alone: the CLI
-    answers with the Galois action and the linear descent disabled."""
+    answers with the Galois action disabled (the linear descent lives only
+    in the tests)."""
     def forbidden(*args, **kwargs):
         raise AssertionError("general Galois machinery on the square-root decision path")
 
     monkeypatch.setattr(CycElem, "galois_apply", forbidden)
-    monkeypatch.setattr("trigrat.cyclotomic.express_in_submodulus", forbidden)
 
     sqrt2 = {"modulus": 8, "coeffs": ["0", "1", "0", "-1"]}
     sqrt3 = {"modulus": 24, "coeffs": ["0", "0", "2", "0", "0", "0", "-1", "0"]}

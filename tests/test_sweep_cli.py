@@ -8,7 +8,6 @@ import pytest
 
 from trigrat.cli import run_cli
 from trigrat.cyclotomic import CycElem
-from trigrat.kummer import gauss_sum
 from trigrat.sweep import (
     Hit,
     SweepConfig,
@@ -335,7 +334,7 @@ def test_decision_paths_build_no_power_table(monkeypatch, capsys):
         raise AssertionError(f"power table built for modulus {m}")
 
     monkeypatch.setattr("trigrat.cyclotomic._power_table", forbidden)
-    for cached in (trig_elem, classify, gauss_sum):
+    for cached in (trig_elem, classify):
         cached.cache_clear()
 
     for command, digest in PAYLOAD_DIGESTS:
