@@ -7,18 +7,22 @@ two elements of the same modulus are equal iff their coordinates are equal.
 
 Internally an element stores integer numerators over one common positive
 denominator (with overall content 1); the public ``coeffs`` view is a tuple
-of ``Fraction``.  Products, Galois images, embeddings and sums of roots of
-unity lay their terms out as integer coefficients of powers of z and reduce
-once, through ``_reduce``: exponents mod m, then the remainder modulo the
-monic integer Phi_m.  The polynomial arithmetic itself (the convolution,
-the monic long division and square-and-multiply) is the shared kernel of
-``polynomials``; ``minimal_polynomial`` runs the same convolution with
-``CycElem`` coefficients.  The table of reduced powers of z
-(``_power_table``) has no reader in the library: it is an independent
-oracle for the tests, and the span tracer of ``perfbench`` records the
-moduli it is built for.  Floating point enters only in
-:meth:`CycElem.numeric_eval`, which is for sanity checks and never
-decides anything.
+of ``Fraction``, which ``to_json`` and ``numeric_eval`` do without.
+Products, Galois images, embeddings and sums of roots of unity lay their
+terms out as integer coefficients of powers of z and reduce once, through
+``_reduce``: exponents mod m, then the remainder modulo the monic integer
+Phi_m.  Phi_m is Phi_r(x^(m/r)) for r the radical of m, and Phi_r is built
+one binomial x^k - 1 at a time, each multiplied in or divided out exactly
+in linear time (Arnold & Monagan, Math. Comp. 80, 2011); only its nonzero
+tail is cached per modulus (``_cyclotomic_divisor``).  The polynomial
+arithmetic itself (the convolution, the monic long division and
+square-and-multiply) is the shared kernel of ``polynomials``;
+``minimal_polynomial`` runs the same convolution with ``CycElem``
+coefficients.  The table of reduced powers of z (``_power_table``) has no
+reader in the library: it is an independent oracle for the tests, and the
+span tracer of ``perfbench`` records the moduli it is built for.  Floating
+point enters only in :meth:`CycElem.numeric_eval`, which is for sanity
+checks and never decides anything.
 """
 
 from __future__ import annotations
@@ -26,10 +30,12 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import accumulate
 from math import gcd
+from operator import add, sub
 from typing import Iterable, Union
 
-from .numtheory import divisors, euler_phi, mobius
+from .numtheory import euler_phi, prime_divisors
 from .polynomials import RatPoly, _divide_monic, _monic_tail, _poly_mul, _power
 
 Scalar = Union[int, Fraction]
@@ -38,27 +44,50 @@ Scalar = Union[int, Fraction]
 # ----------------------------------------------------------------------
 # cyclotomic polynomials (integer arithmetic throughout)
 
-@lru_cache(maxsize=None)
 def _cyclotomic_int_coeffs(m: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_m via the Moebius product
-    Phi_m(x) = prod over d | m of (x^(m/d) - 1)^mobius(d)."""
+    """Integer coefficients of Phi_m, constant term first.
+
+    With r = rad(m), the product of the primes dividing m,
+    Phi_m(x) = Phi_r(x^(m/r)), and Phi_r is the Moebius product of the
+    binomials x^(r/d) - 1 over the d | r, with exponent mu(d) = (-1)^|S|
+    for d the product of a set S of those primes.  Each binomial costs
+    linear time (Arnold & Monagan, "Calculating cyclotomic polynomials",
+    Math. Comp. 80, 2011): multiplying by x^k - 1 is a shift and a
+    subtraction, and dividing by it runs q[i] = q[i-k] - num[i] up from the
+    constant term, along each residue class mod k when k is small, else
+    one block of k at a time.  Run over the whole numerator, the recurrence
+    ends in k zeros exactly when the division is exact; anything else
+    raises ``ArithmeticError``.
+    """
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
-    num: list[int] = [1]
-    den: list[int] = [1]
-    for d in divisors(m):
-        mu = mobius(d)
-        if mu == 0:
-            continue
-        binomial = [-1] + [0] * (m // d - 1) + [1]
+    signed = [(1, 1)]  # (d, mu(d)) over the squarefree divisors d of m
+    for p in prime_divisors(m):
+        signed += [(d * p, -mu) for d, mu in signed]
+    r = signed[-1][0]
+    coeffs = [1]
+    for d, mu in signed:
         if mu == 1:
-            num = _poly_mul(num, binomial)
-        else:
-            den = _poly_mul(den, binomial)
-    quotient = _divide_monic(num, *_monic_tail(den))
-    if any(num[: len(den) - 1]):
-        raise ArithmeticError("inexact polynomial division")
-    return tuple(quotient)
+            k = r // d
+            coeffs = list(map(sub, [0] * k + coeffs, coeffs + [0] * k))
+    for d, mu in signed:
+        if mu == -1:
+            k = r // d
+            q = [-c for c in coeffs]
+            if k * k < len(q):
+                for j in range(k):
+                    q[j::k] = accumulate(q[j::k])
+            else:
+                for i in range(k, len(q), k):
+                    q[i:i + k] = map(add, q[i - k:i], q[i:i + k])
+            n = len(q) - k
+            if n < 1 or any(q[n:]):
+                raise ArithmeticError("inexact polynomial division")
+            coeffs = q[:n]
+    stride = m // r
+    spread = [0] * (stride * (len(coeffs) - 1) + 1)
+    spread[::stride] = coeffs
+    return tuple(spread)
 
 
 @lru_cache(maxsize=None)
@@ -326,12 +355,19 @@ class CycElem:
         """Floating-point value (sanity checks only; never used for verdicts)."""
         m = self.modulus
         return sum(
-            (float(Fraction(a, self._den)) * cmath.exp(2j * cmath.pi * k / m) for k, a in enumerate(self._nums) if a),
+            (a / self._den * cmath.exp(2j * cmath.pi * k / m) for k, a in enumerate(self._nums) if a),
             complex(0),
         )
 
     def to_json(self) -> dict:
-        return {"modulus": self.modulus, "coeffs": [str(c) for c in self.coeffs]}
+        """Coordinates as reduced fractions a/b, or a when b = 1: the strings
+        ``str(Fraction)`` prints, written from the integer numerators."""
+        den = self._den
+        coeffs = []
+        for a in self._nums:
+            g = gcd(a, den)
+            coeffs.append(str(a // g) if g == den else f"{a // g}/{den // g}")
+        return {"modulus": self.modulus, "coeffs": coeffs}
 
     @classmethod
     def from_json(cls, data: dict) -> "CycElem":

@@ -3,6 +3,9 @@
 Each one reaches its answer by another route than the decision path it
 checks:
 
+* ``reference_cyclotomic_coeffs`` builds Phi_m from the Moebius product
+  over all divisors of m, divided once by the dense product of its
+  denominator binomials, not one binomial at a time at the radical of m;
 * ``reference_mul``, ``reference_galois_apply`` and ``reference_embed``
   reduce through the rows of the power table, not through the reduction
   kernel;
@@ -24,8 +27,31 @@ from math import gcd, lcm
 
 from trigrat.cyclotomic import CycElem, _power_table, zeta_power
 from trigrat.kummer import gauss_sum, sqrt_in_cyclotomic
-from trigrat.numtheory import euler_phi, squarefree_decompose
+from trigrat.numtheory import divisors, euler_phi, mobius, squarefree_decompose
+from trigrat.polynomials import _divide_monic, _monic_tail, _poly_mul
 from trigrat.trig import TrigFunc, UndefinedTrigValue
+
+
+def reference_cyclotomic_coeffs(m: int) -> tuple[int, ...]:
+    """Integer coefficients of Phi_m via the Moebius product
+    Phi_m(x) = prod over d | m of (x^(m/d) - 1)^mobius(d)."""
+    if m < 1:
+        raise ValueError(f"modulus must be >= 1, got {m}")
+    num: list[int] = [1]
+    den: list[int] = [1]
+    for d in divisors(m):
+        mu = mobius(d)
+        if mu == 0:
+            continue
+        binomial = [-1] + [0] * (m // d - 1) + [1]
+        if mu == 1:
+            num = _poly_mul(num, binomial)
+        else:
+            den = _poly_mul(den, binomial)
+    quotient = _divide_monic(num, *_monic_tail(den))
+    if any(num[: len(den) - 1]):
+        raise ArithmeticError("inexact polynomial division")
+    return tuple(quotient)
 
 
 def _reference_combination(m, terms):

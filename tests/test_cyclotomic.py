@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from trigrat.cyclotomic import (
     CycElem,
+    _cyclotomic_int_coeffs,
     _power_table,
     cyclotomic_polynomial,
     minimal_polynomial,
@@ -19,7 +20,13 @@ from trigrat.cyclotomic import (
 from trigrat.numtheory import divisors, euler_phi
 from trigrat.polynomials import RatPoly, _poly_mul
 
-from reference import express_in_submodulus, reference_embed, reference_galois_apply, reference_mul
+from reference import (
+    express_in_submodulus,
+    reference_cyclotomic_coeffs,
+    reference_embed,
+    reference_galois_apply,
+    reference_mul,
+)
 
 
 @lru_cache(maxsize=None)
@@ -55,6 +62,29 @@ def test_cyclotomic_known_values():
     assert cyclotomic_polynomial(12) == RatPoly([1, 0, -1, 0, 1])
     # first index with a coefficient outside {-1, 0, 1}
     assert 2 in [abs(c) for c in cyclotomic_polynomial(105).coeffs]
+
+
+def test_cyclotomic_coeffs_match_moebius_reference():
+    """One binomial at a time at the radical of m gives the coefficients of
+    the dense Moebius product over all divisors of m."""
+    for m in [*range(1, 2001), 4620]:
+        assert _cyclotomic_int_coeffs(m) == reference_cyclotomic_coeffs(m), m
+    # 30030 = 2*3*5*7*11*13: monic, palindromic, Phi(1) = 1, degree phi
+    coeffs = _cyclotomic_int_coeffs(30030)
+    assert len(coeffs) == euler_phi(30030) + 1
+    assert coeffs == coeffs[::-1] and sum(coeffs) == 1
+
+
+@pytest.mark.parametrize("m, primes", [(4, (2, 2)), (8, (2, 4))])
+def test_inexact_binomial_division_raises(monkeypatch, m, primes):
+    """Wrong Moebius data leaves a binomial that does not divide.  With 2
+    counted twice, x^2 - 1 is divided out of (x^4 - 1)(x - 1) twice; with 4
+    posing as a prime, x^2 - 1 is divided out of (x^4 + 1)(x - 1).  The
+    first fails in the block-by-block recurrence, the second in the one
+    along residue classes."""
+    monkeypatch.setattr("trigrat.cyclotomic.prime_divisors", lambda n: primes)
+    with pytest.raises(ArithmeticError, match="inexact polynomial division"):
+        _cyclotomic_int_coeffs(m)
 
 
 def test_zeta_power_examples():
@@ -275,6 +305,39 @@ def test_numeric_eval_sanity():
         assert abs(approx - exact) < 1e-12
     s = zeta_power(8, 1) + zeta_power(8, -1)
     assert abs(s.numeric_eval() - 2 ** 0.5) < 1e-12
+
+
+def random_elements(m, count, seed):
+    """Seeded elements of Q(zeta_m) with zero, negative, huge and
+    fractional coordinates over a mix of denominators."""
+    rng = random.Random(f"{m}:{seed}")
+    for _ in range(count):
+        yield CycElem(m, [
+            Fraction(rng.choice([0, rng.randint(-9, 9), rng.randint(-10 ** 40, 10 ** 40)]),
+                     rng.choice([1, 1, 2, 6, 35, rng.randint(1, 10 ** 12)]))
+            for _ in range(euler_phi(m))
+        ])
+
+
+def test_numeric_eval_is_the_float_of_each_fraction():
+    for m in (1, 2, 12, 60, 105):
+        for x in random_elements(m, 20, "numeric"):
+            expected = sum(
+                (float(c) * cmath.exp(2j * cmath.pi * k / m) for k, c in enumerate(x.coeffs) if c),
+                complex(0),
+            )
+            assert x.numeric_eval() == expected
+
+
+@pytest.mark.parametrize("m", [1, 2, 12, 60, 105])
+def test_to_json_prints_each_fraction(m):
+    seen = set()
+    for x in random_elements(m, 40, "json"):
+        assert x.to_json() == {"modulus": m, "coeffs": [str(c) for c in x.coeffs]}
+        for c in x.coeffs:
+            seen.add("zero" if c == 0 else "negative" if c < 0 else "positive")
+            seen.add("integer" if c.denominator == 1 else "fraction")
+    assert seen == {"zero", "negative", "positive", "integer", "fraction"}
 
 
 def test_json_roundtrip():

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -390,6 +391,25 @@ SWEEP_32_8_DIGEST = "0b4454e4edee6b5c78e0ad96b78ed21a8c4769af13c2a151426bf354075
 def test_payloads_match_dense_power_digests(capsys):
     assert sweep_digest(capsys, 32, 8) == SWEEP_32_8_DIGEST
     assert grid_digest(capsys, 30) == GRID_30_DIGEST
+
+
+# classify --json for cos, sin and tan at p/q, p in {1, 7, 2q - 1} coprime
+# to q, 100 <= q < 200 (a cold modulus lcm(2q, 4) per q), as printed with
+# Phi_m built from the dense Moebius product and each witness coordinate
+# written through a Fraction
+COLD_CLASSIFY_DIGEST = "d11d011d5f5978321889d240c5f9a21d4d621687a1b0f944b622c1087fcf8c89"
+
+
+def test_cold_moduli_payloads_match_digest(capsys):
+    digest = hashlib.sha256()
+    for q in range(100, 200):
+        for p in (1, 7, 2 * q - 1):
+            if gcd(p, q) == 1:
+                for func in ("cos", "sin", "tan"):
+                    argv = ["classify", func, f"{p}/{q}", "--json"]
+                    code, out, err = run(capsys, *argv)
+                    digest.update(f"{' '.join(argv)}\n{code}\n{out}{err}".encode())
+    assert digest.hexdigest() == COLD_CLASSIFY_DIGEST
 
 
 def test_decision_paths_build_no_dense_power(monkeypatch, capsys):
