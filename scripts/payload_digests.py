@@ -76,6 +76,7 @@ def sweep_digest(q_max, n_max):
 GRIDS = {
     "classify+eval q<=60": lambda: commands_digest(classify_eval_grid(60)),
     "verify sweep q<=32 n<=8": lambda: sweep_digest(32, 8),
+    "verify sweep q<=96 n<=8": lambda: sweep_digest(96, 8),
     "classify 100<=q<200": lambda: commands_digest(cold_classify_grid()),
     "root-member a/b<=12 n in 1,2,4,6 m<=60": lambda: commands_digest(
         ["root-member", alpha, str(n), str(m), "--json"]

@@ -90,10 +90,11 @@ def _cyclotomic_int_coeffs(m: int) -> tuple[int, ...]:
     return tuple(spread)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _cyclotomic_divisor(m: int) -> tuple[int, tuple]:
     """Phi_m as the long division reads it: its degree phi(m) and its
-    nonzero lower coefficients (see ``polynomials._monic_tail``)."""
+    nonzero lower coefficients (see ``polynomials._monic_tail``).  The
+    cache keeps the 256 moduli used last."""
     return _monic_tail(_cyclotomic_int_coeffs(m))
 
 

@@ -64,9 +64,10 @@ def integer_nth_root(x: int, n: int) -> int:
     return lo
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def prime_factorization(n: int) -> tuple[tuple[int, int], ...]:
-    """Sorted (prime, exponent) pairs of n >= 1, by trial division."""
+    """Sorted (prime, exponent) pairs of n >= 1, by trial division.  The
+    cache keeps the 1024 arguments used last."""
     _check_natural(n, 1)
     factors = []
     p = 2

@@ -1,11 +1,11 @@
 """Exhaustive verification of the rational-power classification.
 
-``verify_theorem_sweep`` walks every reduced angle p/q with q up to a bound,
-raises cos, sin and tan of pi*p/q to every exponent up to another bound
-exactly (each power is decided in the group ring by ``trig._powers``, one
-sparse product with a two-term base per exponent), and checks each outcome
-against what the classification and the predicted value lists say must
-happen:
+``verify_theorem_sweep`` covers every reduced angle p/q with q up to a
+bound: it raises cos, sin and tan of pi*p/q to every exponent up to another
+bound exactly (each power is decided in the group ring by ``trig._powers``,
+one sparse product with a two-term base per exponent) and checks each
+outcome against what the classification and the predicted value lists say
+must happen:
 
 * a rational n-th power forces the base value into the finite list for the
   parity of n (0, +-1/2, +-1 and, for even n, +-sqrt(2)/2, +-sqrt(3)/2 for
@@ -17,16 +17,35 @@ happen:
 
 Every rational power found is recorded as a hit; every broken expectation
 as a violation.  A clean sweep is a report with an empty violation list.
+
+The angles are not surveyed one by one but one Galois orbit at a time.  The
+three values at pi*p/q lie in Q(zeta_M), M = lcm(2q, 4), and for c prime to
+M the automorphism sigma_c (zeta_M -> zeta_M^c) sends cos(pi p/q) to cos(pi
+cp/q), and sin and tan to +-the same function at cp/q (the sign is that of
+sigma_c(i) = i^c).  sigma_c fixes Q, so x^n is rational exactly when
+sigma_c(x)^n is: which powers are rational, and hence the case, is the same
+at p/q and cp/q.  The c mod 2q run over all units mod 2q, so the orbit of p
+is p times those units, and the reduced p in [0, 2q) fall into at most two
+orbits of phi(2q) members each: the odd p (the units), and, for odd q, the
+even p (twice the units).  One representative, the least p, is surveyed per
+(func, q, orbit).  If it has no rational power, no hit and no violation, the
+orbit is never-rational throughout and is booked without more work;
+otherwise every other member is surveyed as well, since the rational values
+and their checks differ from member to member.  By the paper that happens
+only at q in {1, 2, 3, 4, 6}, but the sweep decides it from the survey, not
+from that list.  The orbit step trusts ``classify`` to be Galois-invariant
+at the members it does not survey; the tests compare the report with a
+survey of every angle.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
-from .numtheory import format_rational
+from .numtheory import euler_phi, format_rational
 from .trig import (
     Angle,
     Case,
@@ -42,8 +61,9 @@ _FUNC_ORDER = {TrigFunc.COS: 0, TrigFunc.SIN: 1, TrigFunc.TAN: 2}
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Bounds for one sweep.  ``parallel`` is a worker-process count; zero
-    runs in-process (results are identical either way)."""
+    """Bounds for one sweep.  ``parallel`` is a worker-process count for the
+    orbit representatives; zero or one runs in-process (results are
+    identical either way)."""
 
     q_max: int
     n_max: int
@@ -216,27 +236,63 @@ def _survey(func: TrigFunc, angle: Angle, n_max: int) -> tuple[list[Hit], list[V
     return hits, violations, case
 
 
+def _numerators(q: int, parity: int):
+    """The p of one parity with p/q reduced and 0 <= p < 2q, increasing:
+    one Galois orbit (module docstring)."""
+    return (p for p in range(parity, 2 * q, 2) if gcd(p, q) == 1)
+
+
+def _add(report: SweepReport, func: TrigFunc, result, members: int = 1) -> None:
+    """Book one survey's result for ``members`` angles of ``func``."""
+    hits, violations, case = result
+    report.hits.extend(hits)
+    report.violations.extend(violations)
+    report.queries += members * report.config.n_max if case is not Case.UNDEFINED else 0
+    by_case = report.case_counts.setdefault(func, {})
+    by_case[case] = by_case.get(case, 0) + members
+
+
 def verify_theorem_sweep(config: SweepConfig) -> SweepReport:
     """Run the full sweep described by ``config`` and collect the report.
 
-    The parallel path chunks (func, angle) pairs over a process pool; the
-    order-preserving map keeps the report identical to a sequential run.
+    Moduli run in increasing q, and the functions of one modulus back to
+    back.  Each (func, q, orbit) is surveyed at its least p, the
+    representative.  A representative that is NEVER with no hit and no
+    violation stands for its whole orbit: by Galois invariance (module
+    docstring) none of the phi(2q) members has a rational power, so each
+    counts as NEVER with ``n_max`` queries.  Any other outcome (a rational
+    power, a pole, a violation, a case other than NEVER) surveys every
+    other member too, so its hits and violations are those of each angle
+    on its own.
+    The report is that of a survey of every reduced angle, hits and
+    violations sorted alike.  With ``parallel`` > 1 the representatives
+    are surveyed over a process pool (``starmap`` keeps their order) and
+    the few other members in process.
     """
-    angles = reduced_angles(config.q_max)
-    tasks = [(func, angle, config.n_max) for func in config.funcs for angle in angles]
+    orbits = [
+        (func, q, parity)
+        for q in range(1, config.q_max + 1)
+        for parity in ((1, 0) if q % 2 else (1,))
+        for func in config.funcs
+    ]
+    tasks = [(func, Angle(next(_numerators(q, parity)), q), config.n_max) for func, q, parity in orbits]
     if config.parallel > 1:
+        import multiprocessing  # only here: a sixth of the package's import time
+
         with multiprocessing.Pool(config.parallel) as pool:
-            results = pool.starmap(_survey, tasks, chunksize=16)
+            firsts = pool.starmap(_survey, tasks, chunksize=8)
     else:
-        results = [_survey(*t) for t in tasks]
+        firsts = [_survey(*t) for t in tasks]
 
     report = SweepReport(config=config)
-    for (func, angle, n_max), (hits, violations, case) in zip(tasks, results):
-        report.hits.extend(hits)
-        report.violations.extend(violations)
-        report.queries += n_max if case is not Case.UNDEFINED else 0
-        by_case = report.case_counts.setdefault(func, {})
-        by_case[case] = by_case.get(case, 0) + 1
+    for (func, q, parity), first in zip(orbits, firsts):
+        hits, violations, case = first
+        if case is Case.NEVER and not hits and not violations:
+            _add(report, func, first, euler_phi(2 * q))
+            continue
+        _add(report, func, first)
+        for p in islice(_numerators(q, parity), 1, None):
+            _add(report, func, _survey(func, Angle(p, q), config.n_max))
     report.hits.sort(key=Hit.sort_key)
     report.violations.sort(key=Violation.sort_key)
     return report

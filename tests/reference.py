@@ -19,7 +19,9 @@ checks:
 * ``reference_sqrt_member`` decides square-root membership by the general
   Galois-invariance procedure and a linear descent
   (``express_in_submodulus``, Gauss-Jordan over the power table), not by
-  the conductor.
+  the conductor;
+* ``reference_sweep`` surveys every reduced angle, not one representative
+  per Galois orbit.
 """
 
 from fractions import Fraction
@@ -29,7 +31,8 @@ from trigrat.cyclotomic import CycElem, _power_table, zeta_power
 from trigrat.kummer import gauss_sum, sqrt_in_cyclotomic
 from trigrat.numtheory import divisors, euler_phi, mobius, squarefree_decompose
 from trigrat.polynomials import _divide_monic, _monic_tail, _poly_mul
-from trigrat.trig import TrigFunc, UndefinedTrigValue
+from trigrat.sweep import Hit, SweepReport, Violation, _survey, reduced_angles
+from trigrat.trig import Case, TrigFunc, UndefinedTrigValue
 
 
 def reference_cyclotomic_coeffs(m: int) -> tuple[int, ...]:
@@ -198,3 +201,22 @@ def reference_sqrt_member(beta, m: int) -> CycElem | None:
     descended = express_in_submodulus(w_big, m_norm)
     assert descended is not None, (beta, m)
     return descended.embed(m)
+
+
+def reference_sweep(config):
+    """The brute sweep: ``sweep._survey`` at every (func, angle) pair,
+    functions outside and angles inside, in process."""
+    angles = reduced_angles(config.q_max)
+    tasks = [(func, angle, config.n_max) for func in config.funcs for angle in angles]
+    results = [_survey(*t) for t in tasks]
+
+    report = SweepReport(config=config)
+    for (func, angle, n_max), (hits, violations, case) in zip(tasks, results):
+        report.hits.extend(hits)
+        report.violations.extend(violations)
+        report.queries += n_max if case is not Case.UNDEFINED else 0
+        by_case = report.case_counts.setdefault(func, {})
+        by_case[case] = by_case.get(case, 0) + 1
+    report.hits.sort(key=Hit.sort_key)
+    report.violations.sort(key=Violation.sort_key)
+    return report

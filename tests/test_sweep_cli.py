@@ -7,6 +7,8 @@ from math import gcd
 
 import pytest
 
+from reference import reference_sweep
+from trigrat import sweep
 from trigrat.cli import run_cli
 from trigrat.cyclotomic import CycElem
 from trigrat.sweep import (
@@ -16,7 +18,7 @@ from trigrat.sweep import (
     reduced_angles,
     verify_theorem_sweep,
 )
-from trigrat.trig import Angle, Case, TrigFunc, classify, trig_elem
+from trigrat.trig import MAX_POWER_EXPONENT, Angle, Case, Classification, TrigFunc, classify, trig_elem
 
 COS, SIN, TAN = TrigFunc.COS, TrigFunc.SIN, TrigFunc.TAN
 
@@ -103,9 +105,68 @@ def test_sweep_is_deterministic():
 
 
 def test_parallel_sweep_matches_sequential():
-    sequential = verify_theorem_sweep(SweepConfig(q_max=5, n_max=3, parallel=0))
-    parallel = verify_theorem_sweep(SweepConfig(q_max=5, n_max=3, parallel=2))
+    sequential = verify_theorem_sweep(SweepConfig(q_max=12, n_max=3, parallel=0))
+    parallel = verify_theorem_sweep(SweepConfig(q_max=12, n_max=3, parallel=2))
     assert sequential.to_json() == parallel.to_json()
+
+
+def report_text(report):
+    return json.dumps(report.to_json(), sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("funcs", [(COS, SIN, TAN), (TAN, SIN)])
+def test_orbit_sweep_matches_reference_sweep(funcs):
+    """One survey per Galois orbit prints the report of the brute sweep
+    over every reduced angle, byte for byte."""
+    config = SweepConfig(q_max=48, n_max=8, funcs=funcs)
+    assert report_text(verify_theorem_sweep(config)) == report_text(reference_sweep(config))
+
+
+def test_misclassified_representatives_survey_their_orbits(monkeypatch):
+    """A representative with a violation makes the sweep survey every other
+    member of its orbit: with cos at 1/5 (the representative of the odd p
+    over 5) and 3/5 (a member) planted as SQUARE_RATIONAL, both sweeps
+    report the same violations, at both angles, and the same case counts."""
+    planted = {Angle(1, 5), Angle(3, 5)}
+
+    def faulty(func, angle):
+        if func is COS and angle in planted:
+            return Classification(func, angle, Case.SQUARE_RATIONAL, 2, Fraction(1, 2), trig_elem(func, angle))
+        return classify(func, angle)
+
+    monkeypatch.setattr(sweep, "classify", faulty)
+    config = SweepConfig(q_max=12, n_max=8)
+    orbit, brute = verify_theorem_sweep(config), reference_sweep(config)
+    assert {v.angle for v in orbit.violations} == planted
+    assert orbit.violations == brute.violations
+    assert orbit.case_counts == brute.case_counts
+    assert report_text(orbit) == report_text(brute)
+
+
+def test_sweep_surveys_one_representative_per_orbit(monkeypatch):
+    """One survey per (func, q, orbit), plus the other members of the
+    orbits with a rational power: by the paper those are the orbits at
+    q in {1, 2, 3, 4, 6}.  The orbits of q are the odd p and, for odd q,
+    the even p coprime to q in [0, 2q)."""
+    calls = []
+    survey = sweep._survey
+
+    def counted(*args):
+        calls.append(args)
+        return survey(*args)
+
+    monkeypatch.setattr(sweep, "_survey", counted)
+    report = verify_theorem_sweep(SweepConfig(q_max=32, n_max=8))
+    assert report.clean
+
+    def orbits(q):
+        reduced = [p for p in range(2 * q) if gcd(p, q) == 1]
+        return [o for o in ([p for p in reduced if p % 2], [p for p in reduced if p % 2 == 0]) if o]
+
+    n_orbits = sum(len(orbits(q)) for q in range(1, 33))
+    other_members = sum(len(o) - 1 for q in (1, 2, 3, 4, 6) for o in orbits(q))
+    assert (n_orbits, other_members) == (48, 9)
+    assert len(calls) == 3 * (n_orbits + other_members)
 
 
 def test_report_json_shape(small_report):
@@ -178,6 +239,16 @@ def test_cli_eval(capsys):
     code, out, _ = run(capsys, "eval", "tan", "1/2")
     assert code == 0
     assert "undefined" in out
+
+
+def test_cli_eval_refuses_exponents_past_the_limit(capsys):
+    code, out, err = run(capsys, "eval", "cos", "1/60", "--pow", "1000000")
+    assert (code, out) == (2, "")
+    assert err == f"error: exponent must be <= {MAX_POWER_EXPONENT}, got 1000000\n"
+
+    code, out, _ = run(capsys, "eval", "--json", "cos", "1/3", "--pow", str(MAX_POWER_EXPONENT))
+    assert code == 0
+    assert json.loads(out)["value"] == f"1/{2 ** MAX_POWER_EXPONENT}"
 
 
 def test_cli_eval_json(capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from trigrat.cyclotomic import CycElem
 from trigrat.sweep import SweepConfig, reduced_angles, verify_theorem_sweep
 from trigrat.trig import (
+    MAX_POWER_EXPONENT,
     Angle,
     Case,
     TrigFunc,
@@ -94,6 +95,17 @@ def test_power_rational_examples():
     assert power_rational(COS, Angle(1, 5), 1) is None
     with pytest.raises(ValueError):
         power_rational(COS, Angle(1, 3), 0)
+
+
+def test_power_rational_refuses_exponents_past_the_limit():
+    n = MAX_POWER_EXPONENT
+    assert power_rational(COS, Angle(1, 3), n) == Fraction(1, 2) ** n
+    assert power_rational(TAN, Angle(1, 6), n) == Fraction(1, 3) ** (n // 2)
+    assert power_rational(COS, Angle(1, 60), n) is None
+    with pytest.raises(ValueError, match=f"<= {n}"):
+        power_rational(COS, Angle(1, 3), n + 1)
+    with pytest.raises(ValueError):
+        power_rational(COS, Angle(1, 60), 10 ** 6)
 
 
 @given(angles())
