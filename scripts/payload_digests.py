@@ -56,6 +56,16 @@ def classify_eval_grid(q_max):
                 yield ["eval", func, str(angle), "--pow", str(n), "--json"]
 
 
+def high_power_grid():
+    """eval --pow N for cos, sin, tan at 1/q, N in {31, 64, 257, 1000} up to
+    the exponent limit, q in {3, 4, 5, 6, 7, 12, 60, 97}; the tests pin the
+    part at q <= 12."""
+    for q in (3, 4, 5, 6, 7, 12, 60, 97):
+        for func in FUNCS:
+            for n in (31, 64, 257, 1000):
+                yield ["eval", func, f"1/{q}", "--pow", str(n), "--json"]
+
+
 def cold_classify_grid(q_low=100, q_high=200):
     """classify for cos, sin, tan at p/q with p in {1, 7, 2q - 1} coprime
     to q, for q_low <= q < q_high: one modulus lcm(2q, 4) per q."""
@@ -86,6 +96,7 @@ GRIDS = {
     ),
     "sqrt-embed a/b<=30": lambda: commands_digest(["sqrt-embed", alpha, "--json"] for alpha in coprime_fractions(30)),
     "gauss m<=120": lambda: commands_digest(["gauss", str(m), "--json"] for m in range(1, 121)),
+    "eval --pow 31,64,257,1000 at 1/q, eight q <= 97": lambda: commands_digest(high_power_grid()),
 }
 
 

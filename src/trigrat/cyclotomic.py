@@ -101,8 +101,8 @@ def _cyclotomic_divisor(m: int) -> tuple[int, tuple]:
 def _reduce(m: int, coeffs: list[int]) -> list[int]:
     """Power-basis coordinates of sum(coeffs[k] * zeta_m^k).
 
-    The single reduction kernel of the package (``trig`` reads its
-    group-ring powers through it too): exponents are folded mod m
+    The single reduction kernel of the package (``trig`` reduces each
+    power of cos or sin through it once): exponents are folded mod m
     (zeta_m^m = 1) and, for even m, mod m/2 with a sign (zeta_m^(m/2) = -1);
     then the remainder modulo the monic Phi_m is taken.  The folds only
     shorten the long division.  ``coeffs`` needs at least phi(m) entries

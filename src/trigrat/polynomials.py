@@ -11,18 +11,16 @@ ring whose elements support ``+``, ``-`` and ``*`` with each other and with
 ``minimal_polynomial``).  ``_poly_mul`` is the dense convolution,
 ``_divide_monic`` the long division by a monic polynomial, which reads the
 divisor as its nonzero tail (``_monic_tail``, cached per modulus for
-Phi_m), and ``_power`` square-and-multiply over any product (the
-group-ring powers of ``trig`` pass their own).  Zero coefficients are
-skipped by truthiness; a ``CycElem`` is always truthy, so over Q(zeta_m)
-every product is formed.  The names are private: the span tracer of
-``perfbench/tracer.py`` wraps every public callable, and a span per
-product would move the products' time out of the layer that asks for
-them.
+Phi_m), and ``_power`` square-and-multiply for ``RatPoly`` and ``CycElem``
+powers.  Zero coefficients are skipped by truthiness; a ``CycElem`` is
+always truthy, so over Q(zeta_m) every product is formed.  The names are
+private: the span tracer of ``perfbench/tracer.py`` wraps every public
+callable, and a span per product would move the products' time out of the
+layer that asks for them.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Sequence, Union
@@ -64,17 +62,17 @@ def _divide_monic(num: list, d: int, tail: Sequence) -> list:
     return quotient
 
 
-def _power(base, n: int, one, mul=operator.mul):
+def _power(base, n: int, one):
     """base ** n for n >= 0 by left-to-right square-and-multiply:
-    floor(log2 n) squarings and popcount(n) - 1 products ``mul``, none
-    past the last bit; ``one`` is returned for n = 0."""
+    floor(log2 n) squarings and popcount(n) - 1 products, none past the
+    last bit; ``one`` is returned for n = 0."""
     if n == 0:
         return one
     result = base
     for bit in bin(n)[3:]:
-        result = mul(result, result)
+        result = result * result
         if bit == "1":
-            result = mul(result, base)
+            result = result * base
     return result
 
 

@@ -2,9 +2,9 @@
 
 ``verify_theorem_sweep`` covers every reduced angle p/q with q up to a
 bound: it raises cos, sin and tan of pi*p/q to every exponent up to another
-bound exactly (each power is decided in the group ring by ``trig._powers``,
-one sparse product with a two-term base per exponent) and checks each
-outcome against what the classification and the predicted value lists say
+bound exactly (each power is decided by ``trig.power_rational``, written
+down by the binomial theorem and reduced once) and checks each outcome
+against what the classification and the predicted value lists say
 must happen:
 
 * a rational n-th power forces the base value into the finite list for the
@@ -47,11 +47,12 @@ from math import gcd
 
 from .numtheory import euler_phi, format_rational
 from .trig import (
+    MAX_POWER_EXPONENT,
     Angle,
     Case,
     TrigFunc,
-    _powers,
     classify,
+    power_rational,
     theorem_value_list,
     value_descriptor,
 )
@@ -61,9 +62,11 @@ _FUNC_ORDER = {TrigFunc.COS: 0, TrigFunc.SIN: 1, TrigFunc.TAN: 2}
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Bounds for one sweep.  ``parallel`` is a worker-process count for the
-    orbit representatives; zero or one runs in-process (results are
-    identical either way)."""
+    """Bounds for one sweep.  ``n_max`` is at most
+    ``trig.MAX_POWER_EXPONENT``, the largest exponent ``power_rational``
+    computes.  ``parallel`` is a worker-process count for the orbit
+    representatives; zero or one runs in-process (results are identical
+    either way)."""
 
     q_max: int
     n_max: int
@@ -75,6 +78,8 @@ class SweepConfig:
             raise ValueError(f"q_max must be >= 1, got {self.q_max}")
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
+        if self.n_max > MAX_POWER_EXPONENT:
+            raise ValueError(f"n_max must be <= {MAX_POWER_EXPONENT}, got {self.n_max}")
         if not self.funcs:
             raise ValueError("funcs must not be empty")
         if self.parallel < 0:
@@ -187,7 +192,8 @@ def _survey(func: TrigFunc, angle: Angle, n_max: int) -> tuple[list[Hit], list[V
     base = value_descriptor(classification) if case is not Case.NEVER else None
 
     first_hit_n = None
-    for n, value in zip(range(1, n_max + 1), _powers(func, angle)):
+    for n in range(1, n_max + 1):
+        value = power_rational(func, angle, n)
         if value is None:
             if case is Case.VALUE_RATIONAL:
                 violations.append(

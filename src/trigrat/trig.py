@@ -16,11 +16,12 @@ sum(k * u^k for k < r) = r / (u - 1), valid for every root of unity
 u != 1 of order r; u = 1 exactly when cos vanishes, i.e. at the tangent
 poles q = 2.
 
-Powers are decided in the group ring, never expanded in the power basis:
-2 cos and 2 sin are two-term elements of Z[z]/(z^(M/2) + 1), their n-th
-powers have at most n + 1 terms, and a power is reduced modulo Phi_M only
-to read whether it is rational; tan^n is rational iff the reductions of
-the numerators of sin^n and cos^n are proportional (see ``_powers``).
+Powers are written down, never multiplied out: by the binomial theorem
+(2 cos)^n = sum(C(n, j) * z^(e(n - 2j))) and (2 sin)^n is the same sum with
+signs (-1)^j times z^(-nM/4), n + 1 terms each, laid out over M/2
+coordinates (z^(M/2) = -1) and reduced modulo Phi_M once to read whether
+the power is rational; tan^n is rational iff the reductions of the
+numerators of sin^n and cos^n are proportional (see ``power_rational``).
 ``classify`` summarises the full picture for one (function, angle) pair:
 either some power is rational and we report the least such exponent with
 its value, or no power is rational at all.  The latter is the common case:
@@ -39,7 +40,6 @@ from math import gcd, lcm
 
 from .cyclotomic import CycElem, _reduce, root_combination
 from .numtheory import format_rational, nth_root_rational, parse_rational
-from .polynomials import _power
 
 
 class TrigFunc(enum.Enum):
@@ -144,6 +144,44 @@ class Classification:
         }
 
 
+def _zeta_exponent(angle: Angle) -> tuple[int, int]:
+    """M = lcm(2q, 4) and e = pM/(2q), so that cos(pi p/q) = (z^e + z^-e)/2
+    for z = zeta_M."""
+    m = lcm(2 * angle.q, 4)
+    return m, angle.p * m // (2 * angle.q)
+
+
+def _power_terms(func: TrigFunc, m: int, e: int, k: int):
+    """The (exponent, coefficient) pairs of (2 cos)^k or (2 sin)^k over
+    z = zeta_M, by the binomial theorem:
+
+        (2 cos)^k = sum(C(k, j) * z^(e(k - 2j)) for j <= k)
+        (2 sin)^k = sum((-1)^j * C(k, j) * z^(e(k - 2j) - kM/4) for j <= k)
+
+    The row of binomial coefficients is built along the way,
+    C(k, j + 1) = C(k, j) * (k - j) / (j + 1)."""
+    shift, sign = (k * (m // 4), -1) if func is TrigFunc.SIN else (0, 1)
+    c = 1
+    for j in range(k + 1):
+        yield e * (k - 2 * j) - shift, c
+        c = sign * c * (k - j) // (j + 1)
+
+
+def _reduced_power(func: TrigFunc, m: int, e: int, k: int) -> list[int]:
+    """Power-basis coordinates of (2 cos)^k or (2 sin)^k: its k + 1 terms
+    laid out once over h = M/2 coordinates, folded with z^h = -1 (M is a
+    multiple of 4), and reduced modulo Phi_M once."""
+    h = m // 2
+    coeffs = [0] * h
+    for x, c in _power_terms(func, m, e, k):
+        x %= m
+        if x < h:
+            coeffs[x] += c
+        else:
+            coeffs[x - h] -= c
+    return _reduce(m, coeffs)
+
+
 # The trig caches are bounded LRU caches: 1024 pairs hold a sweep's
 # representatives at every q <= 32 and one classify per modulus over a
 # range of a hundred moduli.
@@ -151,16 +189,14 @@ class Classification:
 def trig_elem(func: TrigFunc, angle: Angle) -> CycElem:
     """The exact value of func(pi * angle) as an element of Q(zeta_M),
     M = lcm(2q, 4), from the division-free closed forms in the module
-    docstring.  Raises UndefinedTrigValue at tangent poles."""
-    m = lcm(2 * angle.q, 4)
-    e = angle.p * m // (2 * angle.q)
-    if func is TrigFunc.COS:
-        return root_combination(m, [(e, 1), (-e, 1)], 2)
-    quarter = m // 4
-    if func is TrigFunc.SIN:
-        return root_combination(m, [(e - quarter, 1), (-e - quarter, -1)], 2)
+    docstring: cos and sin are the k = 1 terms of ``_power_terms`` over 2.
+    Raises UndefinedTrigValue at tangent poles."""
+    m, e = _zeta_exponent(angle)
+    if func is not TrigFunc.TAN:
+        return root_combination(m, _power_terms(func, m, e, 1), 2)
     if angle.q == 2:
         raise UndefinedTrigValue(f"tan(pi * {angle}) is undefined")
+    quarter = m // 4
     s = 2 * e + m // 2  # u = -w = z^s
     r = m // gcd(s, m)
     # (w - 1) * sum(k * u^k) = -(1 + u) * sum(k * u^k): collecting powers of u
@@ -169,91 +205,26 @@ def trig_elem(func: TrigFunc, angle: Angle) -> CycElem:
     return root_combination(m, terms, r)
 
 
-def _ring_element(h: int, terms) -> dict[int, int]:
-    """sum(c * z^k for k, c in terms) in Z[z]/(z^h + 1) as {k: c},
-    0 <= k < h, zero coefficients dropped."""
-    out: dict[int, int] = {}
-    for k, c in terms:
-        k %= 2 * h
-        if k >= h:
-            k, c = k - h, -c
-        out[k] = out.get(k, 0) + c
-    return {k: c for k, c in out.items() if c}
-
-
-def _ring_mul(h: int, a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """The product of two elements of Z[z]/(z^h + 1) given as {k: c}."""
-    out: dict[int, int] = {}
-    get = out.get
-    for j, y in b.items():
-        for i, x in a.items():
-            k = i + j
-            if k < h:
-                out[k] = get(k, 0) + x * y
-            else:
-                k -= h
-                out[k] = get(k, 0) - x * y
-    return out
-
-
-def _powers(func: TrigFunc, angle: Angle, n: int = 1):
-    """Yield func(pi*angle)^k for k = n, n + 1, ...: the exact value when
-    rational, else None.  Raises UndefinedTrigValue at tangent poles.
-
-    No power is formed in the power basis.  With z = zeta_M and h = M/2
-    (M = lcm(2q, 4) is a multiple of 4, so z^h = -1), the numerators
-    2 cos = z^e + z^-e and 2 sin = z^(e - M/4) - z^(-e - M/4) are two-term
-    elements of the group ring Z[z]/(z^h + 1); their k-th powers have at
-    most k + 1 terms, and each next power is one sparse product with the
-    base.  A power is reduced modulo Phi_M only to be read: cos^k or sin^k
-    is rational iff the reduction's coordinates 1, 2, ... vanish, and then
-    equals coordinate 0 over 2^k.  tan^k = sin^k / cos^k is rational iff
-    the reductions S and C of the two numerators are proportional, i.e.
-    S[j] * C[i] == S[i] * C[j] for all j with i the first index where
-    C[i] != 0 (cos^k != 0 off the poles); then it equals S[i] / C[i].
-    The first power x^n comes from square-and-multiply, reduced after each
-    product, since high powers turn dense.
-    """
-    if func is TrigFunc.TAN and angle.q == 2:
-        raise UndefinedTrigValue(f"tan(pi * {angle}) is undefined")
-    m = lcm(2 * angle.q, 4)
-    h, quarter = m // 2, m // 4
-    e = angle.p * m // (2 * angle.q)
-    cos_num = _ring_element(h, [(e, 1), (-e, 1)])
-    sin_num = _ring_element(h, [(e - quarter, 1), (-e - quarter, -1)])
-    bases = {TrigFunc.COS: [cos_num], TrigFunc.SIN: [sin_num], TrigFunc.TAN: [sin_num, cos_num]}[func]
-
-    def reduced(a: dict[int, int]) -> list[int]:
-        coeffs = [0] * h
-        for k, c in a.items():
-            coeffs[k] = c
-        return _reduce(m, coeffs)
-
-    def mul_reduced(a, b):
-        return {k: c for k, c in enumerate(reduced(_ring_mul(h, a, b))) if c}
-
-    powers = [_power(base, n, {0: 1}, mul_reduced) for base in bases]
-    while True:
-        if func is TrigFunc.TAN:
-            s, c = map(reduced, powers)
-            i = next(j for j, cj in enumerate(c) if cj)
-            yield Fraction(s[i], c[i]) if all(sj * c[i] == s[i] * cj for sj, cj in zip(s, c)) else None
-        else:
-            v = reduced(powers[0])
-            yield None if any(v[1:]) else Fraction(v[0], 2 ** n)
-        n += 1
-        powers = [_ring_mul(h, power, base) for power, base in zip(powers, bases)]
-
-
-# The largest exponent ``power_rational`` computes.  The power's
-# coefficients grow to about n bits, so its cost grows faster than n:
-# cos(pi/997)^1000 takes 1.6 s and ^10000 39 s, cos(pi/60)^1000000 22 s
-# (2-core Xeon, Python 3.11).
+# The largest exponent ``power_rational`` computes.  The numerator's
+# binomial coefficients grow to about n bits, so its cost grows about as
+# n^2: cos(pi/997)^1000 takes 2 ms, ^10000 39 ms, cos(pi/60)^100000 3.3 s
+# (in process, 2-core Xeon, Python 3.11).
 MAX_POWER_EXPONENT = 1000
 
 
 def power_rational(func: TrigFunc, angle: Angle, n: int) -> Fraction | None:
     """Exact value of func(pi*angle)^n when rational, else None.
+
+    The one way the package decides a power (``classify`` at n = 2,
+    ``eval``, the sweep).  No power is formed as a product: the numerators
+    (2 cos)^n and (2 sin)^n are written down by the binomial theorem
+    (``_power_terms``) and reduced modulo Phi_M once (``_reduced_power``).
+    cos^n or sin^n is rational iff the reduction's coordinates 1, 2, ...
+    vanish, and then equals coordinate 0 over 2^n.  tan^n = sin^n / cos^n
+    is rational iff the reductions S and C of the two numerators are
+    proportional, i.e. S[j] * C[i] == S[i] * C[j] for all j with i the
+    first index where C[i] != 0 (cos^n != 0 off the poles); then it equals
+    S[i] / C[i].
 
     Raises UndefinedTrigValue at tangent poles and ValueError for n < 1 or
     n > MAX_POWER_EXPONENT.
@@ -262,7 +233,16 @@ def power_rational(func: TrigFunc, angle: Angle, n: int) -> Fraction | None:
         raise ValueError(f"exponent must be >= 1, got {n}")
     if n > MAX_POWER_EXPONENT:
         raise ValueError(f"exponent must be <= {MAX_POWER_EXPONENT}, got {n}")
-    return next(_powers(func, angle, n))
+    if func is TrigFunc.TAN and angle.q == 2:
+        raise UndefinedTrigValue(f"tan(pi * {angle}) is undefined")
+    m, e = _zeta_exponent(angle)
+    if func is not TrigFunc.TAN:
+        v = _reduced_power(func, m, e, n)
+        return None if any(v[1:]) else Fraction(v[0], 2 ** n)
+    s = _reduced_power(TrigFunc.SIN, m, e, n)
+    c = _reduced_power(TrigFunc.COS, m, e, n)
+    i = next(j for j, cj in enumerate(c) if cj)
+    return Fraction(s[i], c[i]) if all(sj * c[i] == s[i] * cj for sj, cj in zip(s, c)) else None
 
 
 @lru_cache(maxsize=1024)
@@ -277,8 +257,7 @@ def classify(func: TrigFunc, angle: Angle) -> Classification:
     x generates a Kummer-type extension whose degree divides both n and the
     abelian field Q(zeta_M), forcing n <= 2.  ``classify`` certifies the
     verdict by exact computation of x and x^2 alone: x is the witness, and
-    x^2 is decided in the group ring (``_powers``), not as the dense product
-    x * x.
+    x^2 is decided by ``power_rational``, not as the dense product x * x.
     """
     try:
         x = trig_elem(func, angle)
@@ -287,7 +266,7 @@ def classify(func: TrigFunc, angle: Angle) -> Classification:
     v1 = x.as_rational()
     if v1 is not None:
         return Classification(func, angle, Case.VALUE_RATIONAL, 1, v1, x)
-    v2 = next(_powers(func, angle, 2))
+    v2 = power_rational(func, angle, 2)
     if v2 is not None:
         return Classification(func, angle, Case.SQUARE_RATIONAL, 2, v2, x)
     return Classification(func, angle, Case.NEVER, None, None, x)

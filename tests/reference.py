@@ -12,7 +12,7 @@ checks:
 * ``reference_trig_elem`` builds sin and tan by field inversion, not from
   the division-free closed forms;
 * ``reference_power_values`` raises that value to dense powers in the
-  power basis, not in the group ring;
+  power basis, not by the binomial theorem;
 * ``reference_sqrt_witness`` builds the square-root witness as a product
   of a rational, sqrt(2), a Gauss sum and 1/i, each embedded into the
   conductor, not as one combination of roots of unity;

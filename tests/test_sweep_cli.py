@@ -49,6 +49,8 @@ def test_sweep_config_validation():
         SweepConfig(q_max=1, n_max=1, funcs=())
     with pytest.raises(ValueError):
         SweepConfig(q_max=1, n_max=1, parallel=-1)
+    with pytest.raises(ValueError):
+        SweepConfig(q_max=1, n_max=MAX_POWER_EXPONENT + 1)
 
 
 @pytest.fixture(scope="module")
@@ -345,6 +347,13 @@ def test_cli_verify_sweep(capsys):
     assert "0 violations" in out
 
 
+def test_cli_verify_sweep_refuses_exponents_past_the_limit(capsys):
+    n = str(MAX_POWER_EXPONENT + 1)
+    code, out, err = run(capsys, "verify", "sweep", "--q-max", "4", "--n-max", n)
+    assert (code, out) == (2, "")
+    assert err == f"error: n_max must be <= {MAX_POWER_EXPONENT}, got {n}\n"
+
+
 def test_cli_verify_sweep_json(capsys):
     code, out, _ = run(capsys, "verify", "sweep", "--json", "--q-max", "3", "--n-max", "2")
     assert code == 0
@@ -464,6 +473,23 @@ def test_payloads_match_dense_power_digests(capsys):
     assert grid_digest(capsys, 30) == GRID_30_DIGEST
 
 
+# eval --pow N --json for cos, sin and tan at 1/q, q in {3, 4, 5, 6, 7, 12},
+# N in {31, 64, 257, 1000}, as printed when powers came from
+# square-and-multiply
+HIGH_POWER_DIGEST = "1c9b533cf4f9f52e98eba6e3b14bb4ee0a70597a94b3a98177db5ef7029e1ba8"
+
+
+def test_high_power_payloads_match_digest(capsys):
+    digest = hashlib.sha256()
+    for q in (3, 4, 5, 6, 7, 12):
+        for func in ("cos", "sin", "tan"):
+            for n in (31, 64, 257, 1000):
+                argv = ["eval", func, f"1/{q}", "--pow", str(n), "--json"]
+                code, out, err = run(capsys, *argv)
+                digest.update(f"{' '.join(argv)}\n{code}\n{out}{err}".encode())
+    assert digest.hexdigest() == HIGH_POWER_DIGEST
+
+
 # classify --json for cos, sin and tan at p/q, p in {1, 7, 2q - 1} coprime
 # to q, 100 <= q < 200 (a cold modulus lcm(2q, 4) per q), as printed with
 # Phi_m built from the dense Moebius product and each witness coordinate
@@ -484,9 +510,9 @@ def test_cold_moduli_payloads_match_digest(capsys):
 
 
 def test_decision_paths_build_no_dense_power(monkeypatch, capsys):
-    """classify, eval and the sweep decide every power in the group ring:
-    with field products and powers disabled they still print the payloads
-    of the dense code."""
+    """classify, eval and the sweep write every power down by the binomial
+    theorem: with field products and powers disabled they still print the
+    payloads of the dense code."""
     def forbidden(*args, **kwargs):
         raise AssertionError("dense power-basis product on a decision path")
 

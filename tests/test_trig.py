@@ -1,14 +1,14 @@
 import math
 from fractions import Fraction
-from itertools import islice
 from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trigrat import trig
 from trigrat.cyclotomic import CycElem
-from trigrat.sweep import SweepConfig, reduced_angles, verify_theorem_sweep
+from trigrat.sweep import SweepConfig, _survey, reduced_angles, verify_theorem_sweep
 from trigrat.trig import (
     MAX_POWER_EXPONENT,
     Angle,
@@ -16,7 +16,6 @@ from trigrat.trig import (
     TrigFunc,
     UndefinedTrigValue,
     ValueDescriptor,
-    _powers,
     classify,
     power_rational,
     theorem_value_list,
@@ -314,20 +313,64 @@ def test_trig_elem_matches_reference_formula():
 
 
 def test_group_ring_powers_match_dense_reference():
-    """Every power decided in the group ring agrees with the frozen dense
-    power in the power basis, both as the sweep reads them (n = 1, 2, ...)
-    and as eval asks for one exponent."""
-    for angle in reduced_angles(24):
+    """Every power written down by the binomial theorem agrees with the
+    frozen dense power in the power basis, both as eval asks for one
+    exponent and as the sweep books its hits (n = 1, 2, ...), and with the
+    paper's values at n = 999 and 1000: a rational value keeps every power
+    rational, a rational square only the even ones."""
+    grid = [(angle, 8) for angle in reduced_angles(24)]
+    grid += [(angle, 40) for angle in reduced_angles(15) if angle.q in (5, 7, 12, 15)]
+    for angle, n_max in grid:
         for func in (COS, SIN, TAN):
             if func is TAN and angle.q == 2:
                 with pytest.raises(UndefinedTrigValue):
-                    next(_powers(func, angle))
+                    power_rational(func, angle, 1)
                 with pytest.raises(UndefinedTrigValue):
                     power_rational(func, angle, 3)
                 continue
-            expected = reference_power_values(func, angle, 8)
-            assert list(islice(_powers(func, angle), 8)) == expected, (func, angle)
-            assert [power_rational(func, angle, n) for n in range(1, 9)] == expected, (func, angle)
+            expected = reference_power_values(func, angle, n_max)
+            assert [power_rational(func, angle, n) for n in range(1, n_max + 1)] == expected, (func, angle)
+            hits, _, _ = _survey(func, angle, n_max)
+            rational = [(n, v) for n, v in enumerate(expected, 1) if v is not None]
+            assert [(h.n, h.value) for h in hits] == rational, (func, angle)
+
+    exact = {
+        (COS, Angle(1, 3), 999): Fraction(1, 2 ** 999),
+        (COS, Angle(2, 3), 999): -Fraction(1, 2 ** 999),
+        (COS, Angle(1, 1), 999): -1,
+        (COS, Angle(1, 4), 1000): Fraction(1, 2 ** 500),
+        (COS, Angle(1, 4), 999): None,
+        (COS, Angle(1, 5), 1000): None,
+        (SIN, Angle(1, 6), 999): Fraction(1, 2 ** 999),
+        (SIN, Angle(1, 3), 1000): Fraction(3, 4) ** 500,
+        (SIN, Angle(1, 3), 999): None,
+        (SIN, Angle(1, 1), 999): 0,
+        (TAN, Angle(1, 6), 999): None,
+        (TAN, Angle(1, 3), 1000): 3 ** 500,
+        (TAN, Angle(3, 4), 999): -1,
+        (TAN, Angle(1, 7), 1000): None,
+    }
+    for (func, angle, n), value in exact.items():
+        assert power_rational(func, angle, n) == value, (func, angle, n)
+
+
+def test_power_rational_reduces_once_per_numerator(monkeypatch):
+    """Each power is laid out once and reduced modulo Phi_M once: one
+    reduction for cos and sin, two (sin^n and cos^n) for tan, whatever n."""
+    calls = []
+    reduce_ = trig._reduce
+
+    def counting(m, coeffs):
+        calls.append(m)
+        return reduce_(m, coeffs)
+
+    monkeypatch.setattr(trig, "_reduce", counting)
+    for angle in (Angle(1, 3), Angle(1, 4), Angle(1, 7), Angle(5, 12)):
+        for func, reductions in ((COS, 1), (SIN, 1), (TAN, 2)):
+            for n in (1, 2, 64, 1000):
+                calls.clear()
+                power_rational(func, angle, n)
+                assert len(calls) == reductions, (func, angle, n)
 
 
 def test_classify_and_sweep_never_invert(monkeypatch):
