@@ -66,6 +66,17 @@ def high_power_grid():
                 yield ["eval", func, f"1/{q}", "--pow", str(n), "--json"]
 
 
+def three_odd_primes_grid():
+    """eval --pow 1, 2, 3, 12 for cos, sin, tan at p/q with p in {1, 2q - 1},
+    q in {105, 385, 1155}: moduli M = 420, 1540, 4620 with three odd
+    primes."""
+    for q in (105, 385, 1155):
+        for p in (1, 2 * q - 1):
+            for func in FUNCS:
+                for n in (1, 2, 3, 12):
+                    yield ["eval", func, f"{p}/{q}", "--pow", str(n), "--json"]
+
+
 def cold_classify_grid(q_low=100, q_high=200):
     """classify for cos, sin, tan at p/q with p in {1, 7, 2q - 1} coprime
     to q, for q_low <= q < q_high: one modulus lcm(2q, 4) per q."""
@@ -97,6 +108,7 @@ GRIDS = {
     "sqrt-embed a/b<=30": lambda: commands_digest(["sqrt-embed", alpha, "--json"] for alpha in coprime_fractions(30)),
     "gauss m<=120": lambda: commands_digest(["gauss", str(m), "--json"] for m in range(1, 121)),
     "eval --pow 31,64,257,1000 at 1/q, eight q <= 97": lambda: commands_digest(high_power_grid()),
+    "eval --pow 1,2,3,12 at p/q, q in 105,385,1155": lambda: commands_digest(three_odd_primes_grid()),
 }
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -60,18 +59,13 @@ def _cmd_eval(args) -> int:
     try:
         value = power_rational(func, angle, args.n)
     except UndefinedTrigValue:
-        _emit(args, {"func": str(func), "theta": str(angle), "n": args.n, "value": None,
-                     "status": "undefined"},
-              f"{func}(pi*{angle}) is undefined (pole)")
-        return 0
-    if value is None:
-        _emit(args, {"func": str(func), "theta": str(angle), "n": args.n, "value": None,
-                     "status": "irrational"},
-              f"{func}(pi*{angle})^{args.n} is irrational")
+        value, status, human = None, "undefined", f"{func}(pi*{angle}) is undefined (pole)"
     else:
-        _emit(args, {"func": str(func), "theta": str(angle), "n": args.n,
-                     "value": format_rational(value), "status": "rational"},
-              f"{func}(pi*{angle})^{args.n} = {format_rational(value)}")
+        value = None if value is None else format_rational(value)
+        status = "irrational" if value is None else "rational"
+        human = f"{func}(pi*{angle})^{args.n} " + ("is irrational" if value is None else f"= {value}")
+    payload = {"func": str(func), "theta": str(angle), "n": args.n, "value": value, "status": status}
+    _emit(args, payload, human)
     return 0
 
 
@@ -154,7 +148,6 @@ def _cmd_verify(args) -> int:
             q_max=args.q_max,
             n_max=args.n_max,
             funcs=_parse_funcs(args.funcs),
-            parallel=(os.cpu_count() or 1) if args.parallel else 0,
         )
         report = verify_theorem_sweep(config)
         if args.json:
@@ -254,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=8, help="sweep/group: largest exponent or n")
     p.add_argument("--m-max", type=int, default=60, help="gauss: largest modulus")
     p.add_argument("--funcs", default="cos,sin,tan", help="sweep: comma-separated functions")
-    p.add_argument("--parallel", action="store_true", help="sweep: use a process pool")
+    p.add_argument("--parallel", action="store_true", help="sweep: ignored, the sweep runs in one process")
     p.set_defaults(handler=_cmd_verify)
 
     return parser

@@ -11,7 +11,8 @@ of ``Fraction``, which ``to_json`` and ``numeric_eval`` do without.
 Products, Galois images, embeddings and sums of roots of unity lay their
 terms out as integer coefficients of powers of z and reduce once, through
 ``_reduce``: exponents mod m, then the remainder modulo the monic integer
-Phi_m.  Phi_m is Phi_r(x^(m/r)) for r the radical of m, and Phi_r is built
+Phi_m (``trig`` decides whether a power is rational by p-gon moves, not
+here).  Phi_m is Phi_r(x^(m/r)) for r the radical of m, and Phi_r is built
 one binomial x^k - 1 at a time, each multiplied in or divided out exactly
 in linear time (Arnold & Monagan, Math. Comp. 80, 2011); only its nonzero
 tail is cached per modulus (``_cyclotomic_divisor``).  The polynomial
@@ -101,8 +102,8 @@ def _cyclotomic_divisor(m: int) -> tuple[int, tuple]:
 def _reduce(m: int, coeffs: list[int]) -> list[int]:
     """Power-basis coordinates of sum(coeffs[k] * zeta_m^k).
 
-    The single reduction kernel of the package (``trig`` reduces each
-    power of cos or sin through it once): exponents are folded mod m
+    The single reduction kernel of ``CycElem`` (trig values and witnesses
+    included; ``trig`` decides powers without it): exponents are folded mod m
     (zeta_m^m = 1) and, for even m, mod m/2 with a sign (zeta_m^(m/2) = -1);
     then the remainder modulo the monic Phi_m is taken.  The folds only
     shorten the long division.  ``coeffs`` needs at least phi(m) entries

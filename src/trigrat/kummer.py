@@ -45,8 +45,8 @@ from .polynomials import RatPoly, _poly_mul
 
 Scalar = Union[int, Fraction]
 
-# proposed rational coefficients are only trusted after exact division;
-# the cap just has to exceed every denominator a true factor can carry
+# proposed rational coefficients are only trusted after exact division; the cap
+# is below some true factors' denominators (x - 1/1009^2 divides x^2 - 1/1009^4)
 _RECONSTRUCT_DENOMINATOR_CAP = 10 ** 6
 _IMAG_TOLERANCE = 1e-6
 

@@ -2,9 +2,9 @@
 
 ``verify_theorem_sweep`` covers every reduced angle p/q with q up to a
 bound: it raises cos, sin and tan of pi*p/q to every exponent up to another
-bound exactly (each power is decided by ``trig.power_rational``, written
-down by the binomial theorem and reduced once) and checks each outcome
-against what the classification and the predicted value lists say
+bound exactly (each power is decided by ``trig.power_rational``: written
+down by the binomial theorem, its terms moved along p-gons) and checks each
+outcome against what the classification and the predicted value lists say
 must happen:
 
 * a rational n-th power forces the base value into the finite list for the
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
 from math import gcd
 
 from .numtheory import euler_phi, format_rational
@@ -64,14 +63,11 @@ _FUNC_ORDER = {TrigFunc.COS: 0, TrigFunc.SIN: 1, TrigFunc.TAN: 2}
 class SweepConfig:
     """Bounds for one sweep.  ``n_max`` is at most
     ``trig.MAX_POWER_EXPONENT``, the largest exponent ``power_rational``
-    computes.  ``parallel`` is a worker-process count for the orbit
-    representatives; zero or one runs in-process (results are identical
-    either way)."""
+    computes."""
 
     q_max: int
     n_max: int
     funcs: tuple[TrigFunc, ...] = (TrigFunc.COS, TrigFunc.SIN, TrigFunc.TAN)
-    parallel: int = 0
 
     def __post_init__(self):
         if self.q_max < 1:
@@ -82,8 +78,6 @@ class SweepConfig:
             raise ValueError(f"n_max must be <= {MAX_POWER_EXPONENT}, got {self.n_max}")
         if not self.funcs:
             raise ValueError("funcs must not be empty")
-        if self.parallel < 0:
-            raise ValueError(f"parallel must be >= 0, got {self.parallel}")
 
 
 @dataclass(frozen=True)
@@ -271,34 +265,21 @@ def verify_theorem_sweep(config: SweepConfig) -> SweepReport:
     other member too, so its hits and violations are those of each angle
     on its own.
     The report is that of a survey of every reduced angle, hits and
-    violations sorted alike.  With ``parallel`` > 1 the representatives
-    are surveyed over a process pool (``starmap`` keeps their order) and
-    the few other members in process.
+    violations sorted alike.  Everything runs in this one process.
     """
-    orbits = [
-        (func, q, parity)
-        for q in range(1, config.q_max + 1)
-        for parity in ((1, 0) if q % 2 else (1,))
-        for func in config.funcs
-    ]
-    tasks = [(func, Angle(next(_numerators(q, parity)), q), config.n_max) for func, q, parity in orbits]
-    if config.parallel > 1:
-        import multiprocessing  # only here: a sixth of the package's import time
-
-        with multiprocessing.Pool(config.parallel) as pool:
-            firsts = pool.starmap(_survey, tasks, chunksize=8)
-    else:
-        firsts = [_survey(*t) for t in tasks]
-
     report = SweepReport(config=config)
-    for (func, q, parity), first in zip(orbits, firsts):
-        hits, violations, case = first
-        if case is Case.NEVER and not hits and not violations:
-            _add(report, func, first, euler_phi(2 * q))
-            continue
-        _add(report, func, first)
-        for p in islice(_numerators(q, parity), 1, None):
-            _add(report, func, _survey(func, Angle(p, q), config.n_max))
+    for q in range(1, config.q_max + 1):
+        for parity in (1, 0) if q % 2 else (1,):
+            for func in config.funcs:
+                numerators = _numerators(q, parity)
+                first = _survey(func, Angle(next(numerators), q), config.n_max)
+                hits, violations, case = first
+                if case is Case.NEVER and not hits and not violations:
+                    _add(report, func, first, euler_phi(2 * q))
+                    continue
+                _add(report, func, first)
+                for p in numerators:
+                    _add(report, func, _survey(func, Angle(p, q), config.n_max))
     report.hits.sort(key=Hit.sort_key)
     report.violations.sort(key=Violation.sort_key)
     return report

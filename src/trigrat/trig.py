@@ -18,10 +18,9 @@ poles q = 2.
 
 Powers are written down, never multiplied out: by the binomial theorem
 (2 cos)^n = sum(C(n, j) * z^(e(n - 2j))) and (2 sin)^n is the same sum with
-signs (-1)^j times z^(-nM/4), n + 1 terms each, laid out over M/2
-coordinates (z^(M/2) = -1) and reduced modulo Phi_M once to read whether
-the power is rational; tan^n is rational iff the reductions of the
-numerators of sin^n and cos^n are proportional (see ``power_rational``).
+signs (-1)^j times z^(-nM/4), laid out over M/2 slots (z^(M/2) = -1) and
+moved along vanishing p-gons until the slots are independent, 1 at slot 0:
+no division by Phi_M (see ``_reduced_power`` and ``power_rational``).
 ``classify`` summarises the full picture for one (function, angle) pair:
 either some power is rational and we report the least such exponent with
 its value, or no power is rational at all.  The latter is the common case:
@@ -38,8 +37,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .cyclotomic import CycElem, _reduce, root_combination
-from .numtheory import format_rational, nth_root_rational, parse_rational
+from .cyclotomic import CycElem, root_combination
+from .numtheory import format_rational, nth_root_rational, parse_rational, prime_factorization
 
 
 class TrigFunc(enum.Enum):
@@ -151,35 +150,61 @@ def _zeta_exponent(angle: Angle) -> tuple[int, int]:
     return m, angle.p * m // (2 * angle.q)
 
 
-def _power_terms(func: TrigFunc, m: int, e: int, k: int):
-    """The (exponent, coefficient) pairs of (2 cos)^k or (2 sin)^k over
-    z = zeta_M, by the binomial theorem:
-
-        (2 cos)^k = sum(C(k, j) * z^(e(k - 2j)) for j <= k)
-        (2 sin)^k = sum((-1)^j * C(k, j) * z^(e(k - 2j) - kM/4) for j <= k)
-
-    The row of binomial coefficients is built along the way,
-    C(k, j + 1) = C(k, j) * (k - j) / (j + 1)."""
-    shift, sign = (k * (m // 4), -1) if func is TrigFunc.SIN else (0, 1)
-    c = 1
-    for j in range(k + 1):
-        yield e * (k - 2 * j) - shift, c
-        c = sign * c * (k - j) // (j + 1)
+@lru_cache(maxsize=64)
+def _binomial_row(sign: int, k: int) -> tuple[int, ...]:
+    """sign^j * C(k, j) for j <= k; all angles share it, and the cache keeps 64 rows."""
+    row = [1]
+    for j in range(k):
+        row.append(row[-1] * (sign * (k - j)) // (j + 1))
+    return tuple(row)
 
 
-def _reduced_power(func: TrigFunc, m: int, e: int, k: int) -> list[int]:
-    """Power-basis coordinates of (2 cos)^k or (2 sin)^k: its k + 1 terms
-    laid out once over h = M/2 coordinates, folded with z^h = -1 (M is a
-    multiple of 4), and reduced modulo Phi_M once."""
+@lru_cache(maxsize=1024)
+def _polygon_moves(m: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(p^a, (M/p^a)^-1 mod p^a, p^a - p^(a-1), M/p) per odd p^a exactly dividing M."""
+    return tuple((pa, pow(m // pa, -1, pa), pa - pa // p, m // p)
+                 for p, a in prime_factorization(m)[1:] for pa in (p ** a,))
+
+
+def _reduced_power(func: TrigFunc, m: int, e: int, k: int) -> dict[int, int]:
+    """The nonzero slots of (2 cos)^k or (2 sin)^k after p-gon moves.
+
+    Term j of the binomial sums in the module docstring has exponent
+    e(k - 2j), less kM/4 for sin, with period r = M / gcd(2e, M) in j: the
+    terms with j = t mod r are added up first, then laid out over the slots
+    x < h = M/2 they hit (z^h = -1).  Vanishing sums of roots of unity are
+    generated by rotated p-gons (de Bruijn 1953; Lam & Leung, J. Algebra
+    224, 2000).  So for each odd p^a exactly dividing M, a slot whose
+    p-digit x * (M/p^a)^-1 mod p^a is top, at least p^a - p^(a-1), moves its
+    coefficient c as -c onto x + j M/p, j = 1..p-1; that raises the p-digit
+    by j p^(a-1), out of the top, and keeps the other digits.  The slots
+    left are, up to sign, the tensor product of the power bases of the
+    Q(zeta_(p^a)) and Q(zeta_(2^b)): independent over Q, 1 at slot 0."""
+    sign, x = (-1, e * k - k * (m // 4)) if func is TrigFunc.SIN else (1, e * k)
+    row = _binomial_row(sign, k)
+    r = m // gcd(2 * e, m)
+    if r <= k:
+        row = [sum(row[t::r]) for t in range(r)]
     h = m // 2
-    coeffs = [0] * h
-    for x, c in _power_terms(func, m, e, k):
-        x %= m
-        if x < h:
-            coeffs[x] += c
-        else:
-            coeffs[x - h] -= c
-    return _reduce(m, coeffs)
+    slots = {}
+    for c in row:
+        y = x % m
+        if y >= h:
+            y, c = y - h, -c
+        slots[y] = slots.get(y, 0) + c
+        x -= 2 * e
+    for pa, w, top, step in _polygon_moves(m):
+        for x, c in list(slots.items()):
+            if c and x * w % pa >= top:  # moves only reach slots that are not top
+                del slots[x]
+                for y in range(x + step, x + m, step):  # z^y = -z^(y - h) = z^(y - M)
+                    if y < h:
+                        slots[y] = slots.get(y, 0) - c
+                    elif y < m:
+                        slots[y - h] = slots.get(y - h, 0) + c
+                    else:
+                        slots[y - m] = slots.get(y - m, 0) - c
+    return {x: c for x, c in slots.items() if c}
 
 
 # The trig caches are bounded LRU caches: 1024 pairs hold a sweep's
@@ -189,14 +214,14 @@ def _reduced_power(func: TrigFunc, m: int, e: int, k: int) -> list[int]:
 def trig_elem(func: TrigFunc, angle: Angle) -> CycElem:
     """The exact value of func(pi * angle) as an element of Q(zeta_M),
     M = lcm(2q, 4), from the division-free closed forms in the module
-    docstring: cos and sin are the k = 1 terms of ``_power_terms`` over 2.
-    Raises UndefinedTrigValue at tangent poles."""
+    docstring.  Raises UndefinedTrigValue at tangent poles."""
     m, e = _zeta_exponent(angle)
+    quarter = m // 4
     if func is not TrigFunc.TAN:
-        return root_combination(m, _power_terms(func, m, e, 1), 2)
+        sign, shift = (-1, quarter) if func is TrigFunc.SIN else (1, 0)
+        return root_combination(m, [(e - shift, 1), (-e - shift, sign)], 2)
     if angle.q == 2:
         raise UndefinedTrigValue(f"tan(pi * {angle}) is undefined")
-    quarter = m // 4
     s = 2 * e + m // 2  # u = -w = z^s
     r = m // gcd(s, m)
     # (w - 1) * sum(k * u^k) = -(1 + u) * sum(k * u^k): collecting powers of u
@@ -216,15 +241,13 @@ def power_rational(func: TrigFunc, angle: Angle, n: int) -> Fraction | None:
     """Exact value of func(pi*angle)^n when rational, else None.
 
     The one way the package decides a power (``classify`` at n = 2,
-    ``eval``, the sweep).  No power is formed as a product: the numerators
-    (2 cos)^n and (2 sin)^n are written down by the binomial theorem
-    (``_power_terms``) and reduced modulo Phi_M once (``_reduced_power``).
-    cos^n or sin^n is rational iff the reduction's coordinates 1, 2, ...
-    vanish, and then equals coordinate 0 over 2^n.  tan^n = sin^n / cos^n
-    is rational iff the reductions S and C of the two numerators are
-    proportional, i.e. S[j] * C[i] == S[i] * C[j] for all j with i the
-    first index where C[i] != 0 (cos^n != 0 off the poles); then it equals
-    S[i] / C[i].
+    ``eval``, the sweep), with no product and no division by Phi_M: the
+    slots of (2 cos)^n and (2 sin)^n after p-gon moves are independent
+    (``_reduced_power``).  cos^n or sin^n is rational iff slot 0 is the only
+    nonzero slot, and then equals slot 0 over 2^n.  tan^n = sin^n / cos^n
+    is rational iff the slots S and C of the two are proportional: S = 0,
+    or S and C have the same slots and S[x] * C[i] == S[i] * C[x] for each
+    (C != 0 off the poles); then it equals S[i] / C[i].
 
     Raises UndefinedTrigValue at tangent poles and ValueError for n < 1 or
     n > MAX_POWER_EXPONENT.
@@ -238,11 +261,13 @@ def power_rational(func: TrigFunc, angle: Angle, n: int) -> Fraction | None:
     m, e = _zeta_exponent(angle)
     if func is not TrigFunc.TAN:
         v = _reduced_power(func, m, e, n)
-        return None if any(v[1:]) else Fraction(v[0], 2 ** n)
+        return Fraction(v.get(0, 0), 2 ** n) if v.keys() <= {0} else None
     s = _reduced_power(TrigFunc.SIN, m, e, n)
     c = _reduced_power(TrigFunc.COS, m, e, n)
-    i = next(j for j, cj in enumerate(c) if cj)
-    return Fraction(s[i], c[i]) if all(sj * c[i] == s[i] * cj for sj, cj in zip(s, c)) else None
+    if s.keys() != c.keys():  # S = lambda * C has the support of C unless lambda = 0
+        return None if s else Fraction(0)
+    i, ci = next(iter(c.items()))
+    return Fraction(s[i], ci) if all(s[x] * ci == s[i] * cx for x, cx in c.items()) else None
 
 
 @lru_cache(maxsize=1024)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trigrat import trig
-from trigrat.cyclotomic import CycElem
+from trigrat import cyclotomic, polynomials, trig
+from trigrat.cyclotomic import CycElem, root_combination
+from trigrat.numtheory import euler_phi, prime_factorization
 from trigrat.sweep import SweepConfig, _survey, reduced_angles, verify_theorem_sweep
 from trigrat.trig import (
     MAX_POWER_EXPONENT,
@@ -354,23 +355,83 @@ def test_group_ring_powers_match_dense_reference():
         assert power_rational(func, angle, n) == value, (func, angle, n)
 
 
-def test_power_rational_reduces_once_per_numerator(monkeypatch):
-    """Each power is laid out once and reduced modulo Phi_M once: one
-    reduction for cos and sin, two (sin^n and cos^n) for tan, whatever n."""
-    calls = []
-    reduce_ = trig._reduce
+def test_power_rational_needs_no_reduction_modulo_phi(monkeypatch):
+    """Powers are decided by p-gon moves alone: power_rational runs for cos,
+    sin and tan at every exponent with the reduction modulo Phi_M, the
+    divisor it reads and the long division all disabled."""
+    def disabled(*args, **kwargs):
+        raise AssertionError("reduction modulo Phi_M on the power path")
 
-    def counting(m, coeffs):
-        calls.append(m)
-        return reduce_(m, coeffs)
-
-    monkeypatch.setattr(trig, "_reduce", counting)
-    for angle in (Angle(1, 3), Angle(1, 4), Angle(1, 7), Angle(5, 12)):
-        for func, reductions in ((COS, 1), (SIN, 1), (TAN, 2)):
+    monkeypatch.setattr(cyclotomic, "_reduce", disabled)
+    monkeypatch.setattr(cyclotomic, "_cyclotomic_divisor", disabled)
+    monkeypatch.setattr(polynomials, "_divide_monic", disabled)
+    for angle in (Angle(1, 3), Angle(1, 4), Angle(1, 7), Angle(5, 12), Angle(1, 105)):
+        for func in (COS, SIN, TAN):
             for n in (1, 2, 64, 1000):
-                calls.clear()
                 power_rational(func, angle, n)
-                assert len(calls) == reductions, (func, angle, n)
+
+
+def _binomial_terms(func, m, e, n):
+    """The n + 1 terms of (2 cos)^n or (2 sin)^n over zeta_M, one per
+    binomial coefficient."""
+    shift, sign = (n * (m // 4), -1) if func is SIN else (0, 1)
+    return [(e * (n - 2 * j) - shift, sign ** j * math.comb(n, j)) for j in range(n + 1)]
+
+
+def _power_through_phi(func, angle, n):
+    """power_rational as it was decided before p-gon moves: the binomial
+    terms laid out over M/2 slots and reduced modulo Phi_M into the power
+    basis."""
+    m, e = trig._zeta_exponent(angle)
+
+    def reduced(f):
+        h = m // 2
+        coeffs = [0] * h
+        for x, c in _binomial_terms(f, m, e, n):
+            x %= m
+            if x < h:
+                coeffs[x] += c
+            else:
+                coeffs[x - h] -= c
+        return cyclotomic._reduce(m, coeffs)
+
+    if func is not TAN:
+        v = reduced(func)
+        return None if any(v[1:]) else Fraction(v[0], 2 ** n)
+    s, c = reduced(SIN), reduced(COS)
+    i = next(j for j, cj in enumerate(c) if cj)
+    return Fraction(s[i], c[i]) if all(sj * c[i] == s[i] * cj for sj, cj in zip(s, c)) else None
+
+
+def _in_top_block(m, x):
+    """Whether slot x has, for some odd p^a exactly dividing M, its p-digit
+    d (x = (M/p^a) * d mod p^a) at p^a - p^(a-1) or above."""
+    for p, a in prime_factorization(m):
+        pa = p ** a
+        if p > 2 and next(d for d in range(pa) if (m // pa * d - x) % pa == 0) >= pa - pa // p:
+            return True
+    return False
+
+
+def test_polygon_moves_match_phi_reduction_at_three_odd_primes():
+    """At moduli with three odd primes, M = 420, 660 and 4620, the p-gon
+    moves keep the value of each numerator (its moved slots reduce modulo
+    Phi_M to the coordinates its binomial terms reduce to), leave no slot in
+    a top block (the phi(M) slots outside them are a basis), and decide every
+    power as the reduction modulo Phi_M does."""
+    for m in (420, 660, 4620):
+        assert sum(not _in_top_block(m, x) for x in range(m // 2)) == euler_phi(m)
+    grid = [angle for angle in reduced_angles(165) if angle.q in (105, 165)] + [Angle(1, 1155)]
+    for angle in grid:
+        m, e = trig._zeta_exponent(angle)
+        for n in range(1, 4):
+            for func in (COS, SIN):
+                slots = trig._reduced_power(func, m, e, n)
+                assert not any(_in_top_block(m, x) for x in slots), (func, angle, n)
+                moved = root_combination(m, slots.items())
+                assert moved == root_combination(m, _binomial_terms(func, m, e, n)), (func, angle, n)
+            for func in (COS, SIN, TAN):
+                assert power_rational(func, angle, n) == _power_through_phi(func, angle, n), (func, angle, n)
 
 
 def test_classify_and_sweep_never_invert(monkeypatch):
