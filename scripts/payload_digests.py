@@ -19,6 +19,7 @@ import hashlib
 import io
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from math import gcd
 
 from trigrat.cli import run_cli
@@ -87,6 +88,21 @@ def cold_classify_grid(q_low=100, q_high=200):
                     yield ["classify", func, f"{p}/{q}", "--json"]
 
 
+def oracle_grid(n_max=12):
+    """irreducible --oracle at n = 2..n_max for coprime a/b with a, b <= 12,
+    and at the (n, k) of the kummer benchmark's perfect powers (a/b)^k
+    with n <= n_max, a <= 9 prime to b, b in 1001..1010; the tests pin the
+    part at n_max = 8."""
+    for alpha in coprime_fractions(12):
+        for n in range(2, n_max + 1):
+            yield ["irreducible", alpha, str(n), "--oracle", "--json"]
+    for n, k in ((2, 4), (3, 6), (4, 2), (6, 3), (2, 2)):
+        for b in range(1001, 1011):
+            for a in range(1, 10):
+                if n <= n_max and gcd(a, b) == 1:
+                    yield ["irreducible", str(Fraction(a, b) ** k), str(n), "--oracle", "--json"]
+
+
 def sweep_digest(q_max, n_max):
     code, out, err = run(["verify", "sweep", "--q-max", str(q_max), "--n-max", str(n_max), "--json"])
     if code != 0:
@@ -109,6 +125,7 @@ GRIDS = {
     "gauss m<=120": lambda: commands_digest(["gauss", str(m), "--json"] for m in range(1, 121)),
     "eval --pow 31,64,257,1000 at 1/q, eight q <= 97": lambda: commands_digest(high_power_grid()),
     "eval --pow 1,2,3,12 at p/q, q in 105,385,1155": lambda: commands_digest(three_odd_primes_grid()),
+    "irreducible --oracle a/b<=12 n<=12, perfect powers": lambda: commands_digest(oracle_grid()),
 }
 
 

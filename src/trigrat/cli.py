@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .kummer import (
+    _check_group_order,
     binomial_irreducible,
     gauss_sum,
     gauss_sum_case_check,
@@ -169,6 +170,8 @@ def _cmd_verify(args) -> int:
         return 0 if not failures else 1
 
     if args.target == "group":
+        for n in range(2, args.n_max + 1):  # refuse before any group is built
+            _check_group_order(n)
         failures = []
         for n in range(2, args.n_max + 1):
             report = meta_group_checks(n)

@@ -159,6 +159,33 @@ def _binomial_row(sign: int, k: int) -> tuple[int, ...]:
     return tuple(row)
 
 
+# residue-class sums of Pascal rows by (sign, r, k), oldest dropped first
+_FOLDS: dict[tuple[int, int, int], tuple[int, ...]] = {}
+_FOLDS_SIZE = 64
+
+
+def _folded_row(sign: int, r: int, k: int) -> tuple[int, ...]:
+    """S_t(k) = sum of sign^j * C(k, j) over j = t mod r, for t < r <= k.
+
+    Pascal's rule C(k, j) = C(k - 1, j) + C(k - 1, j - 1) gives
+    S_t(k) = S_t(k - 1) + sign * S_(t-1 mod r)(k - 1), so when the fold of
+    row k - 1 is cached this costs r additions, not the O(k) of building
+    and summing row k; a sweep asks for k = 1, 2, 3, ... in turn."""
+    key = (sign, r, k)
+    fold = _FOLDS.get(key)
+    if fold is None:
+        prev = _FOLDS.get((sign, r, k - 1))
+        if prev is None:
+            row = _binomial_row(sign, k)
+            fold = tuple(sum(row[t::r]) for t in range(r))
+        else:
+            fold = tuple(prev[t] + sign * prev[t - 1] for t in range(r))
+        if len(_FOLDS) >= _FOLDS_SIZE:
+            del _FOLDS[next(iter(_FOLDS))]
+        _FOLDS[key] = fold
+    return fold
+
+
 @lru_cache(maxsize=1024)
 def _polygon_moves(m: int) -> tuple[tuple[int, int, int, int], ...]:
     """(p^a, (M/p^a)^-1 mod p^a, p^a - p^(a-1), M/p) per odd p^a exactly dividing M."""
@@ -181,10 +208,8 @@ def _reduced_power(func: TrigFunc, m: int, e: int, k: int) -> dict[int, int]:
     left are, up to sign, the tensor product of the power bases of the
     Q(zeta_(p^a)) and Q(zeta_(2^b)): independent over Q, 1 at slot 0."""
     sign, x = (-1, e * k - k * (m // 4)) if func is TrigFunc.SIN else (1, e * k)
-    row = _binomial_row(sign, k)
     r = m // gcd(2 * e, m)
-    if r <= k:
-        row = [sum(row[t::r]) for t in range(r)]
+    row = _folded_row(sign, r, k) if r <= k else _binomial_row(sign, k)
     h = m // 2
     slots = {}
     for c in row:

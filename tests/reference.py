@@ -21,16 +21,27 @@ checks:
   (``express_in_submodulus``, Gauss-Jordan over the power table), not by
   the conductor;
 * ``reference_sweep`` surveys every reduced angle, not one representative
-  per Galois orbit.
+  per Galois orbit;
+* ``reference_subset_factorizations`` multiplies every subset of roots out
+  from scratch and divides every real-looking candidate, not depth first
+  with the constant term checked before any division.
 """
 
+import cmath
+import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
 from trigrat.cyclotomic import CycElem, _power_table, zeta_power
-from trigrat.kummer import gauss_sum, sqrt_in_cyclotomic
-from trigrat.numtheory import divisors, euler_phi, mobius, squarefree_decompose
-from trigrat.polynomials import _divide_monic, _monic_tail, _poly_mul
+from trigrat.kummer import (
+    _IMAG_TOLERANCE,
+    _RECONSTRUCT_DENOMINATOR_CAP,
+    SubsetFactor,
+    gauss_sum,
+    sqrt_in_cyclotomic,
+)
+from trigrat.numtheory import _check_positive, divisors, euler_phi, mobius, squarefree_decompose
+from trigrat.polynomials import RatPoly, _divide_monic, _monic_tail, _poly_mul
 from trigrat.sweep import Hit, SweepReport, Violation, _survey, reduced_angles
 from trigrat.trig import Case, TrigFunc, UndefinedTrigValue
 
@@ -220,3 +231,34 @@ def reference_sweep(config):
     report.hits.sort(key=Hit.sort_key)
     report.violations.sort(key=Violation.sort_key)
     return report
+
+
+def reference_subset_factorizations(alpha, n: int) -> list[SubsetFactor]:
+    """The subset scan of ``kummer.subset_factorizations`` one subset at a
+    time: each subset's product multiplied out from scratch, and every
+    candidate whose product looks real reconstructed in full and divided."""
+    alpha = _check_positive(alpha)
+    if not 2 <= n <= 12:
+        raise ValueError(f"subset scan supports 2 <= n <= 12, got {n}")
+    rho = float(alpha) ** (1.0 / n)
+    roots = [rho * cmath.exp(2j * cmath.pi * j / n) for j in range(n)]
+    target = RatPoly.monomial(n) - alpha
+    found: list[SubsetFactor] = []
+    for size in range(1, n):
+        for subset in itertools.combinations(range(n), size):
+            coeffs = [complex(1.0)]
+            for j in subset:
+                root = roots[j]
+                coeffs = [0j] + coeffs
+                for k in range(len(coeffs) - 1):
+                    coeffs[k] -= root * coeffs[k + 1]
+            if any(abs(c.imag) > _IMAG_TOLERANCE for c in coeffs):
+                continue
+            candidate = RatPoly(
+                Fraction(c.real).limit_denominator(_RECONSTRUCT_DENOMINATOR_CAP)
+                for c in coeffs
+            )
+            quotient, remainder = divmod(target, candidate)
+            if remainder.is_zero():
+                found.append(SubsetFactor(frozenset(subset), candidate, quotient))
+    return found

@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 
 from reference import reference_sweep
-from trigrat import sweep
+from trigrat import cli, sweep
 from trigrat.cli import run_cli
 from trigrat.cyclotomic import CycElem
 from trigrat.sweep import (
@@ -313,6 +313,24 @@ def test_cli_group(capsys):
     code, out, _ = run(capsys, "group", "5")
     assert code == 0
     assert "order 20" in out and "non-abelian" in out
+
+
+def test_cli_group_refuses_orders_past_the_limit(capsys, monkeypatch):
+    # 22 * phi(22) = 220 is within MAX_GROUP_ORDER = 480, 23 * phi(23) = 506 is not
+    code, out, _ = run(capsys, "group", "22")
+    assert code == 0
+    assert "order 220" in out
+    code, out, err = run(capsys, "group", "23")
+    assert (code, out) == (2, "")
+    assert err == "error: group order n*phi(n) = 506 at n = 23 is above the limit 480\n"
+
+    def forbidden(n):
+        raise AssertionError(f"group {n} built before the limit was checked")
+
+    monkeypatch.setattr(cli, "meta_group_checks", forbidden)
+    code, out, err = run(capsys, "verify", "group", "--n-max", "23")
+    assert (code, out) == (2, "")
+    assert err == "error: group order n*phi(n) = 506 at n = 23 is above the limit 480\n"
 
 
 def test_cli_verify_remark(capsys):

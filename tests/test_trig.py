@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -353,6 +354,40 @@ def test_group_ring_powers_match_dense_reference():
     }
     for (func, angle, n), value in exact.items():
         assert power_rational(func, angle, n) == value, (func, angle, n)
+
+
+def test_folded_pascal_rows_match_dense_reference(monkeypatch):
+    """Past r = M / gcd(2e, M) a power needs only the sums of its Pascal
+    row over the residue classes mod r.  Asked for n = 1, 2, ... in turn,
+    each row's sums are stepped from the previous row's by Pascal's rule and
+    no row past r is built; asked in a shuffled order, most rows are summed
+    afresh.  Both agree with the dense powers at every q <= 12, n <= 200."""
+    n_max = 200
+    rows = []
+    binomial_row = trig._binomial_row
+
+    def recording_row(sign, k):
+        rows.append(k)
+        return binomial_row(sign, k)
+
+    monkeypatch.setattr(trig, "_binomial_row", recording_row)
+    rng = random.Random(12)
+    for angle in reduced_angles(12):
+        m, e = trig._zeta_exponent(angle)
+        r = m // gcd(2 * e, m)
+        for func in (COS, SIN, TAN):
+            if func is TAN and angle.q == 2:
+                continue
+            expected = reference_power_values(func, angle, n_max)
+            trig._FOLDS.clear()
+            rows.clear()
+            assert [power_rational(func, angle, n) for n in range(1, n_max + 1)] == expected, (func, angle)
+            assert max(rows) <= r, (func, angle)
+            order = list(range(1, n_max + 1))
+            rng.shuffle(order)
+            trig._FOLDS.clear()
+            shuffled = [power_rational(func, angle, n) for n in order]
+            assert shuffled == [expected[n - 1] for n in order], (func, angle)
 
 
 def test_power_rational_needs_no_reduction_modulo_phi(monkeypatch):
