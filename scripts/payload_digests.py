@@ -6,7 +6,10 @@ process.  Two trees whose printed digests agree print the same verdicts,
 witnesses, JSON payloads and exit codes on every command of every grid.
 Run it from a checkout with
 
-    PYTHONPATH=src python3 scripts/payload_digests.py
+    PYTHONPATH=src python3 scripts/payload_digests.py [SUBSTRING ...]
+
+With no arguments it prints every grid; with arguments, only the grids
+whose names contain one of them (``oracle`` picks the subset-oracle grid).
 
 A grid's digest is taken over each command line, its exit code, then its
 stdout and stderr, in order; the sweep grid is one command, and its digest
@@ -129,11 +132,12 @@ GRIDS = {
 }
 
 
-def main() -> int:
+def main(patterns: list[str]) -> int:
     for name, digest in GRIDS.items():
-        print(f"{digest()}  {name}", flush=True)
+        if not patterns or any(pattern in name for pattern in patterns):
+            print(f"{digest()}  {name}", flush=True)
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -30,11 +30,13 @@ from .sweep import SweepConfig, verify_theorem_sweep
 from .trig import Angle, Case, TrigFunc, UndefinedTrigValue, classify, power_rational
 
 
-def _emit(args, payload: dict, human: str) -> None:
+def _emit(args, payload: dict, human) -> None:
+    """Print the payload under --json, else the text: ``human`` is the text,
+    or a function that builds it, called only when the text is printed."""
     if args.json:
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        print(human)
+        print(human() if callable(human) else human)
 
 
 def _cmd_classify(args) -> int:
@@ -82,19 +84,23 @@ def _cmd_sqrt_embed(args) -> int:
     alpha = parse_rational(args.alpha)
     modulus, witness = sqrt_in_cyclotomic(alpha)
     payload = {"alpha": format_rational(alpha), "modulus": modulus, "witness": witness.to_json()}
-    _emit(args, payload, f"sqrt({format_rational(alpha)}) = {witness}  in Q(zeta_{modulus})")
+    _emit(args, payload, lambda: f"sqrt({format_rational(alpha)}) = {witness}  in Q(zeta_{modulus})")
     return 0
 
 
 def _cmd_root_member(args) -> int:
     alpha = parse_rational(args.alpha)
     verdict = nth_root_in_cyclotomic(alpha, args.n, args.m)
-    human = (
-        f"{format_rational(alpha)}^(1/{args.n}) in Q(zeta_{args.m}): {verdict.answer}"
-        f"  [{verdict.justification}]"
-    )
-    if verdict.witness is not None:
-        human += f"  witness = {verdict.witness}"
+
+    def human():
+        text = (
+            f"{format_rational(alpha)}^(1/{args.n}) in Q(zeta_{args.m}): {verdict.answer}"
+            f"  [{verdict.justification}]"
+        )
+        if verdict.witness is not None:
+            text += f"  witness = {verdict.witness}"
+        return text
+
     _emit(args, verdict.to_json(), human)
     return 0
 
@@ -103,22 +109,24 @@ def _cmd_irreducible(args) -> int:
     alpha = parse_rational(args.alpha)
     verdict = binomial_irreducible(alpha, args.n)
     payload = {"alpha": format_rational(alpha), "n": args.n, "irreducible": verdict}
-    lines = [f"x^{args.n} - {format_rational(alpha)} is "
-             + ("irreducible over Q" if verdict else "reducible over Q")]
+    agrees, factorizations = True, []
     if args.oracle:
         factorizations = subset_factorizations(alpha, args.n)
         reducible = bool(factorizations)
         payload["oracle_reducible"] = reducible
         payload["factors"] = [str(f.factor) for f in factorizations]
         agrees = reducible != verdict
-        lines.append(f"subset oracle agrees: {agrees}")
-        for f in factorizations:
-            lines.append(f"  factor {f.factor}  (cofactor {f.cofactor})")
-        if not agrees:
-            _emit(args, payload, "\n".join(lines))
-            return 1
-    _emit(args, payload, "\n".join(lines))
-    return 0
+
+    def human():
+        lines = [f"x^{args.n} - {format_rational(alpha)} is "
+                 + ("irreducible over Q" if verdict else "reducible over Q")]
+        if args.oracle:
+            lines.append(f"subset oracle agrees: {agrees}")
+            lines += [f"  factor {f.factor}  (cofactor {f.cofactor})" for f in factorizations]
+        return "\n".join(lines)
+
+    _emit(args, payload, human)
+    return 0 if agrees else 1
 
 
 def _cmd_group(args) -> int:

@@ -8,18 +8,23 @@ rational alpha, which cyclotomic fields contain the real root alpha^(1/n)?
   positive alpha the quartic exception of the general theorem cannot occur).
 * ``subset_factorizations`` gives a second opinion with no theory in it:
   over C the monic factors of x^n - alpha are exactly the subset products
-  of (x - alpha^(1/n) zeta_n^j).  A depth-first walk builds each subset's
-  float product from its parent's in O(n) and nominates the products that
-  look real; a candidate is divided only if its rebuilt constant term c0
-  has c0^n = (-1)^(n*size) * alpha^size, which every monic divisor's has,
-  and exact division confirms or rejects.
+  of (x - alpha^(1/n) zeta_n^j), and a rational factor's subset is closed
+  under conjugation j -> n - j.  A depth-first walk over the subsets that
+  can still close (446 of 4094 at n = 12) builds each subset's float
+  product from its parent's in O(n) and nominates the products that look
+  real; a candidate is divided only if its rebuilt constant term c0 has
+  c0^n = (-1)^(n*size) * alpha^size, which every monic divisor's has, and
+  no c0 is rebuilt at a size where alpha^size has no rational n-th root.
+  Exact division confirms or rejects.
 * ``sqrt_in_cyclotomic`` writes sqrt(alpha) at the conductor of
   Q(sqrt(alpha)) in closed form, one combination of roots of unity, and
-  checks it once by squaring; ``gauss_sum`` and ``gauss_sum_case_check``
-  evaluate the Gauss sums themselves.
+  checks it once by squaring, up to conductor MAX_WITNESS_MODULUS;
+  ``gauss_sum`` and ``gauss_sum_case_check`` evaluate the Gauss sums
+  themselves.
 * ``nth_root_in_cyclotomic`` combines them into a decision procedure whose
   verdict carries a machine-checkable justification: a square root lies in
-  Q(zeta_m) iff its conductor divides m.
+  Q(zeta_m) iff its conductor divides m.  A YES witness is written at m up
+  to MAX_MEMBER_MODULUS.
 * ``meta_group_checks`` verifies the abstract group that acts on the roots:
   pairs (a, c) with composition (a1 + c1 a2, c1 c2) mod n, the semidirect
   product of Z/n by its unit group, up to order MAX_GROUP_ORDER.
@@ -29,9 +34,10 @@ from __future__ import annotations
 
 import cmath
 import enum
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 from typing import Union
 
 from .cyclotomic import CycElem, root_combination, zeta_power
@@ -86,8 +92,11 @@ def subset_factorizations(alpha: Scalar, n: int) -> list[SubsetFactor]:
 
     Every monic factor over Q is a subset product of the roots
     alpha^(1/n) * zeta_n^j, so scanning all 2^n - 2 proper subsets is
-    complete.  The scan walks the subsets depth first, adding root indices
-    in increasing order, so a subset's float product is its parent's times
+    complete.  A rational factor is real, so its set of root indices is
+    closed under complex conjugation j -> n - j, and the scan walks only
+    subsets that can still close; the ones it drops never close and so
+    hold no factor.  The walk goes depth first, adding root indices in
+    increasing order, so a subset's float product is its parent's times
     one linear factor: O(size) work per subset, not O(size^2), and the
     same float operations in the same order as multiplying the subset out
     from scratch.  Only subsets whose product has all imaginary parts
@@ -98,20 +107,37 @@ def subset_factorizations(alpha: Scalar, n: int) -> list[SubsetFactor]:
     checked alone: a monic divisor of degree s has s roots r with
     r^n = alpha, so c0 = (-1)^s * (their product) has
     c0^n = (-1)^(n*s) * alpha^s, and a candidate that fails this is no
-    divisor, so the check drops no factor and skips most divisions.  The
-    scan costs O(n * 2^n) float steps and is meant for small n.
+    divisor, so the check drops no factor and skips most divisions.  A
+    rational c0 of that kind exists only when alpha^s has a rational n-th
+    root, so at any other size s no constant term is rebuilt at all.  The
+    walk visits 446 subsets at n = 12 and 222 at n = 11, against
+    2^n - 2, and is meant for small n.  ValueError when alpha lies outside
+    the positive normal float range, where its roots cannot be computed.
     """
     alpha = _check_positive(alpha)
     if not 2 <= n <= 12:
         raise ValueError(f"subset scan supports 2 <= n <= 12, got {n}")
-    rho = float(alpha) ** (1.0 / n)
+    try:
+        magnitude = float(alpha)
+    except OverflowError:
+        magnitude = inf
+    if not sys.float_info.min <= magnitude <= sys.float_info.max:
+        raise ValueError("alpha is outside the float range the subset scan works in")
+    rho = magnitude ** (1.0 / n)
     roots = [rho * cmath.exp(2j * cmath.pi * j / n) for j in range(n)]
     target = RatPoly.monomial(n) - alpha
-    constant_powers = [(-1) ** (n * size) * alpha ** size for size in range(n)]
+    # None where alpha^size has no rational n-th root, so no c0 can match
+    constant_powers = [
+        (-1) ** (n * size) * alpha ** size if nth_root_rational(alpha ** size, n) is not None else None
+        for size in range(n)
+    ]
     found: list[SubsetFactor] = []
     for subset, coeffs in _real_subset_products(roots):
+        constant = constant_powers[len(subset)]
+        if constant is None:
+            continue
         c0 = Fraction(coeffs[0].real).limit_denominator(_RECONSTRUCT_DENOMINATOR_CAP)
-        if c0 ** n != constant_powers[len(subset)]:
+        if c0 ** n != constant:
             continue
         candidate = RatPoly(
             [c0] + [Fraction(c.real).limit_denominator(_RECONSTRUCT_DENOMINATOR_CAP) for c in coeffs[1:]]
@@ -124,21 +150,32 @@ def subset_factorizations(alpha: Scalar, n: int) -> list[SubsetFactor]:
 
 def _real_subset_products(roots: list[complex]) -> list[tuple[tuple[int, ...], list[complex]]]:
     """(subset, coefficients of the product of x - roots[j] over j in subset)
-    for the proper nonempty subsets whose product looks real, in
-    ``itertools.combinations`` order (size first, then lexicographic).
+    for the proper nonempty subsets walked below whose product looks real,
+    in ``itertools.combinations`` order (size first, then lexicographic).
 
     Depth first over an explicit stack of (parent subset, its float
     coefficients, next index j): popping an entry visits parent + (j,) and
     leaves its sibling parent + (j + 1,) and its first child on the stack,
     so the stack holds O(n) entries and only the passing subsets are
-    kept."""
+    kept.
+
+    Only subsets that can still close under conjugation j -> n - j are
+    walked.  Indices only grow along the walk, so once both j and its
+    partner n - j < j are behind it, a subset that holds one of the two
+    but not the other never closes: taking j without n - j drops the node
+    and its subtree, and skipping j with n - j taken drops the sibling
+    entry."""
     n = len(roots)
     passing = []
     stack = [((), [complex(1.0)], 0)]
     while stack:
         parent, coeffs, j = stack.pop()
-        if j + 1 < n:
+        paired = n - j < j  # the partner n - j of j is behind the walk
+        partner_taken = paired and n - j in parent
+        if j + 1 < n and not partner_taken:  # else skipping j strands n - j
             stack.append((parent, coeffs, j + 1))
+        if paired and not partner_taken:  # taking j would strand j
+            continue
         root = roots[j]
         # (x - root) * coeffs, as the in-place update coeffs[k] -= root * coeffs[k + 1]
         # of [0] + coeffs would compute it
@@ -335,6 +372,27 @@ def gauss_sum_case_check(m: int) -> bool:
     return exact_ok and numeric_ok
 
 
+# The largest conductor f at which ``sqrt_in_cyclotomic`` builds a witness,
+# a vector of phi(f) coordinates checked by one dense square, whose cost is
+# quadratic in phi(f).  f itself is compared, so the check needs no
+# factoring, and the slowest inputs are primes f = 1 mod 4 just below the
+# limit: sqrt-embed 40993 takes 36-46 s and sqrt-embed 10007 (f = 40028)
+# 2.2-2.9 s, in a fresh process on a 2-core Xeon with Python 3.11.
+MAX_WITNESS_MODULUS = 41000
+# The largest modulus m at which ``nth_root_in_cyclotomic`` writes a YES
+# witness, phi(m) coordinates reduced modulo Phi_m once.  That reduction
+# is slowest at m with several large odd primes: on the same machine
+# root-member 5 2 95095 (5*7*11*13*19) takes 43 s, 5 2 78540 6 s and
+# 2 2 100000 0.2 s, while 5 2 255255 (3*5*7*11*13*17) runs past 120 s.
+MAX_MEMBER_MODULUS = 10 ** 5
+
+
+def _check_modulus(m: int, limit: int) -> None:
+    """ValueError when a witness at modulus m would be above limit."""
+    if m > limit:
+        raise ValueError(f"a witness at modulus {m} is above the limit {limit}")
+
+
 def _quadratic_conductor(d: int) -> int:
     """The conductor of Q(sqrt(d)) for a squarefree positive integer d: the
     least m with sqrt(d) in Q(zeta_m), d when d = 1 mod 4 and 4d otherwise."""
@@ -355,11 +413,12 @@ def sqrt_in_cyclotomic(alpha: Scalar) -> tuple[int, CycElem]:
     d is even (t = 0 when d is odd), with s = -f/4 (1/i = z^(-f/4)) when
     d' = 3 mod 4 and s = 0 otherwise.  The one check is
     witness * witness == alpha; the numeric value confirms the positive
-    root.
+    root.  ValueError when f is above MAX_WITNESS_MODULUS.
     """
     alpha = _check_positive(alpha)
     r, d = squarefree_decompose(alpha)
     modulus = _quadratic_conductor(d)
+    _check_modulus(modulus, MAX_WITNESS_MODULUS)
     odd = d if d % 2 else d // 2
     stride = modulus // odd
     shifts = (modulus // 8, -(modulus // 8)) if d % 2 == 0 else (0,)
@@ -438,7 +497,10 @@ def nth_root_in_cyclotomic(alpha: Scalar, n: int, m: int) -> RootMembershipVerdi
     so for m = 2 mod 4, where Q(zeta_m) = Q(zeta_(m/2)), it divides m iff
     it divides m/2.  k >= 3:
     membership fails for every modulus, because the root would generate a
-    non-abelian extension inside an abelian one.
+    non-abelian extension inside an abelian one.  A YES builds its witness
+    in Q(zeta_m), so it raises ValueError when m is above
+    MAX_MEMBER_MODULUS, or when f is above MAX_WITNESS_MODULUS; a NO builds
+    none and has no limit.
     """
     alpha = _check_positive(alpha)
     if n < 1:
@@ -451,6 +513,7 @@ def nth_root_in_cyclotomic(alpha: Scalar, n: int, m: int) -> RootMembershipVerdi
     k = n // e
 
     if k == 1:
+        _check_modulus(m, MAX_MEMBER_MODULUS)
         witness = CycElem.from_rational(m, beta)
         justification = (
             RootJustification.CONSTRUCTED_WITNESS if n == 1 else RootJustification.EXPONENT_REDUCED
@@ -460,6 +523,7 @@ def nth_root_in_cyclotomic(alpha: Scalar, n: int, m: int) -> RootMembershipVerdi
     if k == 2:
         if m % _quadratic_conductor(squarefree_decompose(beta)[1]):
             return RootMembershipVerdict(alpha, n, m, False, RootJustification.GALOIS_INVARIANCE, None)
+        _check_modulus(m, MAX_MEMBER_MODULUS)
         witness = sqrt_in_cyclotomic(beta)[1].embed(m)
         return RootMembershipVerdict(alpha, n, m, True, RootJustification.GALOIS_INVARIANCE, witness)
 

@@ -1,4 +1,6 @@
+import cmath
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 from math import gcd
@@ -10,6 +12,9 @@ from hypothesis import strategies as st
 from trigrat.cli import run_cli
 from trigrat.cyclotomic import CycElem, zeta_power
 from trigrat.kummer import (
+    _IMAG_TOLERANCE,
+    MAX_MEMBER_MODULUS,
+    MAX_WITNESS_MODULUS,
     GroupReport,
     MetaGaloisElem,
     RootJustification,
@@ -23,6 +28,7 @@ from trigrat.kummer import (
     subset_factorizations,
     subset_unity_product,
     verify_remark_factorization,
+    _real_subset_products,
 )
 from trigrat.numtheory import divisors, mobius, prime_factorization
 from trigrat.polynomials import RatPoly, _poly_mul
@@ -91,6 +97,10 @@ def test_subset_oracle_range():
         subset_factorizations(2, 1)
     with pytest.raises(ValueError):
         subset_factorizations(2, 13)
+    # 10^400 overflows a float and 10^-400 rounds to 0, so no root can be placed
+    for alpha in (Fraction(10 ** 400), Fraction(1, 10 ** 400)):
+        with pytest.raises(ValueError, match="float range"):
+            subset_factorizations(alpha, 2)
 
 
 @given(
@@ -158,6 +168,86 @@ def test_subset_scan_divides_only_after_the_constant_term_check(monkeypatch, alp
     assert count == divisions
     monkeypatch.undo()
     assert subset_keys(found) == subset_keys(reference_subset_factorizations(alpha, n))
+
+
+def is_conjugation_closed(subset, n):
+    return set(subset) == {(n - j) % n for j in subset}
+
+
+class CountingRoots(list):
+    """Roots that count their single-index reads: the walk reads one root
+    per subset it visits."""
+
+    reads = 0
+
+    def __getitem__(self, j):
+        self.reads += 1
+        return super().__getitem__(j)
+
+
+@pytest.mark.parametrize("n, visited, closed", [(11, 222, 62), (12, 446, 126)])
+def test_subset_walk_visits_only_subsets_that_can_close(n, visited, closed):
+    """2^n - 2 subsets shrink to the ones that can still close under
+    j -> n - j; on the unit circle exactly the closed ones look real."""
+    roots = CountingRoots(cmath.exp(2j * cmath.pi * j / n) for j in range(n))
+    passing = [subset for subset, _ in _real_subset_products(roots)]
+    assert roots.reads == visited
+    expected = [
+        subset
+        for size in range(1, n)
+        for subset in itertools.combinations(range(n), size)
+        if is_conjugation_closed(subset, n)
+    ]
+    assert len(expected) == closed
+    assert passing == expected
+
+
+def test_generic_alpha_rebuilds_no_constant_term(monkeypatch):
+    """5^s has no rational 12th root for 0 < s < 12, so no subset of any
+    size gets as far as limit_denominator; 9 does, at size 6."""
+    calls = 0
+    limit_denominator = Fraction.limit_denominator
+
+    def counting(self, cap):
+        nonlocal calls
+        calls += 1
+        return limit_denominator(self, cap)
+
+    monkeypatch.setattr(Fraction, "limit_denominator", counting)
+    assert subset_factorizations(5, 12) == []
+    assert calls == 0
+    assert subset_factorizations(9, 12)
+    assert calls > 0
+
+
+@pytest.mark.parametrize("alpha, n", [
+    (Fraction(1, 1100) ** 6, 3),
+    (Fraction(1, 1009) ** 8, 4),
+    (Fraction(1, 1009) ** 6, 12),
+])
+def test_subset_scan_with_tiny_roots_matches_reference(alpha, n):
+    """Roots this small make subsets that are not closed under j -> n - j
+    look real to the float filter.  The walk drops them, and still finds
+    what the per-subset scan finds, all of it closed."""
+    rho = float(alpha) ** (1.0 / n)
+    roots = [rho * cmath.exp(2j * cmath.pi * j / n) for j in range(n)]
+
+    def looks_real(subset):
+        coeffs = [complex(1.0)]
+        for j in subset:
+            coeffs = [0j] + coeffs
+            for k in range(len(coeffs) - 1):
+                coeffs[k] -= roots[j] * coeffs[k + 1]
+        return all(abs(c.imag) <= _IMAG_TOLERANCE for c in coeffs)
+
+    assert any(
+        looks_real(subset) and not is_conjugation_closed(subset, n)
+        for size in range(1, n)
+        for subset in itertools.combinations(range(n), size)
+    )
+    expected = reference_subset_factorizations(alpha, n)
+    assert subset_keys(subset_factorizations(alpha, n)) == subset_keys(expected)
+    assert all(is_conjugation_closed(f.subset, n) for f in expected)
 
 
 # ----------------------------------------------------------------------
@@ -398,9 +488,11 @@ def test_root_member_payloads_match_product_digest(capsys):
 
 # irreducible --oracle --json at n = 2..8 for coprime a/b with a, b <= 12,
 # and at the (n, k) of the kummer benchmark's perfect powers (a/b)^k, a <= 9
-# prime to b, b in 1001..1010; the same digest as the per-subset scan
-# (scripts/payload_digests.py prints it with n up to 12 as well)
+# prime to b, b in 1001..1010, and the same grid at n = 2..12; the same
+# digests as the per-subset scan (scripts/payload_digests.py prints the
+# second)
 ORACLE_8_DIGEST = "08c2297130885ee36dbcba4fb33dcad330da72f3b54c0a79cbe1792b25207257"
+ORACLE_12_DIGEST = "e617dc2f3fb1ba8be9bf57aecca2292c2f4ac4559afcbb62adfdcae05fd09d0a"
 
 
 def oracle_commands(n_max):
@@ -416,6 +508,10 @@ def oracle_commands(n_max):
 
 def test_oracle_payloads_match_per_subset_digest(capsys):
     assert kummer_digest(capsys, oracle_commands(8)) == ORACLE_8_DIGEST
+
+
+def test_full_oracle_grid_matches_per_subset_digest(capsys):
+    assert kummer_digest(capsys, oracle_commands(12)) == ORACLE_12_DIGEST
 
 
 def test_sqrt_rejects_nonpositive():
@@ -576,6 +672,24 @@ def test_root_membership_rejects_bad_input():
         nth_root_in_cyclotomic(2, 0, 8)
     with pytest.raises(ValueError):
         nth_root_in_cyclotomic(2, 2, 0)
+
+
+def test_witnesses_past_the_modulus_limits_are_refused():
+    top = MAX_MEMBER_MODULUS
+    assert nth_root_in_cyclotomic(4, 2, top).witness == CycElem.from_rational(top, 2)
+    for alpha, n in ((4, 2), (4, 1), (5, 2)):  # 5 is 1 mod 4: conductor 5
+        with pytest.raises(ValueError, match=f"modulus {top + 5} is above the limit {top}"):
+            nth_root_in_cyclotomic(alpha, n, top + 5)
+    # prime and 1 mod 4: the conductor of sqrt(50021) is 50021
+    limit = f"modulus 50021 is above the limit {MAX_WITNESS_MODULUS}"
+    with pytest.raises(ValueError, match=limit):
+        sqrt_in_cyclotomic(50021)
+    with pytest.raises(ValueError, match=limit):
+        nth_root_in_cyclotomic(50021, 2, 50021)
+    # a NO builds no witness, so it has no limit
+    for alpha, n in ((3, 2), (2, 3), (50021, 2)):
+        verdict = nth_root_in_cyclotomic(alpha, n, 10 ** 9)
+        assert (verdict.member, verdict.witness) == (False, None)
 
 
 # ----------------------------------------------------------------------

@@ -8,9 +8,11 @@ from math import gcd
 import pytest
 
 from reference import reference_sweep
-from trigrat import cli, sweep
+from trigrat import cli, kummer, sweep
 from trigrat.cli import run_cli
 from trigrat.cyclotomic import CycElem
+from trigrat.kummer import MAX_MEMBER_MODULUS, MAX_WITNESS_MODULUS
+from trigrat.polynomials import RatPoly
 from trigrat.sweep import (
     Hit,
     SweepConfig,
@@ -307,6 +309,64 @@ def test_cli_irreducible_with_oracle(capsys):
     assert data["irreducible"] is True
     assert data["oracle_reducible"] is False
     assert data["factors"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["irreducible", "1" + "0" * 400, "2", "--oracle"],
+    ["irreducible", "1/1" + "0" * 400, "2", "--oracle", "--json"],
+])
+def test_cli_oracle_refuses_alpha_outside_the_float_range(argv):
+    result = subprocess.run(
+        [sys.executable, "-m", "trigrat", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: alpha is outside the float range the subset scan works in\n"
+
+
+def test_cli_refuses_witnesses_past_the_modulus_limits(capsys, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("witness built before the limit was checked")
+
+    monkeypatch.setattr(kummer, "root_combination", forbidden)
+    monkeypatch.setattr(CycElem, "from_rational", forbidden)
+    for argv, modulus, limit in (
+        (("sqrt-embed", "50021"), 50021, MAX_WITNESS_MODULUS),
+        (("sqrt-embed", "1000000007"), 4000000028, MAX_WITNESS_MODULUS),
+        (("root-member", "4", "2", "1000000000"), 1000000000, MAX_MEMBER_MODULUS),
+        (("root-member", "2", "2", "1000000000"), 1000000000, MAX_MEMBER_MODULUS),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: a witness at modulus {modulus} is above the limit {limit}\n"
+    code, out, _ = run(capsys, "root-member", "3", "2", "1000000000")
+    assert code == 0
+    assert "NO" in out
+
+
+def test_cli_json_output_formats_no_text(capsys, monkeypatch):
+    """Under --json no witness is formatted as text, and each factor once,
+    for its JSON string; the cofactors are not formatted at all."""
+    formatted = []
+    ratpoly_str = RatPoly.__str__
+
+    def forbidden(self):
+        raise AssertionError("witness formatted as text under --json")
+
+    def counting(self):
+        formatted.append(self)
+        return ratpoly_str(self)
+
+    monkeypatch.setattr(CycElem, "__str__", forbidden)
+    monkeypatch.setattr(RatPoly, "__str__", counting)
+    for argv in (("sqrt-embed", "2"), ("root-member", "2", "2", "8")):
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0 and json.loads(out)["witness"]
+    code, out, _ = run(capsys, "irreducible", "16", "4", "--oracle", "--json")
+    assert code == 0
+    assert len(json.loads(out)["factors"]) == len(formatted) == 6
 
 
 def test_cli_group(capsys):
