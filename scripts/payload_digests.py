@@ -12,8 +12,8 @@ With no arguments it prints every grid; with arguments, only the grids
 whose names contain one of them (``oracle`` picks the subset-oracle grid).
 
 A grid's digest is taken over each command line, its exit code, then its
-stdout and stderr, in order; the sweep grid is one command, and its digest
-is that of its stdout alone.  These are the formats of the digest tests in
+stdout and stderr, in order; each sweep grid is one command, and its
+digest is that of its stdout alone.  These are the formats of the digest tests in
 ``tests/``, so the digests of the grids they share are the ones pinned
 there.
 """
@@ -106,8 +106,9 @@ def oracle_grid(n_max=12):
                     yield ["irreducible", str(Fraction(a, b) ** k), str(n), "--oracle", "--json"]
 
 
-def sweep_digest(q_max, n_max):
-    code, out, err = run(["verify", "sweep", "--q-max", str(q_max), "--n-max", str(n_max), "--json"])
+def sweep_digest(q_max, n_max, funcs="cos,sin,tan"):
+    code, out, err = run(["verify", "sweep", "--q-max", str(q_max), "--n-max", str(n_max),
+                          "--funcs", funcs, "--json"])
     if code != 0:
         raise SystemExit(f"verify sweep exited {code}: {err}")
     return hashlib.sha256(out.encode()).hexdigest()
@@ -117,6 +118,7 @@ GRIDS = {
     "classify+eval q<=60": lambda: commands_digest(classify_eval_grid(60)),
     "verify sweep q<=32 n<=8": lambda: sweep_digest(32, 8),
     "verify sweep q<=96 n<=8": lambda: sweep_digest(96, 8),
+    "verify sweep q<=48 n<=12 --funcs tan,sin,cos": lambda: sweep_digest(48, 12, "tan,sin,cos"),
     "classify 100<=q<200": lambda: commands_digest(cold_classify_grid()),
     "root-member a/b<=12 n in 1,2,4,6 m<=60": lambda: commands_digest(
         ["root-member", alpha, str(n), str(m), "--json"]

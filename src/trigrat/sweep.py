@@ -47,6 +47,7 @@ from math import gcd
 from .numtheory import euler_phi, format_rational
 from .trig import (
     MAX_POWER_EXPONENT,
+    MAX_TRIG_MODULUS,
     Angle,
     Case,
     TrigFunc,
@@ -63,7 +64,9 @@ _FUNC_ORDER = {TrigFunc.COS: 0, TrigFunc.SIN: 1, TrigFunc.TAN: 2}
 class SweepConfig:
     """Bounds for one sweep.  ``n_max`` is at most
     ``trig.MAX_POWER_EXPONENT``, the largest exponent ``power_rational``
-    computes."""
+    computes, and ``q_max`` at most ``trig.MAX_TRIG_MODULUS // 4``, the
+    largest bound at which every M = lcm(2q, 4) is within that limit (then
+    so is every spread, as it is below q)."""
 
     q_max: int
     n_max: int
@@ -72,6 +75,8 @@ class SweepConfig:
     def __post_init__(self):
         if self.q_max < 1:
             raise ValueError(f"q_max must be >= 1, got {self.q_max}")
+        if self.q_max > MAX_TRIG_MODULUS // 4:
+            raise ValueError(f"q_max must be <= {MAX_TRIG_MODULUS // 4}, got {self.q_max}")
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
         if self.n_max > MAX_POWER_EXPONENT:

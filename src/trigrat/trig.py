@@ -21,6 +21,11 @@ Powers are written down, never multiplied out: by the binomial theorem
 signs (-1)^j times z^(-nM/4), laid out over M/2 slots (z^(M/2) = -1) and
 moved along vanishing p-gons until the slots are independent, 1 at slot 0:
 no division by Phi_M (see ``_reduced_power`` and ``power_rational``).
+The moved slots of the 64 powers used last are kept, below the Pascal
+step, so the cos, sin and tan of one angle, and ``classify``'s n = 2, move
+each power once.  ``trig_elem`` lays out M slots and refuses M above
+MAX_TRIG_MODULUS; ``power_rational`` refuses M at which one term could
+spread over more than MAX_POLYGON_SPREAD slots.
 ``classify`` summarises the full picture for one (function, angle) pair:
 either some power is rational and we report the least such exponent with
 its value, or no power is rational at all.  The latter is the common case:
@@ -38,7 +43,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .cyclotomic import CycElem, root_combination
-from .numtheory import format_rational, nth_root_rational, parse_rational, prime_factorization
+from .numtheory import format_rational, nth_root_rational, parse_rational
 
 
 class TrigFunc(enum.Enum):
@@ -186,11 +191,54 @@ def _folded_row(sign: int, r: int, k: int) -> tuple[int, ...]:
     return fold
 
 
+# The largest spread, prod(p - 1) over the odd primes p of M, at which
+# ``power_rational`` moves slots along p-gons: one term can spread over that
+# many slots (p - 1 for each prime at which its digit is top), so memory
+# grows with it and not with M.  In a fresh process on a 2-core Xeon with
+# Python 3.11, eval tan 1/1000003 --pow 1000 (spread 1000002) takes
+# 0.8-1.8 s and 561 MB, tan 1/2000003 --pow 1000 1.7 s and 1105 MB,
+# cos 1/1000003 --pow 2 0.33 s and 167 MB, and cos 1/(2^11 5^11) --pow 2
+# (spread 4) 0.06 s.  The limit is on the product, not on the largest
+# prime: eval cos 100140047/100160063 --pow 2 (10007 * 10009) needs over
+# 2 GB.
+MAX_POLYGON_SPREAD = 2 ** 20
+
+
 @lru_cache(maxsize=1024)
 def _polygon_moves(m: int) -> tuple[tuple[int, int, int, int], ...]:
-    """(p^a, (M/p^a)^-1 mod p^a, p^a - p^(a-1), M/p) per odd p^a exactly dividing M."""
-    return tuple((pa, pow(m // pa, -1, pa), pa - pa // p, m // p)
-                 for p, a in prime_factorization(m)[1:] for pa in (p ** a,))
+    """(p^a, (M/p^a)^-1 mod p^a, p^a - p^(a-1), M/p) per odd p^a exactly
+    dividing M, p increasing.
+
+    ValueError when the spread, prod(p - 1) over those p, is above
+    MAX_POLYGON_SPREAD.  Trial division stops at MAX_POLYGON_SPREAD + 1,
+    since a prime past it is past the limit alone, so M is never factored
+    further: what is left then is one prime or is over the limit."""
+    moves, rest, spread, p = [], m // (m & -m), 1, 3
+    while rest > 1 and spread <= MAX_POLYGON_SPREAD:
+        if p * p > rest or p > MAX_POLYGON_SPREAD + 1:
+            p = rest
+        if rest % p == 0:
+            pa = p
+            rest //= p
+            while rest % p == 0:
+                pa, rest = pa * p, rest // p
+            spread *= p - 1
+            moves.append((pa, pow(m // pa, -1, pa), pa - pa // p, m // p))
+        p += 2
+    if spread > MAX_POLYGON_SPREAD:
+        raise ValueError(f"the spread prod(p - 1) over the odd primes p of M = {m}"
+                         f" is above the limit {MAX_POLYGON_SPREAD}")
+    return tuple(moves)
+
+
+# reduced powers by (sign, M, e, k), oldest dropped first: 64 hold the
+# cos, sin and tan surveys of one angle up to n = 31, so the three surveys
+# and classify's n = 2 reuse each other's moved slots; a power with more
+# than 4096 slots (M > 8192 only) is not kept, so the memo holds at most
+# 64 * 4096 slots
+_REDUCED: dict[tuple[int, int, int, int], dict[int, int]] = {}
+_REDUCED_SIZE = 64
+_REDUCED_SLOTS = 4096
 
 
 def _reduced_power(func: TrigFunc, m: int, e: int, k: int) -> dict[int, int]:
@@ -198,18 +246,41 @@ def _reduced_power(func: TrigFunc, m: int, e: int, k: int) -> dict[int, int]:
 
     Term j of the binomial sums in the module docstring has exponent
     e(k - 2j), less kM/4 for sin, with period r = M / gcd(2e, M) in j: the
-    terms with j = t mod r are added up first, then laid out over the slots
-    x < h = M/2 they hit (z^h = -1).  Vanishing sums of roots of unity are
-    generated by rotated p-gons (de Bruijn 1953; Lam & Leung, J. Algebra
-    224, 2000).  So for each odd p^a exactly dividing M, a slot whose
-    p-digit x * (M/p^a)^-1 mod p^a is top, at least p^a - p^(a-1), moves its
-    coefficient c as -c onto x + j M/p, j = 1..p-1; that raises the p-digit
-    by j p^(a-1), out of the top, and keeps the other digits.  The slots
-    left are, up to sign, the tensor product of the power bases of the
-    Q(zeta_(p^a)) and Q(zeta_(2^b)): independent over Q, 1 at slot 0."""
-    sign, x = (-1, e * k - k * (m // 4)) if func is TrigFunc.SIN else (1, e * k)
+    terms with j = t mod r are added up first, then laid out and moved by
+    ``_moved_slots``.  Its result is kept in ``_REDUCED``, so the cos, sin
+    and tan of one angle lay out and move each numerator once.  The memo
+    sits below the Pascal step: the row or its fold is taken on every
+    call, hit or not, so the fold of row k + 1 still steps from row k's in
+    r additions (``_folded_row``); a memo above it would leave a gap in
+    that chain.  The caller must not change the dict it gets."""
+    sign = -1 if func is TrigFunc.SIN else 1
     r = m // gcd(2 * e, m)
     row = _folded_row(sign, r, k) if r <= k else _binomial_row(sign, k)
+    key = (sign, m, e, k)
+    slots = _REDUCED.get(key)
+    if slots is None:
+        slots = _moved_slots(*key, row)
+        if len(slots) <= _REDUCED_SLOTS:
+            if len(_REDUCED) >= _REDUCED_SIZE:
+                del _REDUCED[next(iter(_REDUCED))]
+            _REDUCED[key] = slots
+    return slots
+
+
+def _moved_slots(sign: int, m: int, e: int, k: int, row) -> dict[int, int]:
+    """Lay the terms c * z^(x - 2ej), c = row[j] and x = ek (less kM/4 for
+    sign -1, sin), out over the slots y < h = M/2 they hit (z^h = -1), then
+    move them along p-gons.
+
+    Vanishing sums of roots of unity are generated by rotated p-gons
+    (de Bruijn 1953; Lam & Leung, J. Algebra 224, 2000).  So for each odd
+    p^a exactly dividing M, a slot whose p-digit x * (M/p^a)^-1 mod p^a is
+    top, at least p^a - p^(a-1), moves its coefficient c as -c onto
+    x + j M/p, j = 1..p-1; that raises the p-digit by j p^(a-1), out of the
+    top, and keeps the other digits.  The slots left are, up to sign, the
+    tensor product of the power bases of the Q(zeta_(p^a)) and
+    Q(zeta_(2^b)): independent over Q, 1 at slot 0."""
+    x = e * k - (k * (m // 4) if sign < 0 else 0)
     h = m // 2
     slots = {}
     for c in row:
@@ -232,6 +303,19 @@ def _reduced_power(func: TrigFunc, m: int, e: int, k: int) -> dict[int, int]:
     return {x: c for x, c in slots.items() if c}
 
 
+# The largest M = lcm(2q, 4) at which ``trig_elem``, and so ``classify``,
+# builds a value: it lays out M slots and reduces them modulo Phi_M, in
+# memory linear in M.  In a fresh process on a 2-core Xeon with Python
+# 3.11, classify tan 1/1000003 (M = 4000012) takes 2.2 s and 484 MB,
+# cos 1/1000003 1.4 s and 370 MB, and tan 1/2499997 (M = 9999988) 6.1 s
+# and 1216 MB.  The time also grows with the odd primes of M: the long
+# division makes classify cos 1/255255 (M = 1021020) run past 60 s.
+# Every M at or below the
+# limit has spread (p - 1 over its odd primes) below 2^20, so ``classify``
+# is never refused by MAX_POLYGON_SPREAD after building its witness.
+MAX_TRIG_MODULUS = 2 ** 22
+
+
 # The trig caches are bounded LRU caches: 1024 pairs hold a sweep's
 # representatives at every q <= 32 and one classify per modulus over a
 # range of a hundred moduli.
@@ -239,8 +323,11 @@ def _reduced_power(func: TrigFunc, m: int, e: int, k: int) -> dict[int, int]:
 def trig_elem(func: TrigFunc, angle: Angle) -> CycElem:
     """The exact value of func(pi * angle) as an element of Q(zeta_M),
     M = lcm(2q, 4), from the division-free closed forms in the module
-    docstring.  Raises UndefinedTrigValue at tangent poles."""
+    docstring.  Raises UndefinedTrigValue at tangent poles and ValueError
+    when M is above MAX_TRIG_MODULUS."""
     m, e = _zeta_exponent(angle)
+    if m > MAX_TRIG_MODULUS:
+        raise ValueError(f"modulus M = lcm(2q, 4) = {m} at {angle} is above the limit {MAX_TRIG_MODULUS}")
     quarter = m // 4
     if func is not TrigFunc.TAN:
         sign, shift = (-1, quarter) if func is TrigFunc.SIN else (1, 0)
@@ -274,8 +361,8 @@ def power_rational(func: TrigFunc, angle: Angle, n: int) -> Fraction | None:
     or S and C have the same slots and S[x] * C[i] == S[i] * C[x] for each
     (C != 0 off the poles); then it equals S[i] / C[i].
 
-    Raises UndefinedTrigValue at tangent poles and ValueError for n < 1 or
-    n > MAX_POWER_EXPONENT.
+    Raises UndefinedTrigValue at tangent poles, and ValueError for n < 1,
+    n > MAX_POWER_EXPONENT, or M whose spread is above MAX_POLYGON_SPREAD.
     """
     if n < 1:
         raise ValueError(f"exponent must be >= 1, got {n}")
@@ -284,6 +371,7 @@ def power_rational(func: TrigFunc, angle: Angle, n: int) -> Fraction | None:
     if func is TrigFunc.TAN and angle.q == 2:
         raise UndefinedTrigValue(f"tan(pi * {angle}) is undefined")
     m, e = _zeta_exponent(angle)
+    _polygon_moves(m)  # refuses a spread above MAX_POLYGON_SPREAD before any slot is laid out
     if func is not TrigFunc.TAN:
         v = _reduced_power(func, m, e, n)
         return Fraction(v.get(0, 0), 2 ** n) if v.keys() <= {0} else None

@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from reference import reference_sweep
 from trigrat import cli, kummer, sweep
@@ -20,7 +22,17 @@ from trigrat.sweep import (
     reduced_angles,
     verify_theorem_sweep,
 )
-from trigrat.trig import MAX_POWER_EXPONENT, Angle, Case, Classification, TrigFunc, classify, trig_elem
+from trigrat.trig import (
+    MAX_POLYGON_SPREAD,
+    MAX_POWER_EXPONENT,
+    MAX_TRIG_MODULUS,
+    Angle,
+    Case,
+    Classification,
+    TrigFunc,
+    classify,
+    trig_elem,
+)
 
 COS, SIN, TAN = TrigFunc.COS, TrigFunc.SIN, TrigFunc.TAN
 
@@ -51,6 +63,11 @@ def test_sweep_config_validation():
         SweepConfig(q_max=1, n_max=1, funcs=())
     with pytest.raises(ValueError):
         SweepConfig(q_max=1, n_max=MAX_POWER_EXPONENT + 1)
+    # every q <= MAX_TRIG_MODULUS // 4 has M = lcm(2q, 4) <= 4q within the
+    # limit; the next q is odd, with M = 4q above it
+    SweepConfig(q_max=MAX_TRIG_MODULUS // 4, n_max=1)
+    with pytest.raises(ValueError, match=f"q_max must be <= {MAX_TRIG_MODULUS // 4}"):
+        SweepConfig(q_max=MAX_TRIG_MODULUS // 4 + 1, n_max=1)
 
 
 @pytest.fixture(scope="module")
@@ -424,6 +441,46 @@ def test_cli_verify_sweep_refuses_exponents_past_the_limit(capsys):
     assert err == f"error: n_max must be <= {MAX_POWER_EXPONENT}, got {n}\n"
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["classify", "cos", "1/100000000000"], f"is above the limit {MAX_TRIG_MODULUS}"),
+    (["classify", "tan", "1/10000019", "--json"], f"is above the limit {MAX_TRIG_MODULUS}"),
+    (["eval", "cos", "1/1000000007", "--pow", "2"], f"is above the limit {MAX_POLYGON_SPREAD}"),
+    (["verify", "sweep", "--q-max", str(MAX_TRIG_MODULUS // 4 + 1)], "q_max must be <="),
+])
+def test_cli_refuses_trig_inputs_past_the_limits(capsys, argv, error):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and error in err
+
+
+@st.composite
+def trig_argv(draw):
+    """classify or eval of cos, sin or tan at p/q, --pow in [-2, 1002] or
+    none, --json or not; q either at most 2000 or past the limits
+    (M >= 2q > MAX_TRIG_MODULUS)."""
+    q = draw(st.one_of(st.integers(1, 2000), st.integers(MAX_TRIG_MODULUS // 2 + 1, 10 ** 30)))
+    p = draw(st.integers(-4 * q, 4 * q))
+    assume(gcd(p, q) == 1)
+    argv = [draw(st.sampled_from(["classify", "eval"])), draw(st.sampled_from(["cos", "sin", "tan"])), f"{p}/{q}"]
+    if argv[0] == "eval" and draw(st.booleans()):
+        argv += ["--pow", str(draw(st.integers(-2, 1002)))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@given(trig_argv())
+@settings(max_examples=30)
+def test_trig_commands_answer_or_refuse_within_the_budget(argv):
+    """Each run answers (exit 0) or refuses with a message (exit 2) within
+    20 s, and never ends in a traceback.  A negative p/q reads as an option
+    to argparse, which refuses it with its usage message."""
+    result = subprocess.run([sys.executable, "-m", "trigrat", *argv], capture_output=True, text=True, timeout=20)
+    assert result.returncode in (0, 2), (argv, result.stderr)
+    assert "Traceback" not in result.stderr, argv
+    assert (result.returncode == 2) == ("error: " in result.stderr), (argv, result.stderr)
+
+
 def test_cli_verify_sweep_json(capsys):
     code, out, _ = run(capsys, "verify", "sweep", "--json", "--q-max", "3", "--n-max", "2")
     assert code == 0
@@ -542,6 +599,19 @@ GRID_12_DIGEST = "9fee70126c649227baecd1844c6848c0767d43aaf0c7c29c9db595145f1374
 GRID_30_DIGEST = "0a51256d41cd0df42e593e0c6d1c8f300428dff3d42d32b6d30d4053e1a69908"
 SWEEP_12_8_DIGEST = "025caea64e5345f0423266febeec002229b2d9f74fef276c4214d34309b7c80e"
 SWEEP_32_8_DIGEST = "0b4454e4edee6b5c78e0ad96b78ed21a8c4769af13c2a151426bf35407561da2"
+
+
+# verify sweep --q-max 48 --n-max 12 --json, in each order of --funcs: the
+# first function's surveys lay out the powers the others reuse, and the
+# payload is the same (scripts/payload_digests.py prints the tan-first one)
+SWEEP_48_12_DIGEST = "1965a4216f5d774c970a8131682714e66e62fbfd764a2e1bf227a60bfdb26326"
+
+
+@pytest.mark.parametrize("funcs", ["tan,sin,cos", "cos,sin,tan", "sin,tan,cos"])
+def test_sweep_payload_is_the_same_in_each_function_order(capsys, funcs):
+    code, out, _ = run(capsys, "verify", "sweep", "--q-max", "48", "--n-max", "12", "--funcs", funcs, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_48_12_DIGEST
 
 
 def test_payloads_match_dense_power_digests(capsys):

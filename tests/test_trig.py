@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -12,7 +13,9 @@ from trigrat.cyclotomic import CycElem, root_combination
 from trigrat.numtheory import euler_phi, prime_factorization
 from trigrat.sweep import SweepConfig, _survey, reduced_angles, verify_theorem_sweep
 from trigrat.trig import (
+    MAX_POLYGON_SPREAD,
     MAX_POWER_EXPONENT,
+    MAX_TRIG_MODULUS,
     Angle,
     Case,
     TrigFunc,
@@ -388,6 +391,94 @@ def test_folded_pascal_rows_match_dense_reference(monkeypatch):
             trig._FOLDS.clear()
             shuffled = [power_rational(func, angle, n) for n in order]
             assert shuffled == [expected[n - 1] for n in order], (func, angle)
+
+
+@pytest.mark.parametrize("funcs", [(COS, SIN, TAN), (TAN, SIN, COS)])
+def test_sweep_lays_out_and_moves_each_power_once(monkeypatch, funcs):
+    """cos, sin and tan of one angle share the p-gon reduction of
+    (2 cos)^n and (2 sin)^n, and classify's n = 2 that of the power loop:
+    in a sweep each (sign, M, e, k) is laid out and moved exactly once,
+    whichever function comes first."""
+    counts = Counter()
+    moved_slots = trig._moved_slots
+
+    def counting(*key_and_row):
+        counts[key_and_row[:4]] += 1
+        return moved_slots(*key_and_row)
+
+    monkeypatch.setattr(trig, "_moved_slots", counting)
+    monkeypatch.setattr(trig, "_REDUCED", {})
+    classify.cache_clear()
+    verify_theorem_sweep(SweepConfig(q_max=12, n_max=8, funcs=funcs))
+    assert len(counts) == 432
+    assert set(counts.values()) == {1}
+
+
+def test_reduced_power_memo_stays_bounded(monkeypatch):
+    """The memo of reduced powers never holds more than _REDUCED_SIZE
+    entries through a q <= 100 sweep, and keeps no power with more than
+    _REDUCED_SLOTS slots."""
+    sizes = []
+    moved_slots = trig._moved_slots
+
+    def recording(*key_and_row):
+        sizes.append(len(trig._REDUCED))
+        return moved_slots(*key_and_row)
+
+    monkeypatch.setattr(trig, "_moved_slots", recording)
+    monkeypatch.setattr(trig, "_REDUCED", {})
+    verify_theorem_sweep(SweepConfig(q_max=100, n_max=8))
+    sizes.append(len(trig._REDUCED))
+    assert max(sizes) == trig._REDUCED_SIZE
+
+    # at 20010/20011 the slot of z^(2e) has its 20011-digit top and spreads
+    # over 20010 slots
+    m, e = trig._zeta_exponent(Angle(20010, 20011))
+    assert len(trig._reduced_power(COS, m, e, 2)) > trig._REDUCED_SLOTS
+    assert (1, m, e, 2) not in trig._REDUCED
+    assert all(len(slots) <= trig._REDUCED_SLOTS for slots in trig._REDUCED.values())
+
+
+def test_values_and_powers_past_the_limits_are_refused(monkeypatch):
+    """trig_elem (and so classify) refuses M = lcm(2q, 4) above
+    MAX_TRIG_MODULUS, and power_rational a spread prod(p - 1) over the odd
+    primes p of M above MAX_POLYGON_SPREAD, each before it lays out a slot;
+    at the limits both lay out."""
+    laid_out = []
+    monkeypatch.setattr(trig, "root_combination", lambda m, terms, den=1: laid_out.append(m))
+    monkeypatch.setattr(trig, "_moved_slots", lambda sign, m, e, k, row: laid_out.append(m) or {0: 1})
+    monkeypatch.setattr(trig, "_REDUCED", {})
+    for func in (COS, SIN):
+        trig_elem.__wrapped__(func, Angle(1, MAX_TRIG_MODULUS // 2))  # M = 2q
+    for func in (COS, SIN, TAN):
+        with pytest.raises(ValueError, match=f"above the limit {MAX_TRIG_MODULUS}"):
+            trig_elem.__wrapped__(func, Angle(1, MAX_TRIG_MODULUS // 4 + 1))  # M = 4q
+    assert laid_out == [MAX_TRIG_MODULUS] * 2
+
+    laid_out.clear()
+    power_rational(COS, Angle(1, 1048573), 2)  # a prime, spread 1048572
+    assert laid_out == [4 * 1048573]
+    # 10007 and 10009 are each below the limit, but one term can spread
+    # over (10007 - 1) * (10009 - 1) slots
+    for q in (1048583, 10007 * 10009, 10 ** 9 + 7, 10 ** 30 + 57):
+        for func in (COS, SIN, TAN):
+            with pytest.raises(ValueError, match=f"above the limit {MAX_POLYGON_SPREAD}"):
+                power_rational(func, Angle(1, q), 2)
+    assert laid_out == [4 * 1048573]
+
+
+def test_powers_at_moduli_with_a_small_spread_are_decided():
+    """The p-gon moves are read off the odd prime powers of M, and
+    M = 2^13 5^11, far above MAX_TRIG_MODULUS, has spread 4: power_rational
+    decides its powers."""
+    for m in range(4, 8000, 4):
+        moves = [pa for pa, _, _, _ in trig._polygon_moves(m)]
+        assert moves == [p ** a for p, a in prime_factorization(m)[1:]], m
+    angle = Angle(1, 10 ** 11)
+    assert [pa for pa, _, _, _ in trig._polygon_moves(trig._zeta_exponent(angle)[0])] == [5 ** 11]
+    for func in (COS, SIN, TAN):
+        assert power_rational(func, angle, 2) is None
+    assert power_rational(COS, Angle(10 ** 11 - 1, 10 ** 11), 1000) is None
 
 
 def test_power_rational_needs_no_reduction_modulo_phi(monkeypatch):
