@@ -9,7 +9,7 @@ Run it from a checkout with
     PYTHONPATH=src python3 scripts/payload_digests.py [SUBSTRING ...]
 
 With no arguments it prints every grid; with arguments, only the grids
-whose names contain one of them (``oracle`` picks the subset-oracle grid).
+whose names contain one of them (``oracle`` picks the two subset-oracle grids).
 
 A grid's digest is taken over each command line, its exit code, then its
 stdout and stderr, in order; each sweep grid is one command, and its
@@ -106,6 +106,15 @@ def oracle_grid(n_max=12):
                     yield ["irreducible", str(Fraction(a, b) ** k), str(n), "--oracle", "--json"]
 
 
+def large_alpha_oracle_grid():
+    """irreducible 10^e n --oracle at e = 1, 8, ..., 295 and n = 2..12, where
+    the float roots are large enough that rounding decides which factors
+    the subset oracle finds."""
+    for e in range(1, 296, 7):
+        for n in range(2, 13):
+            yield ["irreducible", str(10 ** e), str(n), "--oracle", "--json"]
+
+
 def sweep_digest(q_max, n_max, funcs="cos,sin,tan"):
     code, out, err = run(["verify", "sweep", "--q-max", str(q_max), "--n-max", str(n_max),
                           "--funcs", funcs, "--json"])
@@ -131,6 +140,7 @@ GRIDS = {
     "eval --pow 31,64,257,1000 at 1/q, eight q <= 97": lambda: commands_digest(high_power_grid()),
     "eval --pow 1,2,3,12 at p/q, q in 105,385,1155": lambda: commands_digest(three_odd_primes_grid()),
     "irreducible --oracle a/b<=12 n<=12, perfect powers": lambda: commands_digest(oracle_grid()),
+    "irreducible --oracle 10^e, e = 1, 8, ..., 295, n<=12": lambda: commands_digest(large_alpha_oracle_grid()),
 }
 
 

@@ -15,7 +15,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .kummer import (
+    MAX_WITNESS_MODULUS,
     _check_group_order,
+    _check_modulus,
     binomial_irreducible,
     gauss_sum,
     gauss_sum_case_check,
@@ -170,6 +172,7 @@ def _cmd_verify(args) -> int:
         return 0 if report.clean else 1
 
     if args.target == "gauss":
+        _check_modulus(args.m_max, MAX_WITNESS_MODULUS)  # refuse before any sum is built
         failures = [m for m in range(1, args.m_max + 1) if not gauss_sum_case_check(m)]
         payload = {"m_max": args.m_max, "failures": failures}
         _emit(args, payload,
@@ -217,12 +220,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", parents=[common],
                        help="least exponent making func(pi*theta)^n rational")
     p.add_argument("func", help="cos, sin or tan")
-    p.add_argument("theta", help="rational angle p/q (in units of pi)")
+    # a leading '-' reads as an option, so a negative angle follows '--'
+    p.add_argument("theta", help="rational angle p/q (in units of pi); put a negative angle"
+                                 " after --, as in: classify cos -- -1/3")
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("eval", parents=[common], help="exact value of func(pi*theta)^n when rational")
     p.add_argument("func")
-    p.add_argument("theta")
+    p.add_argument("theta", help="rational angle p/q (in units of pi); put a negative angle"
+                                 " after -- and the options before it, as in: eval cos --pow 2 -- -1/3")
     p.add_argument("--pow", dest="n", type=int, default=1, metavar="N",
                    help="exponent (default 1)")
     p.set_defaults(handler=_cmd_eval)

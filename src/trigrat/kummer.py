@@ -9,10 +9,10 @@ rational alpha, which cyclotomic fields contain the real root alpha^(1/n)?
 * ``subset_factorizations`` gives a second opinion with no theory in it:
   over C the monic factors of x^n - alpha are exactly the subset products
   of (x - alpha^(1/n) zeta_n^j), and a rational factor's subset is closed
-  under conjugation j -> n - j.  A depth-first walk over the subsets that
-  can still close (446 of 4094 at n = 12) builds each subset's float
-  product from its parent's in O(n) and nominates the products that look
-  real; a candidate is divided only if its rebuilt constant term c0 has
+  under conjugation j -> n - j.  A depth-first walk builds only the closed
+  subsets (126 of the 4094 proper ones at n = 12), each float product
+  from its parent's in O(n), and nominates the products that look real;
+  a candidate is divided only if its rebuilt constant term c0 has
   c0^n = (-1)^(n*size) * alpha^size, which every monic divisor's has, and
   no c0 is rebuilt at a size where alpha^size has no rational n-th root.
   Exact division confirms or rejects.
@@ -93,14 +93,14 @@ def subset_factorizations(alpha: Scalar, n: int) -> list[SubsetFactor]:
     Every monic factor over Q is a subset product of the roots
     alpha^(1/n) * zeta_n^j, so scanning all 2^n - 2 proper subsets is
     complete.  A rational factor is real, so its set of root indices is
-    closed under complex conjugation j -> n - j, and the scan walks only
-    subsets that can still close; the ones it drops never close and so
-    hold no factor.  The walk goes depth first, adding root indices in
+    closed under complex conjugation j -> n - j, and the scan builds only
+    closed subsets: it takes or skips each j <= n/2 and takes j > n/2
+    with n - j.  The walk goes depth first, adding root indices in
     increasing order, so a subset's float product is its parent's times
     one linear factor: O(size) work per subset, not O(size^2), and the
     same float operations in the same order as multiplying the subset out
-    from scratch.  Only subsets whose product has all imaginary parts
-    within ``_IMAG_TOLERANCE`` are kept, in ``itertools.combinations``
+    from scratch.  Only closed subsets whose product has all imaginary
+    parts within ``_IMAG_TOLERANCE`` are kept, in ``itertools.combinations``
     order.  Floating point only nominates candidates: a subset counts only
     when the exactly reconstructed polynomial divides x^n - alpha with zero
     remainder.  Before that division the reconstructed constant term c0 is
@@ -110,9 +110,10 @@ def subset_factorizations(alpha: Scalar, n: int) -> list[SubsetFactor]:
     divisor, so the check drops no factor and skips most divisions.  A
     rational c0 of that kind exists only when alpha^s has a rational n-th
     root, so at any other size s no constant term is rebuilt at all.  The
-    walk visits 446 subsets at n = 12 and 222 at n = 11, against
-    2^n - 2, and is meant for small n.  ValueError when alpha lies outside
-    the positive normal float range, where its roots cannot be computed.
+    walk builds 446 partial products at n = 12 and 222 at n = 11, the 126
+    and 62 closed subsets among them, against 2^n - 2, and is meant for
+    small n.  ValueError when alpha lies outside the positive normal float
+    range, where its roots cannot be computed.
     """
     alpha = _check_positive(alpha)
     if not 2 <= n <= 12:
@@ -150,46 +151,38 @@ def subset_factorizations(alpha: Scalar, n: int) -> list[SubsetFactor]:
 
 def _real_subset_products(roots: list[complex]) -> list[tuple[tuple[int, ...], list[complex]]]:
     """(subset, coefficients of the product of x - roots[j] over j in subset)
-    for the proper nonempty subsets walked below whose product looks real,
-    in ``itertools.combinations`` order (size first, then lexicographic).
+    for the proper nonempty subsets closed under conjugation j -> n - j
+    whose product looks real, in ``itertools.combinations`` order (size
+    first, then lexicographic).
 
-    Depth first over an explicit stack of (parent subset, its float
-    coefficients, next index j): popping an entry visits parent + (j,) and
-    leaves its sibling parent + (j + 1,) and its first child on the stack,
-    so the stack holds O(n) entries and only the passing subsets are
-    kept.
-
-    Only subsets that can still close under conjugation j -> n - j are
-    walked.  Indices only grow along the walk, so once both j and its
-    partner n - j < j are behind it, a subset that holds one of the two
-    but not the other never closes: taking j without n - j drops the node
-    and its subtree, and skipping j with n - j taken drops the sibling
-    entry."""
+    Depth first over j = 0, 1, ..., n - 1: each j <= n/2 is taken or
+    skipped, and each j > n/2 is taken iff its partner n - j was, so only
+    closed subsets are built, 2^(n//2 + 1) - 2 of them.  Taking j
+    multiplies the parent's coefficients by x - roots[j], so each subset's
+    product is built from the same chain of parents, in increasing index
+    order, as multiplying it out from scratch would."""
     n = len(roots)
     passing = []
-    stack = [((), [complex(1.0)], 0)]
-    while stack:
-        parent, coeffs, j = stack.pop()
-        paired = n - j < j  # the partner n - j of j is behind the walk
-        partner_taken = paired and n - j in parent
-        if j + 1 < n and not partner_taken:  # else skipping j strands n - j
-            stack.append((parent, coeffs, j + 1))
-        if paired and not partner_taken:  # taking j would strand j
-            continue
-        root = roots[j]
-        # (x - root) * coeffs, as the in-place update coeffs[k] -= root * coeffs[k + 1]
-        # of [0] + coeffs would compute it
-        child = [0j - root * coeffs[0]]
-        child += [a - root * b for a, b in zip(coeffs, coeffs[1:])]
-        child.append(coeffs[-1])
-        subset = parent + (j,)
-        for c in child:
-            if abs(c.imag) > _IMAG_TOLERANCE:
-                break
-        else:
-            passing.append((subset, child))
-        if j + 1 < n and len(subset) < n - 1:
-            stack.append((subset, child, j + 1))
+
+    def walk(subset, coeffs, j):
+        if j == n:
+            if subset and all(abs(c.imag) <= _IMAG_TOLERANCE for c in coeffs):
+                passing.append((subset, coeffs))
+            return
+        free = 2 * j <= n  # else j is taken iff its partner n - j was
+        taken = free or n - j in subset
+        if free or not taken:
+            walk(subset, coeffs, j + 1)
+        if taken and len(subset) < n - 1:  # the full set is not proper
+            root = roots[j]
+            # (x - root) * coeffs, as the in-place update coeffs[k] -= root * coeffs[k + 1]
+            # of [0] + coeffs would compute it
+            child = [0j - root * coeffs[0]]
+            child += [a - root * b for a, b in zip(coeffs, coeffs[1:])]
+            child.append(coeffs[-1])
+            walk(subset + (j,), child, j + 1)
+
+    walk((), [complex(1.0)], 0)
     passing.sort(key=lambda entry: (len(entry[0]), entry[0]))
     return passing
 
@@ -338,9 +331,11 @@ def meta_group_checks(n: int) -> GroupReport:
 
 def gauss_sum(m: int) -> CycElem:
     """The quadratic Gauss sum g(m) = sum of zeta_m^(k^2), k = 0..m-1,
-    as an exact element of Q(zeta_m)."""
+    as an exact element of Q(zeta_m).  ValueError when m is above
+    MAX_WITNESS_MODULUS."""
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
+    _check_modulus(m, MAX_WITNESS_MODULUS)
     return root_combination(m, [(k * k, 1) for k in range(m)])
 
 
@@ -352,6 +347,7 @@ def gauss_sum_case_check(m: int) -> bool:
     identity in Q(zeta_m): g^2 = 2m*i, m, 0, -m respectively (i = zeta_4 is
     available inside Q(zeta_m) whenever 4 divides m).  A float comparison
     against the signed root double-checks that the sign conventions match.
+    ValueError when m is above MAX_WITNESS_MODULUS.
     """
     g = gauss_sum(m)
     g2 = g * g
@@ -373,11 +369,13 @@ def gauss_sum_case_check(m: int) -> bool:
 
 
 # The largest conductor f at which ``sqrt_in_cyclotomic`` builds a witness,
-# a vector of phi(f) coordinates checked by one dense square, whose cost is
-# quadratic in phi(f).  f itself is compared, so the check needs no
-# factoring, and the slowest inputs are primes f = 1 mod 4 just below the
-# limit: sqrt-embed 40993 takes 36-46 s and sqrt-embed 10007 (f = 40028)
-# 2.2-2.9 s, in a fresh process on a 2-core Xeon with Python 3.11.
+# and the largest m at which ``gauss_sum`` builds g(m): one combination of
+# roots of unity at the modulus, a vector of phi coordinates, checked by
+# one dense square, whose cost is quadratic in phi.  The modulus itself is
+# compared, so the check needs no factoring, and the slowest inputs are
+# primes just below the limit: sqrt-embed 40993 takes 36-46 s, gauss 40993
+# 38 s, gauss 20011 9 s and sqrt-embed 10007 (f = 40028) 2.2-2.9 s, in a
+# fresh process on a 2-core Xeon with Python 3.11.
 MAX_WITNESS_MODULUS = 41000
 # The largest modulus m at which ``nth_root_in_cyclotomic`` writes a YES
 # witness, phi(m) coordinates reduced modulo Phi_m once.  That reduction

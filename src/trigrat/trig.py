@@ -21,9 +21,10 @@ Powers are written down, never multiplied out: by the binomial theorem
 signs (-1)^j times z^(-nM/4), laid out over M/2 slots (z^(M/2) = -1) and
 moved along vanishing p-gons until the slots are independent, 1 at slot 0:
 no division by Phi_M (see ``_reduced_power`` and ``power_rational``).
-The moved slots of the 64 powers used last are kept, below the Pascal
-step, so the cos, sin and tan of one angle, and ``classify``'s n = 2, move
-each power once.  ``trig_elem`` lays out M slots and refuses M above
+The moved slots of the 64 powers used last are kept with the folds of
+their Pascal rows, so the cos, sin and tan of one angle, and
+``classify``'s n = 2, move each power once, and a sweep steps each fold
+from the one before.  ``trig_elem`` lays out M slots and refuses M above
 MAX_TRIG_MODULUS; ``power_rational`` refuses M at which one term could
 spread over more than MAX_POLYGON_SPREAD slots.
 ``classify`` summarises the full picture for one (function, angle) pair:
@@ -164,33 +165,6 @@ def _binomial_row(sign: int, k: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-# residue-class sums of Pascal rows by (sign, r, k), oldest dropped first
-_FOLDS: dict[tuple[int, int, int], tuple[int, ...]] = {}
-_FOLDS_SIZE = 64
-
-
-def _folded_row(sign: int, r: int, k: int) -> tuple[int, ...]:
-    """S_t(k) = sum of sign^j * C(k, j) over j = t mod r, for t < r <= k.
-
-    Pascal's rule C(k, j) = C(k - 1, j) + C(k - 1, j - 1) gives
-    S_t(k) = S_t(k - 1) + sign * S_(t-1 mod r)(k - 1), so when the fold of
-    row k - 1 is cached this costs r additions, not the O(k) of building
-    and summing row k; a sweep asks for k = 1, 2, 3, ... in turn."""
-    key = (sign, r, k)
-    fold = _FOLDS.get(key)
-    if fold is None:
-        prev = _FOLDS.get((sign, r, k - 1))
-        if prev is None:
-            row = _binomial_row(sign, k)
-            fold = tuple(sum(row[t::r]) for t in range(r))
-        else:
-            fold = tuple(prev[t] + sign * prev[t - 1] for t in range(r))
-        if len(_FOLDS) >= _FOLDS_SIZE:
-            del _FOLDS[next(iter(_FOLDS))]
-        _FOLDS[key] = fold
-    return fold
-
-
 # The largest spread, prod(p - 1) over the odd primes p of M, at which
 # ``power_rational`` moves slots along p-gons: one term can spread over that
 # many slots (p - 1 for each prime at which its digit is top), so memory
@@ -231,12 +205,12 @@ def _polygon_moves(m: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(moves)
 
 
-# reduced powers by (sign, M, e, k), oldest dropped first: 64 hold the
-# cos, sin and tan surveys of one angle up to n = 31, so the three surveys
-# and classify's n = 2 reuse each other's moved slots; a power with more
-# than 4096 slots (M > 8192 only) is not kept, so the memo holds at most
-# 64 * 4096 slots
-_REDUCED: dict[tuple[int, int, int, int], dict[int, int]] = {}
+# reduced powers by (sign, M, e, k), oldest dropped first, each kept as
+# (fold, slots): 64 hold the cos, sin and tan surveys of one angle up to
+# n = 31, so the three surveys and classify's n = 2 reuse each other's
+# moved slots; a power with more than 4096 slots (M > 8192 only) is not
+# kept, so the memo holds at most 64 * 4096 slots
+_REDUCED: dict[tuple[int, int, int, int], tuple[tuple[int, ...] | None, dict[int, int]]] = {}
 _REDUCED_SIZE = 64
 _REDUCED_SLOTS = 4096
 
@@ -247,23 +221,34 @@ def _reduced_power(func: TrigFunc, m: int, e: int, k: int) -> dict[int, int]:
     Term j of the binomial sums in the module docstring has exponent
     e(k - 2j), less kM/4 for sin, with period r = M / gcd(2e, M) in j: the
     terms with j = t mod r are added up first, then laid out and moved by
-    ``_moved_slots``.  Its result is kept in ``_REDUCED``, so the cos, sin
-    and tan of one angle lay out and move each numerator once.  The memo
-    sits below the Pascal step: the row or its fold is taken on every
-    call, hit or not, so the fold of row k + 1 still steps from row k's in
-    r additions (``_folded_row``); a memo above it would leave a gap in
-    that chain.  The caller must not change the dict it gets."""
+    ``_moved_slots``.  The result is kept in ``_REDUCED`` with its fold,
+    the sums S_t(k) of the row over j = t mod r when r <= k (else None),
+    so a hit does no row work and the cos, sin and tan of one angle lay
+    out and move each numerator once.  A miss steps the fold from entry
+    k - 1's by Pascal's rule, S_t(k) = S_t(k - 1) + sign * S_(t-1 mod r)(k - 1):
+    r additions, not the O(k) of summing row k; a sweep asks for
+    k = 1, 2, 3, ... in turn.  r = q <= k <= MAX_POWER_EXPONENT gives
+    M <= 4000, under _REDUCED_SLOTS slots, so every entry with a fold is
+    kept.  The caller must not change the dict it gets."""
     sign = -1 if func is TrigFunc.SIN else 1
-    r = m // gcd(2 * e, m)
-    row = _folded_row(sign, r, k) if r <= k else _binomial_row(sign, k)
     key = (sign, m, e, k)
-    slots = _REDUCED.get(key)
-    if slots is None:
-        slots = _moved_slots(*key, row)
-        if len(slots) <= _REDUCED_SLOTS:
-            if len(_REDUCED) >= _REDUCED_SIZE:
-                del _REDUCED[next(iter(_REDUCED))]
-            _REDUCED[key] = slots
+    entry = _REDUCED.get(key)
+    if entry is not None:
+        return entry[1]
+    r = m // gcd(2 * e, m)
+    fold = None
+    if r <= k:
+        prev, _ = _REDUCED.get((sign, m, e, k - 1), (None, None))
+        if prev is None:
+            row = _binomial_row(sign, k)
+            fold = tuple(sum(row[t::r]) for t in range(r))
+        else:
+            fold = tuple(prev[t] + sign * prev[t - 1] for t in range(r))
+    slots = _moved_slots(*key, _binomial_row(sign, k) if fold is None else fold)
+    if len(slots) <= _REDUCED_SLOTS:
+        if len(_REDUCED) >= _REDUCED_SIZE:
+            del _REDUCED[next(iter(_REDUCED))]
+        _REDUCED[key] = (fold, slots)
     return slots
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trigrat import kummer
 from trigrat.cli import run_cli
 from trigrat.cyclotomic import CycElem, zeta_power
 from trigrat.kummer import (
@@ -142,6 +143,17 @@ def test_subset_scan_matches_per_subset_reference():
     # alarm that ROADMAP.md lists)
     assert subset_factorizations(Fraction(1, 1009 ** 4), 2) == []
     assert reference_subset_factorizations(Fraction(1, 1009 ** 4), 2) == []
+    # today's behaviour at large alpha, not a right answer: x^4 - 10^40 has
+    # six proper monic factors (x -+ 10^10, x^2 -+ 10^20 and two cubics),
+    # but the rounding error in the imaginary parts of their float
+    # coefficients grows with the roots, past _IMAG_TOLERANCE for all but
+    # x - 10^10, so both scans find that one alone; at 10^300 they find
+    # nothing and the oracle contradicts the radical criterion
+    found = subset_factorizations(10 ** 40, 4)
+    assert [str(f.factor) for f in found] == [f"x - {10 ** 10}"]
+    assert subset_keys(found) == subset_keys(reference_subset_factorizations(10 ** 40, 4))
+    assert subset_factorizations(10 ** 300, 12) == reference_subset_factorizations(10 ** 300, 12) == []
+    assert run_cli(["irreducible", "1" + "0" * 300, "12", "--oracle", "--json"]) == 1
 
 
 @pytest.mark.parametrize("alpha, n, divisions", [
@@ -250,6 +262,18 @@ def test_subset_scan_with_tiny_roots_matches_reference(alpha, n):
     assert all(is_conjugation_closed(f.subset, n) for f in expected)
 
 
+@pytest.mark.parametrize("alpha, n, expected", [
+    (Fraction(1, 10 ** 42), 7, [([0], "x - 1/1000000")]),
+    (Fraction(1, 10 ** 36), 6, [([0], "x - 1/1000000"), ([3], "x + 1/1000000")]),
+])
+def test_subset_scan_reports_only_closed_subsets(alpha, n, expected):
+    """Roots of modulus 10^-6 make single roots look real and round to the
+    true factor x -+ 10^-6.  Only subsets closed under j -> n - j are
+    reported, so each such factor is listed once, at its real root."""
+    found = subset_factorizations(alpha, n)
+    assert [(sorted(f.subset), str(f.factor)) for f in found] == expected
+
+
 # ----------------------------------------------------------------------
 # the semidirect product acting on the roots
 
@@ -350,6 +374,21 @@ def test_gauss_sum_small_values():
 def test_gauss_sum_case_check_small_moduli():
     for m in range(1, 21):
         assert gauss_sum_case_check(m), m
+
+
+def test_gauss_sums_past_the_witness_limit_are_refused(monkeypatch):
+    """g(m) is one combination at m, checked by one dense square at phi(m),
+    the cost of a square-root witness, so m has the same limit."""
+    def forbidden(*args):
+        raise AssertionError("sum built before the limit was checked")
+
+    monkeypatch.setattr(kummer, "root_combination", forbidden)
+    for m in (MAX_WITNESS_MODULUS + 1, 1000000007):
+        limit = f"modulus {m} is above the limit {MAX_WITNESS_MODULUS}"
+        with pytest.raises(ValueError, match=limit):
+            gauss_sum(m)
+        with pytest.raises(ValueError, match=limit):
+            gauss_sum_case_check(m)
 
 
 SQRT_MODULI = {

@@ -234,6 +234,14 @@ def test_cli_classify_json(capsys):
     assert data["value"] == "1/2"
 
 
+def test_cli_classify_negative_angle_after_double_dash(capsys):
+    """A leading '-' reads as an option, so a negative angle follows '--';
+    -1/3 folds into [0, 2) as 5/3."""
+    assert run(capsys, "classify", "--json", "cos", "--", "-1/3") == run(capsys, "classify", "--json", "cos", "5/3")
+    code, out, _ = run(capsys, "eval", "cos", "--pow", "2", "--", "-1/3")
+    assert (code, out) == (0, "cos(pi*5/3)^2 = 1/4\n")
+
+
 def test_cli_classify_never(capsys):
     code, out, _ = run(capsys, "classify", "cos", "1/5")
     assert code == 0
@@ -408,6 +416,32 @@ def test_cli_group_refuses_orders_past_the_limit(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "group", "--n-max", "23")
     assert (code, out) == (2, "")
     assert err == "error: group order n*phi(n) = 506 at n = 23 is above the limit 480\n"
+
+
+@pytest.mark.parametrize("argv, modulus", [
+    (["gauss", "41001"], 41001),
+    (["gauss", "1000000007"], 1000000007),
+    (["verify", "gauss", "--m-max", "41001"], 41001),
+])
+def test_cli_gauss_refuses_moduli_past_the_witness_limit(argv, modulus):
+    result = subprocess.run(
+        [sys.executable, "-m", "trigrat", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"error: a witness at modulus {modulus} is above the limit {MAX_WITNESS_MODULUS}\n"
+
+
+def test_cli_verify_gauss_refuses_before_any_sum(capsys, monkeypatch):
+    def forbidden(m):
+        raise AssertionError(f"g({m}) built before the limit was checked")
+
+    monkeypatch.setattr(cli, "gauss_sum_case_check", forbidden)
+    code, out, err = run(capsys, "verify", "gauss", "--m-max", str(MAX_WITNESS_MODULUS + 1))
+    assert (code, out) == (2, "")
+    assert err == f"error: a witness at modulus {MAX_WITNESS_MODULUS + 1} is above the limit {MAX_WITNESS_MODULUS}\n"
 
 
 def test_cli_verify_remark(capsys):

@@ -382,13 +382,13 @@ def test_folded_pascal_rows_match_dense_reference(monkeypatch):
             if func is TAN and angle.q == 2:
                 continue
             expected = reference_power_values(func, angle, n_max)
-            trig._FOLDS.clear()
+            trig._REDUCED.clear()
             rows.clear()
             assert [power_rational(func, angle, n) for n in range(1, n_max + 1)] == expected, (func, angle)
             assert max(rows) <= r, (func, angle)
             order = list(range(1, n_max + 1))
             rng.shuffle(order)
-            trig._FOLDS.clear()
+            trig._REDUCED.clear()
             shuffled = [power_rational(func, angle, n) for n in order]
             assert shuffled == [expected[n - 1] for n in order], (func, angle)
 
@@ -414,6 +414,23 @@ def test_sweep_lays_out_and_moves_each_power_once(monkeypatch, funcs):
     assert set(counts.values()) == {1}
 
 
+@pytest.mark.parametrize("func", [COS, SIN, TAN])
+@pytest.mark.parametrize("angle, n", [(Angle(1, 7), 3), (Angle(2, 3), 5)])
+def test_memo_hit_does_no_row_work(monkeypatch, func, angle, n):
+    """A power asked for again comes from the memo alone: no Pascal row is
+    built and nothing is laid out or moved, whether r = q is above n (the
+    row itself is laid out) or not (its residue-class sums are)."""
+    monkeypatch.setattr(trig, "_REDUCED", {})
+    value = power_rational(func, angle, n)
+
+    def refuse(*args):
+        raise AssertionError("a memo hit did row work")
+
+    monkeypatch.setattr(trig, "_binomial_row", refuse)
+    monkeypatch.setattr(trig, "_moved_slots", refuse)
+    assert power_rational(func, angle, n) == value
+
+
 def test_reduced_power_memo_stays_bounded(monkeypatch):
     """The memo of reduced powers never holds more than _REDUCED_SIZE
     entries through a q <= 100 sweep, and keeps no power with more than
@@ -436,7 +453,7 @@ def test_reduced_power_memo_stays_bounded(monkeypatch):
     m, e = trig._zeta_exponent(Angle(20010, 20011))
     assert len(trig._reduced_power(COS, m, e, 2)) > trig._REDUCED_SLOTS
     assert (1, m, e, 2) not in trig._REDUCED
-    assert all(len(slots) <= trig._REDUCED_SLOTS for slots in trig._REDUCED.values())
+    assert all(len(slots) <= trig._REDUCED_SLOTS for _, slots in trig._REDUCED.values())
 
 
 def test_values_and_powers_past_the_limits_are_refused(monkeypatch):
