@@ -9,13 +9,15 @@ rational alpha, which cyclotomic fields contain the real root alpha^(1/n)?
 * ``subset_factorizations`` gives a second opinion with no theory in it:
   over C the monic factors of x^n - alpha are exactly the subset products
   of (x - alpha^(1/n) zeta_n^j), and a rational factor's subset is closed
-  under conjugation j -> n - j.  A depth-first walk builds only the closed
-  subsets (126 of the 4094 proper ones at n = 12), each float product
-  from its parent's in O(n), and nominates the products that look real;
-  a candidate is divided only if its rebuilt constant term c0 has
-  c0^n = (-1)^(n*size) * alpha^size, which every monic divisor's has, and
-  no c0 is rebuilt at a size where alpha^size has no rational n-th root.
-  Exact division confirms or rejects.
+  under conjugation j -> n - j.  A factor of degree s has a constant term
+  c0 with c0^n = (-1)^(n*s) * alpha^s, so s must be a size at which
+  alpha^s has a rational n-th root; these are read off alpha first, and
+  when no size in 1..n-1 admits one the scan stops there with no float
+  work.  Otherwise a depth-first walk builds only the closed subsets (126
+  of the 4094 proper ones at n = 12), each float product from its
+  parent's in O(n), and nominates the products that look real; a
+  candidate is divided only if its rebuilt c0 passes that test, and no c0
+  is rebuilt at any other size.  Exact division confirms or rejects.
 * ``sqrt_in_cyclotomic`` writes sqrt(alpha) at the conductor of
   Q(sqrt(alpha)) in closed form, one combination of roots of unity, and
   checks it once by squaring, up to conductor MAX_WITNESS_MODULUS;
@@ -37,7 +39,7 @@ import enum
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf
+from math import gcd, inf, isqrt
 from typing import Union
 
 from .cyclotomic import CycElem, root_combination, zeta_power
@@ -92,28 +94,31 @@ def subset_factorizations(alpha: Scalar, n: int) -> list[SubsetFactor]:
 
     Every monic factor over Q is a subset product of the roots
     alpha^(1/n) * zeta_n^j, so scanning all 2^n - 2 proper subsets is
-    complete.  A rational factor is real, so its set of root indices is
-    closed under complex conjugation j -> n - j, and the scan builds only
-    closed subsets: it takes or skips each j <= n/2 and takes j > n/2
-    with n - j.  The walk goes depth first, adding root indices in
-    increasing order, so a subset's float product is its parent's times
-    one linear factor: O(size) work per subset, not O(size^2), and the
-    same float operations in the same order as multiplying the subset out
-    from scratch.  Only closed subsets whose product has all imaginary
-    parts within ``_IMAG_TOLERANCE`` are kept, in ``itertools.combinations``
-    order.  Floating point only nominates candidates: a subset counts only
-    when the exactly reconstructed polynomial divides x^n - alpha with zero
+    complete.  A monic divisor of degree s has s roots r with r^n = alpha,
+    so its constant term c0 = (-1)^s * (their product) has
+    c0^n = (-1)^(n*s) * alpha^s, and a rational c0 of that kind exists only
+    when alpha^s has a rational n-th root.  The scan first reads those sizes
+    off alpha (``_constant_term_sizes``) and returns [] when there are none,
+    before it computes a root or walks a subset.  Otherwise it walks: a
+    rational factor is real, so its set of root indices is closed under
+    complex conjugation j -> n - j, and the walk builds only closed
+    subsets: it takes or skips each j <= n/2 and takes j > n/2 with n - j.
+    The walk goes depth first, adding root indices in increasing order, so
+    a subset's float product is its parent's times one linear factor:
+    O(size) work per subset, not O(size^2), and the same float operations
+    in the same order as multiplying the subset out from scratch.  Only
+    closed subsets whose product has all imaginary parts within
+    ``_IMAG_TOLERANCE`` are kept, in ``itertools.combinations`` order.
+    Floating point only nominates candidates: a subset counts only when the
+    exactly reconstructed polynomial divides x^n - alpha with zero
     remainder.  Before that division the reconstructed constant term c0 is
-    checked alone: a monic divisor of degree s has s roots r with
-    r^n = alpha, so c0 = (-1)^s * (their product) has
-    c0^n = (-1)^(n*s) * alpha^s, and a candidate that fails this is no
-    divisor, so the check drops no factor and skips most divisions.  A
-    rational c0 of that kind exists only when alpha^s has a rational n-th
-    root, so at any other size s no constant term is rebuilt at all.  The
-    walk builds 446 partial products at n = 12 and 222 at n = 11, the 126
-    and 62 closed subsets among them, against 2^n - 2, and is meant for
-    small n.  ValueError when alpha lies outside the positive normal float
-    range, where its roots cannot be computed.
+    checked alone against c0^n = (-1)^(n*s) * alpha^s; a candidate that
+    fails is no divisor, so the check drops no factor and skips most
+    divisions, and at a size outside the admissible ones no constant term
+    is rebuilt at all.  The walk builds 446 partial products at n = 12 and
+    222 at n = 11, the 126 and 62 closed subsets among them, against
+    2^n - 2, and is meant for small n.  ValueError when alpha lies outside
+    the positive normal float range, where its roots cannot be computed.
     """
     alpha = _check_positive(alpha)
     if not 2 <= n <= 12:
@@ -124,17 +129,16 @@ def subset_factorizations(alpha: Scalar, n: int) -> list[SubsetFactor]:
         magnitude = inf
     if not sys.float_info.min <= magnitude <= sys.float_info.max:
         raise ValueError("alpha is outside the float range the subset scan works in")
+    sizes = _constant_term_sizes(alpha, n)
+    if not sizes:
+        return []
     rho = magnitude ** (1.0 / n)
     roots = [rho * cmath.exp(2j * cmath.pi * j / n) for j in range(n)]
     target = RatPoly.monomial(n) - alpha
-    # None where alpha^size has no rational n-th root, so no c0 can match
-    constant_powers = [
-        (-1) ** (n * size) * alpha ** size if nth_root_rational(alpha ** size, n) is not None else None
-        for size in range(n)
-    ]
+    constant_powers = {size: (-1) ** (n * size) * alpha ** size for size in sizes}
     found: list[SubsetFactor] = []
     for subset, coeffs in _real_subset_products(roots):
-        constant = constant_powers[len(subset)]
+        constant = constant_powers.get(len(subset))
         if constant is None:
             continue
         c0 = Fraction(coeffs[0].real).limit_denominator(_RECONSTRUCT_DENOMINATOR_CAP)
@@ -147,6 +151,25 @@ def subset_factorizations(alpha: Scalar, n: int) -> list[SubsetFactor]:
         if remainder.is_zero():
             found.append(SubsetFactor(frozenset(subset), candidate, quotient))
     return found
+
+
+def _rational_root_degree(alpha: Fraction, n: int) -> int:
+    """The largest divisor e of n for which alpha is a rational e-th power."""
+    return next(d for d in reversed(divisors(n)) if nth_root_rational(alpha, d) is not None)
+
+
+def _constant_term_sizes(alpha: Fraction, n: int) -> range:
+    """The sizes s in 1..n-1 at which alpha^s has a rational n-th root, the
+    only degrees at which a monic rational divisor of x^n - alpha can have
+    its constant term.
+
+    For reduced alpha a prime's exponent in alpha^s is s times its exponent
+    in alpha, so alpha^s is a rational n-th power iff alpha is a rational
+    (n/gcd(s, n))-th power.  The divisors of n at which alpha is a rational
+    power are the divisors of the largest one, e, so the sizes are the
+    multiples of n/e below n: none when e = 1."""
+    step = n // _rational_root_degree(alpha, n)
+    return range(step, n, step)
 
 
 def _real_subset_products(roots: list[complex]) -> list[tuple[tuple[int, ...], list[complex]]]:
@@ -488,13 +511,16 @@ def nth_root_in_cyclotomic(alpha: Scalar, n: int, m: int) -> RootMembershipVerdi
     Q(sqrt(beta)) (d when the squarefree part d of beta is 1 mod 4, else
     4d), and Q(zeta_m) contains it iff f divides m, the closed form of the
     Galois-invariance test.  f follows from d alone, so a NO builds no
-    witness.  A YES witness is the one ``sqrt_in_cyclotomic`` has checked
-    at f, embedded into Q(zeta_m) and not checked again: ``embed`` is a
-    ring map, so its square is still beta, and its n-th power is
-    beta^e = alpha by the choice of beta.  f is odd or a multiple of 4,
-    so for m = 2 mod 4, where Q(zeta_m) = Q(zeta_(m/2)), it divides m iff
-    it divides m/2.  k >= 3:
-    membership fails for every modulus, because the root would generate a
+    witness.  d needs num*den of beta factored, so first the primes that
+    num*den shares with m are divided out by repeated gcds; when what is
+    left is not a square, a prime that does not divide m divides d, hence
+    f, and the answer is NO with no factoring at all.  A YES witness is
+    the one ``sqrt_in_cyclotomic`` has checked at f, embedded into
+    Q(zeta_m) and not checked again: ``embed`` is a ring map, so its
+    square is still beta, and its n-th power is beta^e = alpha by the
+    choice of beta.  f is odd or a multiple of 4, so for m = 2 mod 4,
+    where Q(zeta_m) = Q(zeta_(m/2)), it divides m iff it divides m/2.
+    k >= 3: membership fails for every modulus, because the root would generate a
     non-abelian extension inside an abelian one.  A YES builds its witness
     in Q(zeta_m), so it raises ValueError when m is above
     MAX_MEMBER_MODULUS, or when f is above MAX_WITNESS_MODULUS; a NO builds
@@ -506,7 +532,7 @@ def nth_root_in_cyclotomic(alpha: Scalar, n: int, m: int) -> RootMembershipVerdi
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
 
-    e = next(d for d in reversed(divisors(n)) if nth_root_rational(alpha, d) is not None)
+    e = _rational_root_degree(alpha, n)
     beta = nth_root_rational(alpha, e)
     k = n // e
 
@@ -519,7 +545,14 @@ def nth_root_in_cyclotomic(alpha: Scalar, n: int, m: int) -> RootMembershipVerdi
         return RootMembershipVerdict(alpha, n, m, True, justification, witness)
 
     if k == 2:
-        if m % _quadratic_conductor(squarefree_decompose(beta)[1]):
+        # a prime outside m with an odd exponent in num*den divides the
+        # conductor but not m: NO, without factoring num*den
+        rest = beta.numerator * beta.denominator
+        shared = gcd(rest, m)
+        while shared > 1:
+            rest //= shared
+            shared = gcd(rest, m)
+        if isqrt(rest) ** 2 != rest or m % _quadratic_conductor(squarefree_decompose(beta)[1]):
             return RootMembershipVerdict(alpha, n, m, False, RootJustification.GALOIS_INVARIANCE, None)
         _check_modulus(m, MAX_MEMBER_MODULUS)
         witness = sqrt_in_cyclotomic(beta)[1].embed(m)

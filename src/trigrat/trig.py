@@ -439,18 +439,20 @@ def value_descriptor(classification: Classification) -> ValueDescriptor:
     classification as sign * sqrt(square), exactly.
 
     For the rational case this is immediate.  For the rational-square case
-    the square is exact and only the sign comes from the numeric embedding;
-    the candidate magnitudes are bounded away from zero, so the float sign
-    is reliable, and the predicted value lists are symmetric under negation
-    anyway.
+    the square is exact and the sign is read from the angle t = p/q in
+    [0, 2): cos(pi*t) > 0 iff t < 1/2 or t > 3/2, sin(pi*t) > 0 iff
+    0 < t < 1, and tan's sign is the product of the two.  The value is
+    irrational, so never zero, and t never sits on a boundary.
     """
     if classification.case not in (Case.VALUE_RATIONAL, Case.SQUARE_RATIONAL):
         raise ValueError(f"no base value to describe in the {classification.case} case")
     if classification.case is Case.VALUE_RATIONAL:
         return ValueDescriptor.from_rational(classification.value)
-    square = classification.value
-    sign = 1 if classification.witness.numeric_eval().real > 0 else -1
-    return ValueDescriptor(sign, square)
+    p, q = classification.angle.p, classification.angle.q
+    cos_sign = 1 if 2 * p < q or 2 * p > 3 * q else -1
+    sin_sign = 1 if 0 < p < q else -1
+    sign = {TrigFunc.COS: cos_sign, TrigFunc.SIN: sin_sign, TrigFunc.TAN: cos_sign * sin_sign}
+    return ValueDescriptor(sign[classification.func], classification.value)
 
 
 @lru_cache(maxsize=6)

@@ -2,6 +2,8 @@ import cmath
 import hashlib
 import itertools
 import json
+import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -29,9 +31,11 @@ from trigrat.kummer import (
     subset_factorizations,
     subset_unity_product,
     verify_remark_factorization,
+    _constant_term_sizes,
+    _rational_root_degree,
     _real_subset_products,
 )
-from trigrat.numtheory import divisors, mobius, prime_factorization
+from trigrat.numtheory import divisors, mobius, nth_root_rational, prime_factorization
 from trigrat.polynomials import RatPoly, _poly_mul
 
 from reference import (
@@ -230,6 +234,50 @@ def test_generic_alpha_rebuilds_no_constant_term(monkeypatch):
     assert calls == 0
     assert subset_factorizations(9, 12)
     assert calls > 0
+
+
+@pytest.mark.parametrize("alpha, n", [(5, 12)] + [(Fraction(2, 3), n) for n in range(2, 13)])
+def test_scan_with_no_admissible_size_builds_no_root_or_subset(monkeypatch, alpha, n):
+    """alpha^s has no rational n-th root for any 0 < s < n, so no factor can
+    have a rational constant term: the scan returns before the roots, the
+    target polynomial or the walk."""
+    def forbidden(*args):
+        raise AssertionError("float work with no admissible size")
+
+    monkeypatch.setattr(kummer, "_real_subset_products", forbidden)
+    monkeypatch.setattr(kummer.cmath, "exp", forbidden)
+    monkeypatch.setattr(RatPoly, "monomial", forbidden)
+    assert subset_factorizations(alpha, n) == []
+
+
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 12), st.integers(2, 12))
+@settings(max_examples=200)
+def test_constant_term_sizes_follow_the_divisor_rule(a, b, k, n):
+    """The sizes read off alpha are those at which alpha^s itself has a
+    rational n-th root."""
+    alpha = Fraction(a, b) ** k
+    direct = [s for s in range(1, n) if nth_root_rational(alpha ** s, n) is not None]
+    assert list(_constant_term_sizes(alpha, n)) == direct
+
+
+def test_subset_scan_matches_reference_at_every_root_degree():
+    """alpha = base^d with base a prime over a coprime integer, so alpha's
+    largest rational root degree among the divisors of n is d; d runs over
+    every divisor of n for n = 2..12."""
+    rng = random.Random(20261019)
+    primes = (2, 3, 5, 7, 11, 13)
+    cases = 0
+    for n in range(2, 13):
+        for d in divisors(n):
+            for _ in range(2):
+                p = rng.choice(primes)
+                base = Fraction(p, rng.choice([b for b in range(1, 30) if b % p]))
+                alpha = base ** d
+                assert _rational_root_degree(alpha, n) == d, (alpha, n)
+                expected = subset_keys(reference_subset_factorizations(alpha, n))
+                assert subset_keys(subset_factorizations(alpha, n)) == expected, (alpha, n)
+                cases += 1
+    assert cases == 68
 
 
 @pytest.mark.parametrize("alpha, n", [
@@ -689,6 +737,28 @@ def test_sqrt_non_membership_builds_no_witness(monkeypatch, capsys):
             "justification": "galois_invariance",
             "witness": None,
         }, (alpha, n, m)
+
+
+def test_sqrt_non_membership_at_a_product_of_large_primes_factors_nothing(monkeypatch, capsys):
+    """(10^9 + 7)(10^9 + 9) shares no prime with 12 and is not a square, so
+    its square root lies outside Q(zeta_12); the answer comes without
+    factoring it, which trial division would take minutes to do."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("squarefree part computed")
+
+    monkeypatch.setattr("trigrat.kummer.squarefree_decompose", forbidden)
+    start = time.perf_counter()
+    code = run_cli(["root-member", "1000000016000000063", "2", "12", "--json"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "alpha": "1000000016000000063",
+        "n": 2,
+        "modulus": 12,
+        "answer": "NO",
+        "justification": "galois_invariance",
+        "witness": None,
+    }
 
 
 def test_root_membership_json_shape():

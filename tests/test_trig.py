@@ -305,6 +305,23 @@ def test_value_descriptor_of_classifications():
             value_descriptor(classify(func, angle))
 
 
+def test_value_descriptor_sign_matches_the_float_sign():
+    """The sign read from the angle agrees with the numeric value's on every
+    SQUARE_RATIONAL case with q <= 200; the sweep's orbit rule finds them
+    all as hits at n = 2."""
+    report = verify_theorem_sweep(SweepConfig(q_max=200, n_max=2))
+    cases = [
+        classification
+        for classification in (classify(hit.func, hit.angle) for hit in report.hits)
+        if classification.case is Case.SQUARE_RATIONAL
+    ]
+    counted = sum(counts.get(Case.SQUARE_RATIONAL, 0) for counts in report.case_counts.values())
+    assert len(cases) == counted == 24
+    for classification in cases:
+        numeric = classification.witness.numeric_eval().real
+        assert value_descriptor(classification).sign == (1 if numeric > 0 else -1), classification
+
+
 def test_trig_elem_matches_reference_formula():
     for angle in reduced_angles(24):
         for func in (COS, SIN, TAN):
