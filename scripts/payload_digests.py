@@ -141,6 +141,7 @@ GRIDS = {
     "eval --pow 1,2,3,12 at p/q, q in 105,385,1155": lambda: commands_digest(three_odd_primes_grid()),
     "irreducible --oracle a/b<=12 n<=12, perfect powers": lambda: commands_digest(oracle_grid()),
     "irreducible --oracle 10^e, e = 1, 8, ..., 295, n<=12": lambda: commands_digest(large_alpha_oracle_grid()),
+    "verify sweep q<=1000 n<=12": lambda: sweep_digest(1000, 12),
 }
 
 

@@ -45,12 +45,12 @@ from typing import Union
 from .cyclotomic import CycElem, root_combination, zeta_power
 from .numtheory import (
     _check_positive,
+    _squarefree_part,
     divisors,
     euler_phi,
     format_rational,
     nth_root_rational,
     radical_condition,
-    squarefree_decompose,
 )
 from .polynomials import RatPoly, _poly_mul
 
@@ -434,10 +434,15 @@ def sqrt_in_cyclotomic(alpha: Scalar) -> tuple[int, CycElem]:
     d is even (t = 0 when d is odd), with s = -f/4 (1/i = z^(-f/4)) when
     d' = 3 mod 4 and s = 0 otherwise.  The one check is
     witness * witness == alpha; the numeric value confirms the positive
-    root.  ValueError when f is above MAX_WITNESS_MODULUS.
+    root.  ValueError when f is above MAX_WITNESS_MODULUS; d is found by
+    trial division up to that limit only, so a d with a larger prime is
+    refused without factoring alpha any further.
     """
     alpha = _check_positive(alpha)
-    r, d = squarefree_decompose(alpha)
+    d = _squarefree_part(alpha.numerator * alpha.denominator, MAX_WITNESS_MODULUS)
+    if d is None:
+        raise ValueError(f"the conductor of Q(sqrt({alpha})) is above the limit {MAX_WITNESS_MODULUS}")
+    r = nth_root_rational(alpha / d, 2)
     modulus = _quadratic_conductor(d)
     _check_modulus(modulus, MAX_WITNESS_MODULUS)
     odd = d if d % 2 else d // 2
@@ -448,8 +453,8 @@ def sqrt_in_cyclotomic(alpha: Scalar) -> tuple[int, CycElem]:
     witness = root_combination(modulus, terms, r.denominator)
     if (witness * witness).as_rational() != alpha:
         raise ArithmeticError(f"witness square mismatch for alpha = {alpha}")
-    numeric = witness.numeric_eval()
-    if abs(numeric.imag) > 1e-9 or numeric.real <= 0:
+    numeric = witness.numeric_eval()  # of size |r| sqrt(d), so the tolerance is relative
+    if abs(numeric.imag) > 1e-9 * abs(numeric) or numeric.real <= 0:
         raise ArithmeticError(f"witness for alpha = {alpha} is not the positive root")
     return modulus, witness
 
@@ -500,6 +505,29 @@ class RootMembershipVerdict:
         }
 
 
+def _conductor_divides(beta: Fraction, m: int) -> bool:
+    """Whether the conductor f of Q(sqrt(beta)) divides m, with no factoring.
+
+    Write num*den of beta as d * s^2, d squarefree.  The primes that num*den
+    shares with m are divided out by repeated gcds; when what is left is not
+    a square, a prime that does not divide m divides d, hence f: False.
+    Otherwise every prime of d divides m, and only the 2-part of f is left.
+    With v the 2-adic valuation of num*den, d is even iff v is odd, and
+    then f = 4d needs 8 | m.  For odd d the odd parts of num*den and d agree
+    mod 8 (s^2 = 1 mod 8 for odd s), and f = d needs nothing more when
+    d = 1 mod 4, f = 4d needs 4 | m when d = 3 mod 4."""
+    nd = beta.numerator * beta.denominator
+    rest, shared = nd, gcd(nd, m)
+    while shared > 1:
+        rest //= shared
+        shared = gcd(rest, m)
+    if isqrt(rest) ** 2 != rest:
+        return False
+    v = (nd & -nd).bit_length() - 1
+    two_part = 8 if v % 2 else 1 if (nd >> v) % 4 == 1 else 4
+    return m % two_part == 0
+
+
 def nth_root_in_cyclotomic(alpha: Scalar, n: int, m: int) -> RootMembershipVerdict:
     """Decide whether the positive real n-th root of alpha lies in Q(zeta_m).
 
@@ -510,11 +538,8 @@ def nth_root_in_cyclotomic(alpha: Scalar, n: int, m: int) -> RootMembershipVerdi
     k = 2: sqrt(beta) has an explicit witness at the conductor f of
     Q(sqrt(beta)) (d when the squarefree part d of beta is 1 mod 4, else
     4d), and Q(zeta_m) contains it iff f divides m, the closed form of the
-    Galois-invariance test.  f follows from d alone, so a NO builds no
-    witness.  d needs num*den of beta factored, so first the primes that
-    num*den shares with m are divided out by repeated gcds; when what is
-    left is not a square, a prime that does not divide m divides d, hence
-    f, and the answer is NO with no factoring at all.  A YES witness is
+    Galois-invariance test, decided with no factoring and no witness
+    (``_conductor_divides``), so a NO builds nothing.  A YES witness is
     the one ``sqrt_in_cyclotomic`` has checked at f, embedded into
     Q(zeta_m) and not checked again: ``embed`` is a ring map, so its
     square is still beta, and its n-th power is beta^e = alpha by the
@@ -545,14 +570,7 @@ def nth_root_in_cyclotomic(alpha: Scalar, n: int, m: int) -> RootMembershipVerdi
         return RootMembershipVerdict(alpha, n, m, True, justification, witness)
 
     if k == 2:
-        # a prime outside m with an odd exponent in num*den divides the
-        # conductor but not m: NO, without factoring num*den
-        rest = beta.numerator * beta.denominator
-        shared = gcd(rest, m)
-        while shared > 1:
-            rest //= shared
-            shared = gcd(rest, m)
-        if isqrt(rest) ** 2 != rest or m % _quadratic_conductor(squarefree_decompose(beta)[1]):
+        if not _conductor_divides(beta, m):
             return RootMembershipVerdict(alpha, n, m, False, RootJustification.GALOIS_INVARIANCE, None)
         _check_modulus(m, MAX_MEMBER_MODULUS)
         witness = sqrt_in_cyclotomic(beta)[1].embed(m)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
@@ -145,16 +145,33 @@ def radical_condition(alpha: Fraction, n: int) -> bool:
     return all(nth_root_rational(alpha, r) is None for r in prime_divisors(n))
 
 
+def _squarefree_part(n: int, bound: int) -> int | None:
+    """The squarefree part d of n >= 1, by trial division by 2 and the odd
+    numbers up to bound only.  None when what is left then has no factor up
+    to bound and is neither 1, a prime nor a square: some prime above bound
+    divides d."""
+    d, p = 1, 2
+    while p <= bound and p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n, e = n // p, e + 1
+            if e % 2:
+                d *= p
+        p += 1 if p == 2 else 2
+    if p * p > n:  # n is 1 or a prime
+        return d * n
+    return d if isqrt(n) ** 2 == n else None
+
+
 def squarefree_decompose(alpha: Fraction) -> tuple[Fraction, int]:
     """Write alpha = r**2 * d with r rational and d a squarefree integer.
 
     d is the squarefree part of numerator * denominator of the reduced alpha.
     """
     alpha = _check_positive(alpha)
-    d = 1
-    for p, e in prime_factorization(alpha.numerator * alpha.denominator):
-        if e % 2:
-            d *= p
+    nd = alpha.numerator * alpha.denominator
+    d = _squarefree_part(nd, isqrt(nd))  # the bound reaches sqrt(nd): never None
     r = nth_root_rational(alpha / d, 2)
     assert r is not None  # alpha/d is a perfect square by construction
     return r, d

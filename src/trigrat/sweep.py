@@ -18,6 +18,14 @@ must happen:
 Every rational power found is recorded as a hit; every broken expectation
 as a violation.  A clean sweep is a report with an empty violation list.
 
+The case of each angle is decided from its powers alone
+(``_classify_by_powers``): x rational makes it rational-at-n=1, x^2
+rational rational-square, and anything else never-rational, since no least
+rational exponent is 3 or more (``trig.classify``).  Those are the survey's
+own first two powers, so the sweep builds no witness, no Phi_M and no long
+division.  ``classify`` decides n = 1 from its witness instead; the tests
+check that the two ways agree on every reduced angle with q <= 200.
+
 The angles are not surveyed one by one but one Galois orbit at a time.  The
 three values at pi*p/q lie in Q(zeta_M), M = lcm(2q, 4), and for c prime to
 M the automorphism sigma_c (zeta_M -> zeta_M^c) sends cos(pi p/q) to cos(pi
@@ -33,9 +41,9 @@ orbit is never-rational throughout and is booked without more work;
 otherwise every other member is surveyed as well, since the rational values
 and their checks differ from member to member.  By the paper that happens
 only at q in {1, 2, 3, 4, 6}, but the sweep decides it from the survey, not
-from that list.  The orbit step trusts ``classify`` to be Galois-invariant
-at the members it does not survey; the tests compare the report with a
-survey of every angle.
+from that list.  The orbit step trusts ``power_rational`` to be
+Galois-invariant at the members it does not survey; the tests compare the
+report with a survey of every angle.
 """
 
 from __future__ import annotations
@@ -50,8 +58,8 @@ from .trig import (
     MAX_TRIG_MODULUS,
     Angle,
     Case,
+    Classification,
     TrigFunc,
-    classify,
     power_rational,
     theorem_value_list,
     value_descriptor,
@@ -173,11 +181,23 @@ def reduced_angles(q_max: int) -> list[Angle]:
     ]
 
 
+def _classify_by_powers(func: TrigFunc, angle: Angle) -> Classification:
+    """``classify``'s case and value from ``power_rational`` at n = 1 and 2,
+    with no witness (module docstring)."""
+    if func is TrigFunc.TAN and angle.q == 2:
+        return Classification(func, angle, Case.UNDEFINED, None, None, None)
+    for n, case in ((1, Case.VALUE_RATIONAL), (2, Case.SQUARE_RATIONAL)):
+        value = power_rational(func, angle, n)
+        if value is not None:
+            return Classification(func, angle, case, n, value, None)
+    return Classification(func, angle, Case.NEVER, None, None, None)
+
+
 def _survey(func: TrigFunc, angle: Angle, n_max: int) -> tuple[list[Hit], list[Violation], Case]:
     """Hits and violations for one (func, angle) pair, exponents 1..n_max."""
     hits: list[Hit] = []
     violations: list[Violation] = []
-    classification = classify(func, angle)
+    classification = _classify_by_powers(func, angle)
     case = classification.case
 
     is_pole = func is TrigFunc.TAN and angle.q == 2

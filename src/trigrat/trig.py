@@ -22,11 +22,12 @@ signs (-1)^j times z^(-nM/4), laid out over M/2 slots (z^(M/2) = -1) and
 moved along vanishing p-gons until the slots are independent, 1 at slot 0:
 no division by Phi_M (see ``_reduced_power`` and ``power_rational``).
 The moved slots of the 64 powers used last are kept with the folds of
-their Pascal rows, so the cos, sin and tan of one angle, and
-``classify``'s n = 2, move each power once, and a sweep steps each fold
-from the one before.  ``trig_elem`` lays out M slots and refuses M above
-MAX_TRIG_MODULUS; ``power_rational`` refuses M at which one term could
-spread over more than MAX_POLYGON_SPREAD slots.
+their Pascal rows, so the cos, sin and tan of one angle move each power
+once, the powers at n = 1 and 2 that decide a sweep's case are the first
+of its power loop, and a sweep steps each fold from the one before.
+``trig_elem`` lays out M slots and refuses M above MAX_TRIG_MODULUS;
+``power_rational`` refuses M at which one term could spread over more
+than MAX_POLYGON_SPREAD slots.
 ``classify`` summarises the full picture for one (function, angle) pair:
 either some power is rational and we report the least such exponent with
 its value, or no power is rational at all.  The latter is the common case:
@@ -128,7 +129,8 @@ class Classification:
 
     ``minimal_n`` is the least exponent with a rational power (None for the
     NEVER and UNDEFINED cases) and ``value`` the power's exact value at that
-    exponent.  ``witness`` carries the underlying field element.
+    exponent.  ``witness`` carries the underlying field element; it is None
+    where the case was read off the powers alone, as in the sweep.
     """
 
     func: TrigFunc
@@ -207,9 +209,10 @@ def _polygon_moves(m: int) -> tuple[tuple[int, int, int, int], ...]:
 
 # reduced powers by (sign, M, e, k), oldest dropped first, each kept as
 # (fold, slots): 64 hold the cos, sin and tan surveys of one angle up to
-# n = 31, so the three surveys and classify's n = 2 reuse each other's
-# moved slots; a power with more than 4096 slots (M > 8192 only) is not
-# kept, so the memo holds at most 64 * 4096 slots
+# n = 31, so tan's survey reuses the moved slots of sin's and cos's, and
+# each survey's power loop those of the n = 1 and 2 that decided its case;
+# a power with more than 4096 slots (M > 8192 only) is not kept, so the
+# memo holds at most 64 * 4096 slots
 _REDUCED: dict[tuple[int, int, int, int], tuple[tuple[int, ...] | None, dict[int, int]]] = {}
 _REDUCED_SIZE = 64
 _REDUCED_SLOTS = 4096
@@ -301,9 +304,9 @@ def _moved_slots(sign: int, m: int, e: int, k: int, row) -> dict[int, int]:
 MAX_TRIG_MODULUS = 2 ** 22
 
 
-# The trig caches are bounded LRU caches: 1024 pairs hold a sweep's
-# representatives at every q <= 32 and one classify per modulus over a
-# range of a hundred moduli.
+# The trig caches are bounded LRU caches of the 1024 (func, angle) pairs
+# used last: cos, sin and tan at a few angles per modulus over a range of a
+# hundred moduli.  The sweep fills neither, as it decides from powers alone.
 @lru_cache(maxsize=1024)
 def trig_elem(func: TrigFunc, angle: Angle) -> CycElem:
     """The exact value of func(pi * angle) as an element of Q(zeta_M),
@@ -338,13 +341,14 @@ def power_rational(func: TrigFunc, angle: Angle, n: int) -> Fraction | None:
     """Exact value of func(pi*angle)^n when rational, else None.
 
     The one way the package decides a power (``classify`` at n = 2,
-    ``eval``, the sweep), with no product and no division by Phi_M: the
-    slots of (2 cos)^n and (2 sin)^n after p-gon moves are independent
-    (``_reduced_power``).  cos^n or sin^n is rational iff slot 0 is the only
-    nonzero slot, and then equals slot 0 over 2^n.  tan^n = sin^n / cos^n
-    is rational iff the slots S and C of the two are proportional: S = 0,
-    or S and C have the same slots and S[x] * C[i] == S[i] * C[x] for each
-    (C != 0 off the poles); then it equals S[i] / C[i].
+    ``eval``, the sweep at every n and so its case), with no product and
+    no division by Phi_M: the slots of (2 cos)^n and (2 sin)^n after p-gon
+    moves are independent (``_reduced_power``).  cos^n or sin^n is
+    rational iff slot 0 is the only nonzero slot, and then equals slot 0
+    over 2^n.  tan^n = sin^n / cos^n is rational iff the slots S and C of
+    the two are proportional: S = 0, or S and C have the same slots and
+    S[x] * C[i] == S[i] * C[x] for each (C != 0 off the poles); then it
+    equals S[i] / C[i].
 
     Raises UndefinedTrigValue at tangent poles, and ValueError for n < 1,
     n > MAX_POWER_EXPONENT, or M whose spread is above MAX_POLYGON_SPREAD.

@@ -3,9 +3,11 @@ import hashlib
 import itertools
 import json
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -746,7 +748,8 @@ def test_sqrt_non_membership_at_a_product_of_large_primes_factors_nothing(monkey
     def forbidden(*args, **kwargs):
         raise AssertionError("squarefree part computed")
 
-    monkeypatch.setattr("trigrat.kummer.squarefree_decompose", forbidden)
+    monkeypatch.setattr("trigrat.numtheory.squarefree_decompose", forbidden)
+    monkeypatch.setattr("trigrat.kummer._squarefree_part", forbidden)
     start = time.perf_counter()
     code = run_cli(["root-member", "1000000016000000063", "2", "12", "--json"])
     assert time.perf_counter() - start < 1.0
@@ -759,6 +762,62 @@ def test_sqrt_non_membership_at_a_product_of_large_primes_factors_nothing(monkey
         "justification": "galois_invariance",
         "witness": None,
     }
+
+
+def test_sqrt_non_membership_with_a_large_square_factor_factors_nothing(monkeypatch, capsys):
+    """3 (10^9 + 7)^2: what is left after the gcds with m is a square, so
+    every prime of d = 3 divides m, and only the 2-part of the conductor
+    12 is left to decide; at m = 6 the answer is NO with nothing factored."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("squarefree part computed")
+
+    monkeypatch.setattr("trigrat.numtheory.squarefree_decompose", forbidden)
+    monkeypatch.setattr("trigrat.kummer._squarefree_part", forbidden)
+    monkeypatch.setattr("trigrat.kummer.sqrt_in_cyclotomic", forbidden)
+    start = time.perf_counter()
+    code = run_cli(["root-member", "3000000042000000147", "2", "6", "--json"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["answer"] == "NO"
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (["root-member", "3000000042000000147", "2", "12"],
+     0, "3000000042000000147^(1/2) in Q(zeta_12): YES  [galois_invariance]"
+        "  witness = 2000000014*z12 - 1000000007*z12^3\n"),
+    (["root-member", "3000000042000000147", "2", "6"], 0, "3000000042000000147^(1/2) in Q(zeta_6): NO  [galois_invariance]\n"),
+    (["sqrt-embed", "1000000016000000063"], 2, ""),
+])
+def test_large_prime_factors_answer_within_a_second(argv, code, out):
+    """Neither command trial-divides alpha up to its square root: each
+    answers, or refuses with a message, in a fresh process within 1 s."""
+    start = time.perf_counter()
+    result = subprocess.run([sys.executable, "-m", "trigrat", *argv], capture_output=True, text=True, timeout=20)
+    assert time.perf_counter() - start < 1.0, argv
+    assert (result.returncode, result.stdout) == (code, out), result.stderr
+    if code == 2:
+        assert result.stderr == f"error: the conductor of Q(sqrt(1000000016000000063)) is above the limit {MAX_WITNESS_MODULUS}\n"
+
+
+def _factored_conductor(beta):
+    d = prod(p for p, e in prime_factorization(beta.numerator * beta.denominator) if e % 2)
+    return d if d % 4 == 1 else 4 * d
+
+
+@given(st.integers(1, 10 ** 4), st.integers(1, 10 ** 4), st.lists(st.sampled_from([2, 3, 5, 7, 11]), max_size=6),
+       st.lists(st.sampled_from([2, 3, 4, 5, 7, 8, 11, 13]), max_size=4), st.integers(1, 50))
+@settings(max_examples=400)
+def test_conductor_divides_matches_the_factored_conductor(a, b, shared, m_factors, cofactor):
+    """The gcd strip, the square test and the 2-part rule agree with the
+    conductor read off the factored squarefree part, on alphas that share
+    primes with m."""
+    beta = Fraction(a, b)
+    for p in shared:
+        beta *= p
+    m = cofactor
+    for p in m_factors:
+        m *= p
+    assert kummer._conductor_divides(beta, m) == (m % _factored_conductor(beta) == 0), (beta, m)
 
 
 def test_root_membership_json_shape():

@@ -1,11 +1,12 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trigrat.numtheory import (
+    _squarefree_part,
     divisors,
     euler_phi,
     format_rational,
@@ -130,6 +131,19 @@ def test_squarefree_decompose_examples():
     assert squarefree_decompose(Fraction(9, 4)) == (Fraction(3, 2), 1)
     assert squarefree_decompose(Fraction(1, 2)) == (Fraction(1, 2), 2)
     assert squarefree_decompose(Fraction(50)) == (5, 2)
+
+
+@given(st.integers(1, 10 ** 6), st.sampled_from([1, 4, 9, 49, 1000000007 ** 2]))
+@settings(max_examples=200)
+def test_bounded_squarefree_part_matches_the_factored_one(n, square):
+    """Trial division up to the bound gives the squarefree part d of n times
+    a square whenever every prime of d is at most the bound, and None only
+    when one is above it."""
+    d = prod(p for p, e in prime_factorization(n) if e % 2)
+    for bound in (50, 41000):
+        got = _squarefree_part(n * square, bound)
+        assert got == d or (got is None and max(prime_factorization(d))[0] > bound), (n, square, bound)
+    assert _squarefree_part(1000000016000000063 * square, 41000) is None
 
 
 @given(st.integers(-10 ** 9, 10 ** 9), st.integers(1, 10 ** 6))

@@ -141,19 +141,51 @@ def test_misclassified_representatives_survey_their_orbits(monkeypatch):
     over 5) and 3/5 (a member) planted as SQUARE_RATIONAL, both sweeps
     report the same violations, at both angles, and the same case counts."""
     planted = {Angle(1, 5), Angle(3, 5)}
+    decide = sweep._classify_by_powers
 
     def faulty(func, angle):
         if func is COS and angle in planted:
-            return Classification(func, angle, Case.SQUARE_RATIONAL, 2, Fraction(1, 2), trig_elem(func, angle))
-        return classify(func, angle)
+            return Classification(func, angle, Case.SQUARE_RATIONAL, 2, Fraction(1, 2), None)
+        return decide(func, angle)
 
-    monkeypatch.setattr(sweep, "classify", faulty)
+    monkeypatch.setattr(sweep, "_classify_by_powers", faulty)
     config = SweepConfig(q_max=12, n_max=8)
     orbit, brute = verify_theorem_sweep(config), reference_sweep(config)
     assert {v.angle for v in orbit.violations} == planted
     assert orbit.violations == brute.violations
     assert orbit.case_counts == brute.case_counts
     assert report_text(orbit) == report_text(brute)
+
+
+def test_witness_and_power_decisions_agree():
+    """``classify`` decides n = 1 from the coordinates of its witness, the
+    sweep from ``power_rational`` at n = 1 and 2 alone: on every reduced
+    angle with q <= 200 and each function they give the same case, least
+    exponent and value."""
+    pairs = 0
+    for angle in reduced_angles(200):
+        for func in (COS, SIN, TAN):
+            by_witness, by_powers = classify(func, angle), sweep._classify_by_powers(func, angle)
+            assert (by_powers.case, by_powers.minimal_n, by_powers.value) == (
+                by_witness.case, by_witness.minimal_n, by_witness.value), (func, angle)
+            pairs += 1
+    assert pairs == 73392
+
+
+def test_sweep_builds_no_witness(monkeypatch, capsys):
+    """The sweep decides every case from its powers: with field elements
+    and Phi_M disabled, and the trig caches empty, it prints the same
+    payload."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("field element or Phi_M built in the sweep")
+
+    monkeypatch.setattr(CycElem, "_store", forbidden)
+    monkeypatch.setattr("trigrat.cyclotomic._cyclotomic_int_coeffs", forbidden)
+    trig_elem.cache_clear()
+    classify.cache_clear()
+    code, out, _ = run(capsys, "verify", "sweep", "--q-max", "48", "--n-max", "12", "--funcs", "tan,sin,cos", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_48_12_DIGEST
 
 
 def test_sweep_surveys_one_representative_per_orbit(monkeypatch):
@@ -511,6 +543,42 @@ def test_trig_commands_answer_or_refuse_within_the_budget(argv):
     to argparse, which refuses it with its usage message."""
     result = subprocess.run([sys.executable, "-m", "trigrat", *argv], capture_output=True, text=True, timeout=20)
     assert result.returncode in (0, 2), (argv, result.stderr)
+    assert "Traceback" not in result.stderr, argv
+    assert (result.returncode == 2) == ("error: " in result.stderr), (argv, result.stderr)
+
+
+# primes near 10^9: trial division of a product of two of them up to its
+# square root would take minutes
+LARGE_PRIMES = (1000000007, 1000000009, 999999937)
+
+
+@st.composite
+def radical_argv(draw):
+    """root-member alpha n m or sqrt-embed alpha, --json or not, alpha =
+    a/b (a, b <= 60) times one or two primes near 10^9, each to the first
+    or second power; n in 1..12, m either at most 200 or past
+    MAX_MEMBER_MODULUS."""
+    alpha = Fraction(draw(st.integers(1, 60)), draw(st.integers(1, 60)))
+    for p in draw(st.lists(st.sampled_from(LARGE_PRIMES), min_size=1, max_size=2)):
+        alpha *= Fraction(p) ** draw(st.sampled_from([1, 2, -1, -2]))
+    if draw(st.booleans()):
+        m = draw(st.one_of(st.integers(1, 200), st.integers(MAX_MEMBER_MODULUS + 1, 10 ** 12)))
+        argv = ["root-member", str(alpha), str(draw(st.integers(1, 12))), str(m)]
+    else:
+        argv = ["sqrt-embed", str(alpha)]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@given(radical_argv())
+@settings(max_examples=30)
+def test_radical_commands_answer_or_refuse_within_the_budget(argv):
+    """Each run answers (exit 0) or refuses with a message (exit 2) within
+    20 s, and never ends in a traceback; neither command factors alpha past
+    a bound."""
+    result = subprocess.run([sys.executable, "-m", "trigrat", *argv], capture_output=True, text=True, timeout=20)
+    assert result.returncode in (0, 1, 2), (argv, result.stderr)
     assert "Traceback" not in result.stderr, argv
     assert (result.returncode == 2) == ("error: " in result.stderr), (argv, result.stderr)
 
