@@ -142,6 +142,7 @@ GRIDS = {
     "irreducible --oracle a/b<=12 n<=12, perfect powers": lambda: commands_digest(oracle_grid()),
     "irreducible --oracle 10^e, e = 1, 8, ..., 295, n<=12": lambda: commands_digest(large_alpha_oracle_grid()),
     "verify sweep q<=1000 n<=12": lambda: sweep_digest(1000, 12),
+    "verify sweep q<=12 n<=1000": lambda: sweep_digest(12, 1000),
 }
 
 

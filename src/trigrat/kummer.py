@@ -433,8 +433,9 @@ def sqrt_in_cyclotomic(alpha: Scalar) -> tuple[int, CycElem]:
     r * z^((f/d') k^2 + t + s) over k < d' and over t in {f/8, -f/8} when
     d is even (t = 0 when d is odd), with s = -f/4 (1/i = z^(-f/4)) when
     d' = 3 mod 4 and s = 0 otherwise.  The one check is
-    witness * witness == alpha; the numeric value confirms the positive
-    root.  ValueError when f is above MAX_WITNESS_MODULUS; d is found by
+    witness * witness == alpha; the float sum of the roots of unity laid
+    out, sqrt(d) whatever the size of r > 0, confirms the positive root.
+    ValueError when f is above MAX_WITNESS_MODULUS; d is found by
     trial division up to that limit only, so a d with a larger prime is
     refused without factoring alpha any further.
     """
@@ -453,7 +454,7 @@ def sqrt_in_cyclotomic(alpha: Scalar) -> tuple[int, CycElem]:
     witness = root_combination(modulus, terms, r.denominator)
     if (witness * witness).as_rational() != alpha:
         raise ArithmeticError(f"witness square mismatch for alpha = {alpha}")
-    numeric = witness.numeric_eval()  # of size |r| sqrt(d), so the tolerance is relative
+    numeric = sum(cmath.exp(2j * cmath.pi * x / modulus) for x, _ in terms)  # sqrt(d), at unit scale
     if abs(numeric.imag) > 1e-9 * abs(numeric) or numeric.real <= 0:
         raise ArithmeticError(f"witness for alpha = {alpha} is not the positive root")
     return modulus, witness

@@ -45,15 +45,15 @@ def _check_positive(alpha: Fraction, name: str = "alpha") -> Fraction:
 
 
 def integer_nth_root(x: int, n: int) -> int:
-    """Largest r >= 0 with r**n <= x, by binary search.  Exact, no floats."""
+    """Largest r >= 0 with r**n <= x, by binary search from the bracket
+    2^t <= r < 2^(t+1), t = (bits(x) - 1) // n: exact, no floats, no power
+    above x^2, and r = 1 at once when x < 2^n."""
     if x < 0:
         raise ValueError("x must be non-negative")
     _check_natural(n, 1)
     if x in (0, 1) or n == 1:
         return x
-    lo, hi = 1, 2
-    while hi**n <= x:
-        hi *= 2
+    lo, hi = 1 << (x.bit_length() - 1) // n, 2 << (x.bit_length() - 1) // n
     # invariant: lo**n <= x < hi**n
     while hi - lo > 1:
         mid = (lo + hi) // 2

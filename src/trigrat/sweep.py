@@ -2,10 +2,10 @@
 
 ``verify_theorem_sweep`` covers every reduced angle p/q with q up to a
 bound: it raises cos, sin and tan of pi*p/q to every exponent up to another
-bound exactly (each power is decided by ``trig.power_rational``: written
-down by the binomial theorem, its terms moved along p-gons) and checks each
-outcome against what the classification and the predicted value lists say
-must happen:
+bound exactly (each power written down by the binomial theorem, its terms
+moved along p-gons, the three functions at one angle read off the same two
+streams of powers, ``trig._power_pairs``) and checks each outcome against
+what the classification and the predicted value lists say must happen:
 
 * a rational n-th power forces the base value into the finite list for the
   parity of n (0, +-1/2, +-1 and, for even n, +-sqrt(2)/2, +-sqrt(3)/2 for
@@ -36,14 +36,14 @@ at p/q and cp/q.  The c mod 2q run over all units mod 2q, so the orbit of p
 is p times those units, and the reduced p in [0, 2q) fall into at most two
 orbits of phi(2q) members each: the odd p (the units), and, for odd q, the
 even p (twice the units).  One representative, the least p, is surveyed per
-(func, q, orbit).  If it has no rational power, no hit and no violation, the
-orbit is never-rational throughout and is booked without more work;
-otherwise every other member is surveyed as well, since the rational values
-and their checks differ from member to member.  By the paper that happens
-only at q in {1, 2, 3, 4, 6}, but the sweep decides it from the survey, not
-from that list.  The orbit step trusts ``power_rational`` to be
-Galois-invariant at the members it does not survey; the tests compare the
-report with a survey of every angle.
+(q, orbit), for every function at once.  A function with no rational power,
+no hit and no violation there is never-rational throughout the orbit and is
+booked without more work; for the others every other member is surveyed as
+well, since the rational values and their checks differ from member to
+member.  By the paper that happens only at q in {1, 2, 3, 4, 6}, but the
+sweep decides it from the survey, not from that list.  The orbit step
+trusts the power decisions to be Galois-invariant at the members it does
+not survey; the tests compare the report with a survey of every angle.
 """
 
 from __future__ import annotations
@@ -60,7 +60,8 @@ from .trig import (
     Case,
     Classification,
     TrigFunc,
-    power_rational,
+    _decide,
+    _power_pairs,
     theorem_value_list,
     value_descriptor,
 )
@@ -181,28 +182,47 @@ def reduced_angles(q_max: int) -> list[Angle]:
     ]
 
 
-def _classify_by_powers(func: TrigFunc, angle: Angle) -> Classification:
-    """``classify``'s case and value from ``power_rational`` at n = 1 and 2,
-    with no witness (module docstring)."""
+def _classify_by_powers(func: TrigFunc, angle: Angle, values: list[Fraction | None]) -> Classification:
+    """``classify``'s case and value from the powers ``values`` at n = 1 and
+    2, with no witness (module docstring); not read at a pole."""
     if func is TrigFunc.TAN and angle.q == 2:
         return Classification(func, angle, Case.UNDEFINED, None, None, None)
     for n, case in ((1, Case.VALUE_RATIONAL), (2, Case.SQUARE_RATIONAL)):
-        value = power_rational(func, angle, n)
-        if value is not None:
-            return Classification(func, angle, case, n, value, None)
+        if values[n - 1] is not None:
+            return Classification(func, angle, case, n, values[n - 1], None)
     return Classification(func, angle, Case.NEVER, None, None, None)
+
+
+def _powers(funcs, angle: Angle, n_max: int) -> dict[TrigFunc, list[Fraction | None]]:
+    """func(pi*angle)^n for n = 1..max(n_max, 2) and each func in ``funcs``
+    but tan at a pole, from the power streams they need (``_power_pairs``)."""
+    values = {func: [] for func in funcs if not (func is TrigFunc.TAN and angle.q == 2)}
+    for n, (c, s) in enumerate(_power_pairs(values, angle, 1, max(n_max, 2)), 1):
+        for func, row in values.items():
+            row.append(_decide(func, n, c, s))
+    return values
 
 
 def _survey(func: TrigFunc, angle: Angle, n_max: int) -> tuple[list[Hit], list[Violation], Case]:
     """Hits and violations for one (func, angle) pair, exponents 1..n_max."""
+    return _check(func, angle, n_max, _powers((func,), angle, n_max).get(func))
+
+
+def _check(func: TrigFunc, angle: Angle, n_max: int, values) -> tuple[list[Hit], list[Violation], Case]:
+    """Hits and violations of one function at one angle, from its powers
+    ``values`` at n = 1, 2, ... (None at a pole)."""
     hits: list[Hit] = []
     violations: list[Violation] = []
-    classification = _classify_by_powers(func, angle)
+
+    def violation(n, reason, value=None):
+        violations.append(Violation(func, angle, n, reason, value))
+
+    classification = _classify_by_powers(func, angle, values)
     case = classification.case
 
     is_pole = func is TrigFunc.TAN and angle.q == 2
     if is_pole != (case is Case.UNDEFINED):
-        violations.append(Violation(func, angle, None, "pole misclassified"))
+        violation(None, "pole misclassified")
     if case is Case.UNDEFINED:
         return hits, violations, case
 
@@ -211,17 +231,12 @@ def _survey(func: TrigFunc, angle: Angle, n_max: int) -> tuple[list[Hit], list[V
     base = value_descriptor(classification) if case is not Case.NEVER else None
 
     first_hit_n = None
-    for n in range(1, n_max + 1):
-        value = power_rational(func, angle, n)
+    for n, value in zip(range(1, n_max + 1), values):
         if value is None:
             if case is Case.VALUE_RATIONAL:
-                violations.append(
-                    Violation(func, angle, n, "power of a rational value is irrational")
-                )
+                violation(n, "power of a rational value is irrational")
             if case is Case.SQUARE_RATIONAL and n % 2 == 0:
-                violations.append(
-                    Violation(func, angle, n, "even power with rational square is irrational")
-                )
+                violation(n, "even power with rational square is irrational")
             continue
 
         hits.append(Hit(func, angle, n, value))
@@ -229,35 +244,23 @@ def _survey(func: TrigFunc, angle: Angle, n_max: int) -> tuple[list[Hit], list[V
             first_hit_n = n
 
         if case is Case.NEVER:
-            violations.append(
-                Violation(func, angle, n, "rational power in a never-rational class", value)
-            )
+            violation(n, "rational power in a never-rational class", value)
             continue
         if case is Case.SQUARE_RATIONAL and n % 2 == 1:
-            violations.append(
-                Violation(func, angle, n, "odd power of an irrational value is rational", value)
-            )
+            violation(n, "odd power of an irrational value is rational", value)
         expected = classification.value ** (n if case is Case.VALUE_RATIONAL else n // 2)
         if case is Case.VALUE_RATIONAL or n % 2 == 0:
             if value != expected:
-                violations.append(
-                    Violation(func, angle, n, "power disagrees with classified base value", value)
-                )
+                violation(n, "power disagrees with classified base value", value)
         allowed = odd_list if n % 2 == 1 else even_list
         if base is not None and base not in allowed:
-            violations.append(
-                Violation(func, angle, n, "base value outside the predicted list", value)
-            )
+            violation(n, "base value outside the predicted list", value)
 
     if classification.minimal_n is not None and classification.minimal_n <= n_max:
         if first_hit_n != classification.minimal_n:
-            violations.append(
-                Violation(func, angle, first_hit_n, "least rational exponent mismatch")
-            )
+            violation(first_hit_n, "least rational exponent mismatch")
     if classification.minimal_n is None and first_hit_n is not None:
-        violations.append(
-            Violation(func, angle, first_hit_n, "hit despite no classified minimal exponent")
-        )
+        violation(first_hit_n, "hit despite no classified minimal exponent")
     return hits, violations, case
 
 
@@ -280,31 +283,35 @@ def _add(report: SweepReport, func: TrigFunc, result, members: int = 1) -> None:
 def verify_theorem_sweep(config: SweepConfig) -> SweepReport:
     """Run the full sweep described by ``config`` and collect the report.
 
-    Moduli run in increasing q, and the functions of one modulus back to
-    back.  Each (func, q, orbit) is surveyed at its least p, the
-    representative.  A representative that is NEVER with no hit and no
-    violation stands for its whole orbit: by Galois invariance (module
-    docstring) none of the phi(2q) members has a rational power, so each
-    counts as NEVER with ``n_max`` queries.  Any other outcome (a rational
-    power, a pole, a violation, a case other than NEVER) surveys every
-    other member too, so its hits and violations are those of each angle
-    on its own.
+    Moduli run in increasing q.  Each (q, orbit) is surveyed at its least
+    p, the representative, for every function.  A function that is NEVER
+    there with no hit and no violation stands for the whole orbit: by
+    Galois invariance (module docstring) none of the phi(2q) members has a
+    rational power, so each counts as NEVER with ``n_max`` queries.  The
+    functions with any other outcome (a rational power, a pole, a
+    violation, a case other than NEVER) are surveyed at every other member
+    too, so their hits and violations are those of each angle on its own.
     The report is that of a survey of every reduced angle, hits and
     violations sorted alike.  Everything runs in this one process.
     """
     report = SweepReport(config=config)
     for q in range(1, config.q_max + 1):
         for parity in (1, 0) if q % 2 else (1,):
-            for func in config.funcs:
-                numerators = _numerators(q, parity)
-                first = _survey(func, Angle(next(numerators), q), config.n_max)
-                hits, violations, case = first
-                if case is Case.NEVER and not hits and not violations:
-                    _add(report, func, first, euler_phi(2 * q))
-                    continue
-                _add(report, func, first)
-                for p in numerators:
-                    _add(report, func, _survey(func, Angle(p, q), config.n_max))
+            funcs = config.funcs
+            for member, p in enumerate(_numerators(q, parity)):
+                angle, rest = Angle(p, q), []
+                powers = _powers(funcs, angle, config.n_max)
+                for func in funcs:
+                    result = _check(func, angle, config.n_max, powers.get(func))
+                    hits, violations, case = result
+                    if not member and case is Case.NEVER and not hits and not violations:
+                        _add(report, func, result, euler_phi(2 * q))
+                    else:
+                        _add(report, func, result)
+                        rest.append(func)
+                if not rest:
+                    break
+                funcs = rest
     report.hits.sort(key=Hit.sort_key)
     report.violations.sort(key=Violation.sort_key)
     return report

@@ -20,11 +20,11 @@ Powers are written down, never multiplied out: by the binomial theorem
 (2 cos)^n = sum(C(n, j) * z^(e(n - 2j))) and (2 sin)^n is the same sum with
 signs (-1)^j times z^(-nM/4), laid out over M/2 slots (z^(M/2) = -1) and
 moved along vanishing p-gons until the slots are independent, 1 at slot 0:
-no division by Phi_M (see ``_reduced_power`` and ``power_rational``).
-The moved slots of the 64 powers used last are kept with the folds of
-their Pascal rows, so the cos, sin and tan of one angle move each power
-once, the powers at n = 1 and 2 that decide a sweep's case are the first
-of its power loop, and a sweep steps each fold from the one before.
+no division by Phi_M (see ``_power_stream`` and ``_decide``).  One
+stream per sign yields the moved slots for k = first..last, stepping the
+folds of its Pascal rows, and cos, sin and tan are decided from the same
+two slot sets: the sweep streams each angle once over n = 1..n_max,
+``power_rational`` for one n, and nothing is kept past the stream.
 ``trig_elem`` lays out M slots and refuses M above MAX_TRIG_MODULUS;
 ``power_rational`` refuses M at which one term could spread over more
 than MAX_POLYGON_SPREAD slots.
@@ -42,6 +42,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import gcd, lcm
 
 from .cyclotomic import CycElem, root_combination
@@ -207,52 +208,29 @@ def _polygon_moves(m: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(moves)
 
 
-# reduced powers by (sign, M, e, k), oldest dropped first, each kept as
-# (fold, slots): 64 hold the cos, sin and tan surveys of one angle up to
-# n = 31, so tan's survey reuses the moved slots of sin's and cos's, and
-# each survey's power loop those of the n = 1 and 2 that decided its case;
-# a power with more than 4096 slots (M > 8192 only) is not kept, so the
-# memo holds at most 64 * 4096 slots
-_REDUCED: dict[tuple[int, int, int, int], tuple[tuple[int, ...] | None, dict[int, int]]] = {}
-_REDUCED_SIZE = 64
-_REDUCED_SLOTS = 4096
-
-
-def _reduced_power(func: TrigFunc, m: int, e: int, k: int) -> dict[int, int]:
-    """The nonzero slots of (2 cos)^k or (2 sin)^k after p-gon moves.
+def _power_stream(sign: int, m: int, e: int, first: int, last: int):
+    """The nonzero slots of (2 cos)^k (sign 1) or (2 sin)^k (sign -1) after
+    p-gon moves, for k = first..last in turn.
 
     Term j of the binomial sums in the module docstring has exponent
-    e(k - 2j), less kM/4 for sin, with period r = M / gcd(2e, M) in j: the
-    terms with j = t mod r are added up first, then laid out and moved by
-    ``_moved_slots``.  The result is kept in ``_REDUCED`` with its fold,
-    the sums S_t(k) of the row over j = t mod r when r <= k (else None),
-    so a hit does no row work and the cos, sin and tan of one angle lay
-    out and move each numerator once.  A miss steps the fold from entry
-    k - 1's by Pascal's rule, S_t(k) = S_t(k - 1) + sign * S_(t-1 mod r)(k - 1):
-    r additions, not the O(k) of summing row k; a sweep asks for
-    k = 1, 2, 3, ... in turn.  r = q <= k <= MAX_POWER_EXPONENT gives
-    M <= 4000, under _REDUCED_SLOTS slots, so every entry with a fold is
-    kept.  The caller must not change the dict it gets."""
-    sign = -1 if func is TrigFunc.SIN else 1
-    key = (sign, m, e, k)
-    entry = _REDUCED.get(key)
-    if entry is not None:
-        return entry[1]
+    e(k - 2j), less kM/4 for sin, with period r = M / gcd(2e, M) in j.
+    While k < r row k is laid out as it is (``_binomial_row``, whose rows
+    all angles share); from k = r on the terms with j = t mod r are added
+    up first, to the fold S_t(k), and each fold is stepped from the one
+    before by Pascal's rule, S_t(k) = S_t(k - 1) + sign * S_(t-1 mod r)(k - 1):
+    r additions, not the O(k) of summing row k.  So a stream from
+    first <= r builds no row past r, and nothing is kept past the stream."""
     r = m // gcd(2 * e, m)
     fold = None
-    if r <= k:
-        prev, _ = _REDUCED.get((sign, m, e, k - 1), (None, None))
-        if prev is None:
+    for k in range(first, last + 1):
+        if k < r:
             row = _binomial_row(sign, k)
-            fold = tuple(sum(row[t::r]) for t in range(r))
+        elif fold is None:
+            full = _binomial_row(sign, k)
+            row = fold = tuple(sum(full[t::r]) for t in range(r))
         else:
-            fold = tuple(prev[t] + sign * prev[t - 1] for t in range(r))
-    slots = _moved_slots(*key, _binomial_row(sign, k) if fold is None else fold)
-    if len(slots) <= _REDUCED_SLOTS:
-        if len(_REDUCED) >= _REDUCED_SIZE:
-            del _REDUCED[next(iter(_REDUCED))]
-        _REDUCED[key] = (fold, slots)
-    return slots
+            row = fold = tuple(fold[t] + sign * fold[t - 1] for t in range(r))
+        yield _moved_slots(sign, m, e, k, row)
 
 
 def _moved_slots(sign: int, m: int, e: int, k: int, row) -> dict[int, int]:
@@ -337,18 +315,41 @@ def trig_elem(func: TrigFunc, angle: Angle) -> CycElem:
 MAX_POWER_EXPONENT = 1000
 
 
+def _power_pairs(funcs, angle: Angle, first: int, last: int):
+    """(C, S) for k = first..last: the moved slots of (2 cos)^k and (2 sin)^k,
+    each None where no function in ``funcs`` needs it (cos C, sin S, tan both).
+    ValueError before any slot is laid out when M's spread is above the limit."""
+    m, e = _zeta_exponent(angle)
+    _polygon_moves(m)
+    need = set(funcs)
+    cos = _power_stream(1, m, e, first, last) if need - {TrigFunc.SIN} else repeat(None, last - first + 1)
+    sin = _power_stream(-1, m, e, first, last) if need - {TrigFunc.COS} else repeat(None, last - first + 1)
+    return zip(cos, sin)
+
+
+def _decide(func: TrigFunc, n: int, c: dict[int, int] | None, s: dict[int, int] | None) -> Fraction | None:
+    """func(pi*theta)^n when rational, else None, from the moved slots C of
+    (2 cos)^n and S of (2 sin)^n, which are independent: cos^n or sin^n is
+    rational iff slot 0 is the only nonzero slot, and then equals slot 0
+    over 2^n.  tan^n = sin^n / cos^n is rational iff S and C are
+    proportional: S = 0, or S and C have the same slots and
+    S[x] * C[i] == S[i] * C[x] for each (C != 0 off the poles); then it
+    equals S[i] / C[i]."""
+    if func is not TrigFunc.TAN:
+        v = c if func is TrigFunc.COS else s
+        return Fraction(v.get(0, 0), 2 ** n) if v.keys() <= {0} else None
+    if s.keys() != c.keys():  # S = lambda * C has the support of C unless lambda = 0
+        return None if s else Fraction(0)
+    i, ci = next(iter(c.items()))
+    return Fraction(s[i], ci) if all(s[x] * ci == s[i] * cx for x, cx in c.items()) else None
+
+
 def power_rational(func: TrigFunc, angle: Angle, n: int) -> Fraction | None:
     """Exact value of func(pi*angle)^n when rational, else None.
 
-    The one way the package decides a power (``classify`` at n = 2,
-    ``eval``, the sweep at every n and so its case), with no product and
-    no division by Phi_M: the slots of (2 cos)^n and (2 sin)^n after p-gon
-    moves are independent (``_reduced_power``).  cos^n or sin^n is
-    rational iff slot 0 is the only nonzero slot, and then equals slot 0
-    over 2^n.  tan^n = sin^n / cos^n is rational iff the slots S and C of
-    the two are proportional: S = 0, or S and C have the same slots and
-    S[x] * C[i] == S[i] * C[x] for each (C != 0 off the poles); then it
-    equals S[i] / C[i].
+    The one way the package decides a single power (``classify`` at n = 2,
+    ``eval``), with no product and no division by Phi_M: ``_power_pairs``
+    run for k = n only and read by ``_decide``, as the sweep does for every n.
 
     Raises UndefinedTrigValue at tangent poles, and ValueError for n < 1,
     n > MAX_POWER_EXPONENT, or M whose spread is above MAX_POLYGON_SPREAD.
@@ -359,17 +360,8 @@ def power_rational(func: TrigFunc, angle: Angle, n: int) -> Fraction | None:
         raise ValueError(f"exponent must be <= {MAX_POWER_EXPONENT}, got {n}")
     if func is TrigFunc.TAN and angle.q == 2:
         raise UndefinedTrigValue(f"tan(pi * {angle}) is undefined")
-    m, e = _zeta_exponent(angle)
-    _polygon_moves(m)  # refuses a spread above MAX_POLYGON_SPREAD before any slot is laid out
-    if func is not TrigFunc.TAN:
-        v = _reduced_power(func, m, e, n)
-        return Fraction(v.get(0, 0), 2 ** n) if v.keys() <= {0} else None
-    s = _reduced_power(TrigFunc.SIN, m, e, n)
-    c = _reduced_power(TrigFunc.COS, m, e, n)
-    if s.keys() != c.keys():  # S = lambda * C has the support of C unless lambda = 0
-        return None if s else Fraction(0)
-    i, ci = next(iter(c.items()))
-    return Fraction(s[i], ci) if all(s[x] * ci == s[i] * cx for x, cx in c.items()) else None
+    c, s = next(_power_pairs((func,), angle, n, n))
+    return _decide(func, n, c, s)
 
 
 @lru_cache(maxsize=1024)

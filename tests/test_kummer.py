@@ -507,6 +507,23 @@ def test_sqrt_witness_matches_product_reference():
             assert witness == expected, alpha
 
 
+@pytest.mark.parametrize("alpha", [3 * 10 ** 700, Fraction(7, 10 ** 800), Fraction(2 * 10 ** 700, 9)],
+                         ids=["3e700", "7e-800", "2e700/9"])
+def test_sqrt_witness_past_the_float_range(alpha, capsys):
+    """The positive-root check reads the roots of unity at unit scale, so a
+    root r sqrt(d) with r far outside the float range is still written,
+    checked by its square and equal to the product reference, and
+    sqrt-embed and a YES root-member print it."""
+    modulus, witness = sqrt_in_cyclotomic(alpha)
+    assert (witness * witness).as_rational() == alpha
+    assert (modulus, witness) == reference_sqrt_witness(alpha)
+    for argv in (["sqrt-embed", str(alpha), "--json"], ["root-member", str(alpha), "2", str(4 * modulus), "--json"]):
+        assert run_cli(argv) == 0, argv
+        data = json.loads(capsys.readouterr().out)
+        assert data["witness"]["modulus"] in (modulus, 4 * modulus), argv
+    assert data["answer"] == "YES"
+
+
 def test_sqrt_witness_is_one_combination_checked_once(monkeypatch, capsys):
     """The witness is built with no product, embedding, root of unity or
     Gauss sum; its one product is the check witness * witness == alpha."""
@@ -787,10 +804,13 @@ def test_sqrt_non_membership_with_a_large_square_factor_factors_nothing(monkeypa
         "  witness = 2000000014*z12 - 1000000007*z12^3\n"),
     (["root-member", "3000000042000000147", "2", "6"], 0, "3000000042000000147^(1/2) in Q(zeta_6): NO  [galois_invariance]\n"),
     (["sqrt-embed", "1000000016000000063"], 2, ""),
+    (["root-member", "2", "1000000007", "12"], 0, "2^(1/1000000007) in Q(zeta_12): NO  [theorem_1_3]\n"),
+    (["irreducible", "2", "1000000007"], 0, "x^1000000007 - 2 is irreducible over Q\n"),
 ])
 def test_large_prime_factors_answer_within_a_second(argv, code, out):
-    """Neither command trial-divides alpha up to its square root: each
-    answers, or refuses with a message, in a fresh process within 1 s."""
+    """No command trial-divides alpha up to its square root, and no n-th
+    root of alpha forms 2^n at a large prime n: each answers, or refuses
+    with a message, in a fresh process within 1 s."""
     start = time.perf_counter()
     result = subprocess.run([sys.executable, "-m", "trigrat", *argv], capture_output=True, text=True, timeout=20)
     assert time.perf_counter() - start < 1.0, argv

@@ -71,6 +71,17 @@ def test_integer_nth_root_bracket(x, n):
     assert r ** n <= x < (r + 1) ** n
 
 
+def test_integer_nth_root_matches_a_linear_search():
+    """Against the plain search on small x and n, and at once for a large n
+    (1 when x < 2^n, where no 2^n is formed)."""
+    for x in range(300):
+        for n in range(1, 12):
+            assert integer_nth_root(x, n) == max(r for r in range(x + 1) if r ** n <= x), (x, n)
+    assert integer_nth_root(2 ** 64 - 1, 10 ** 9 + 7) == 1
+    assert integer_nth_root(10 ** 600, 12) == 10 ** 50
+    assert integer_nth_root(10 ** 600 - 1, 12) == 10 ** 50 - 1
+
+
 @given(st.integers(1, 1000), st.integers(1, 1000), st.integers(1, 6))
 def test_nth_root_rational_roundtrip(a, b, n):
     alpha = Fraction(a, b) ** n

@@ -143,10 +143,10 @@ def test_misclassified_representatives_survey_their_orbits(monkeypatch):
     planted = {Angle(1, 5), Angle(3, 5)}
     decide = sweep._classify_by_powers
 
-    def faulty(func, angle):
+    def faulty(func, angle, values):
         if func is COS and angle in planted:
             return Classification(func, angle, Case.SQUARE_RATIONAL, 2, Fraction(1, 2), None)
-        return decide(func, angle)
+        return decide(func, angle, values)
 
     monkeypatch.setattr(sweep, "_classify_by_powers", faulty)
     config = SweepConfig(q_max=12, n_max=8)
@@ -159,13 +159,14 @@ def test_misclassified_representatives_survey_their_orbits(monkeypatch):
 
 def test_witness_and_power_decisions_agree():
     """``classify`` decides n = 1 from the coordinates of its witness, the
-    sweep from ``power_rational`` at n = 1 and 2 alone: on every reduced
-    angle with q <= 200 and each function they give the same case, least
+    sweep from its own powers at n = 1 and 2 alone: on every reduced angle
+    with q <= 200 and each function they give the same case, least
     exponent and value."""
     pairs = 0
     for angle in reduced_angles(200):
+        powers = sweep._powers((COS, SIN, TAN), angle, 2)
         for func in (COS, SIN, TAN):
-            by_witness, by_powers = classify(func, angle), sweep._classify_by_powers(func, angle)
+            by_witness, by_powers = classify(func, angle), sweep._classify_by_powers(func, angle, powers.get(func))
             assert (by_powers.case, by_powers.minimal_n, by_powers.value) == (
                 by_witness.case, by_witness.minimal_n, by_witness.value), (func, angle)
             pairs += 1
@@ -189,18 +190,19 @@ def test_sweep_builds_no_witness(monkeypatch, capsys):
 
 
 def test_sweep_surveys_one_representative_per_orbit(monkeypatch):
-    """One survey per (func, q, orbit), plus the other members of the
-    orbits with a rational power: by the paper those are the orbits at
-    q in {1, 2, 3, 4, 6}.  The orbits of q are the odd p and, for odd q,
-    the even p coprime to q in [0, 2q)."""
+    """One survey per (q, orbit), of its representative for every
+    function, plus one of each other member of the orbits with a rational
+    power, for the functions that have one: by the paper those are the
+    orbits at q in {1, 2, 3, 4, 6}, for all three functions.  The orbits of
+    q are the odd p and, for odd q, the even p coprime to q in [0, 2q)."""
     calls = []
-    survey = sweep._survey
+    powers = sweep._powers
 
-    def counted(*args):
-        calls.append(args)
-        return survey(*args)
+    def counted(funcs, angle, n_max):
+        calls.append(len(funcs))
+        return powers(funcs, angle, n_max)
 
-    monkeypatch.setattr(sweep, "_survey", counted)
+    monkeypatch.setattr(sweep, "_powers", counted)
     report = verify_theorem_sweep(SweepConfig(q_max=32, n_max=8))
     assert report.clean
 
@@ -211,7 +213,7 @@ def test_sweep_surveys_one_representative_per_orbit(monkeypatch):
     n_orbits = sum(len(orbits(q)) for q in range(1, 33))
     other_members = sum(len(o) - 1 for q in (1, 2, 3, 4, 6) for o in orbits(q))
     assert (n_orbits, other_members) == (48, 9)
-    assert len(calls) == 3 * (n_orbits + other_members)
+    assert calls == [3] * (n_orbits + other_members)
 
 
 def test_report_json_shape(small_report):

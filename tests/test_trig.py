@@ -378,10 +378,11 @@ def test_group_ring_powers_match_dense_reference():
 
 def test_folded_pascal_rows_match_dense_reference(monkeypatch):
     """Past r = M / gcd(2e, M) a power needs only the sums of its Pascal
-    row over the residue classes mod r.  Asked for n = 1, 2, ... in turn,
-    each row's sums are stepped from the previous row's by Pascal's rule and
-    no row past r is built; asked in a shuffled order, most rows are summed
-    afresh.  Both agree with the dense powers at every q <= 12, n <= 200."""
+    row over the residue classes mod r.  The power stream over n = 1, 2, ...
+    steps each row's sums from the previous row's by Pascal's rule and
+    builds no row past r; power_rational, asked in a shuffled order, sums
+    each row afresh.  Both agree with the dense powers at every q <= 12,
+    n <= 200."""
     n_max = 200
     rows = []
     binomial_row = trig._binomial_row
@@ -399,23 +400,24 @@ def test_folded_pascal_rows_match_dense_reference(monkeypatch):
             if func is TAN and angle.q == 2:
                 continue
             expected = reference_power_values(func, angle, n_max)
-            trig._REDUCED.clear()
             rows.clear()
-            assert [power_rational(func, angle, n) for n in range(1, n_max + 1)] == expected, (func, angle)
+            stream = trig._power_pairs((func,), angle, 1, n_max)
+            assert [trig._decide(func, n, c, s) for n, (c, s) in enumerate(stream, 1)] == expected, (func, angle)
             assert max(rows) <= r, (func, angle)
             order = list(range(1, n_max + 1))
             rng.shuffle(order)
-            trig._REDUCED.clear()
             shuffled = [power_rational(func, angle, n) for n in order]
             assert shuffled == [expected[n - 1] for n in order], (func, angle)
 
 
-@pytest.mark.parametrize("funcs", [(COS, SIN, TAN), (TAN, SIN, COS)])
+@pytest.mark.parametrize("funcs", [(COS, SIN, TAN), (TAN, SIN, COS), (COS,), (TAN,)])
 def test_sweep_lays_out_and_moves_each_power_once(monkeypatch, funcs):
-    """cos, sin and tan of one angle share the p-gon reduction of
-    (2 cos)^n and (2 sin)^n, and classify's n = 2 that of the power loop:
-    in a sweep each (sign, M, e, k) is laid out and moved exactly once,
-    whichever function comes first."""
+    """cos, sin and tan of one angle share one stream of (2 cos)^n and one
+    of (2 sin)^n, whose first two powers also decide the case: in a sweep
+    each (sign, M, e, k) is laid out and moved exactly once, whichever
+    function comes first, and only the signs the functions need are
+    streamed (a cos sweep moves no sin power; a tan sweep streams none at
+    its poles, the two angles at q = 2)."""
     counts = Counter()
     moved_slots = trig._moved_slots
 
@@ -424,53 +426,28 @@ def test_sweep_lays_out_and_moves_each_power_once(monkeypatch, funcs):
         return moved_slots(*key_and_row)
 
     monkeypatch.setattr(trig, "_moved_slots", counting)
-    monkeypatch.setattr(trig, "_REDUCED", {})
     classify.cache_clear()
     verify_theorem_sweep(SweepConfig(q_max=12, n_max=8, funcs=funcs))
-    assert len(counts) == 432
+    assert len(counts) == {(COS,): 216, (TAN,): 400}.get(funcs, 432)
+    assert {key[0] for key in counts} == ({1} if funcs == (COS,) else {1, -1})
     assert set(counts.values()) == {1}
 
 
 @pytest.mark.parametrize("func", [COS, SIN, TAN])
 @pytest.mark.parametrize("angle, n", [(Angle(1, 7), 3), (Angle(2, 3), 5)])
-def test_memo_hit_does_no_row_work(monkeypatch, func, angle, n):
-    """A power asked for again comes from the memo alone: no Pascal row is
-    built and nothing is laid out or moved, whether r = q is above n (the
-    row itself is laid out) or not (its residue-class sums are)."""
-    monkeypatch.setattr(trig, "_REDUCED", {})
-    value = power_rational(func, angle, n)
-
-    def refuse(*args):
-        raise AssertionError("a memo hit did row work")
-
-    monkeypatch.setattr(trig, "_binomial_row", refuse)
-    monkeypatch.setattr(trig, "_moved_slots", refuse)
-    assert power_rational(func, angle, n) == value
-
-
-def test_reduced_power_memo_stays_bounded(monkeypatch):
-    """The memo of reduced powers never holds more than _REDUCED_SIZE
-    entries through a q <= 100 sweep, and keeps no power with more than
-    _REDUCED_SLOTS slots."""
-    sizes = []
-    moved_slots = trig._moved_slots
-
-    def recording(*key_and_row):
-        sizes.append(len(trig._REDUCED))
-        return moved_slots(*key_and_row)
-
-    monkeypatch.setattr(trig, "_moved_slots", recording)
-    monkeypatch.setattr(trig, "_REDUCED", {})
-    verify_theorem_sweep(SweepConfig(q_max=100, n_max=8))
-    sizes.append(len(trig._REDUCED))
-    assert max(sizes) == trig._REDUCED_SIZE
-
-    # at 20010/20011 the slot of z^(2e) has its 20011-digit top and spreads
-    # over 20010 slots
-    m, e = trig._zeta_exponent(Angle(20010, 20011))
-    assert len(trig._reduced_power(COS, m, e, 2)) > trig._REDUCED_SLOTS
-    assert (1, m, e, 2) not in trig._REDUCED
-    assert all(len(slots) <= trig._REDUCED_SLOTS for _, slots in trig._REDUCED.values())
+def test_single_power_builds_one_row(monkeypatch, func, angle, n):
+    """power_rational runs the power stream for k = n only: it builds the
+    one Pascal row n, whether r = q is above n (the row itself is laid
+    out) or not (its residue-class sums are), and moves one power per sign
+    the function needs, cos and sin one, tan two."""
+    rows, moved = [], []
+    binomial_row, moved_slots = trig._binomial_row, trig._moved_slots
+    monkeypatch.setattr(trig, "_binomial_row", lambda sign, k: rows.append(k) or binomial_row(sign, k))
+    monkeypatch.setattr(trig, "_moved_slots", lambda *key_and_row: moved.append(key_and_row[:4]) or moved_slots(*key_and_row))
+    assert power_rational(func, angle, n) == reference_power_values(func, angle, n)[-1]
+    assert rows == [n] * (2 if func is TAN else 1)
+    m, e = trig._zeta_exponent(angle)
+    assert moved == [(sign, m, e, n) for sign in {COS: [1], SIN: [-1], TAN: [1, -1]}[func]]
 
 
 def test_values_and_powers_past_the_limits_are_refused(monkeypatch):
@@ -481,7 +458,6 @@ def test_values_and_powers_past_the_limits_are_refused(monkeypatch):
     laid_out = []
     monkeypatch.setattr(trig, "root_combination", lambda m, terms, den=1: laid_out.append(m))
     monkeypatch.setattr(trig, "_moved_slots", lambda sign, m, e, k, row: laid_out.append(m) or {0: 1})
-    monkeypatch.setattr(trig, "_REDUCED", {})
     for func in (COS, SIN):
         trig_elem.__wrapped__(func, Angle(1, MAX_TRIG_MODULUS // 2))  # M = 2q
     for func in (COS, SIN, TAN):
@@ -586,7 +562,7 @@ def test_polygon_moves_match_phi_reduction_at_three_odd_primes():
         m, e = trig._zeta_exponent(angle)
         for n in range(1, 4):
             for func in (COS, SIN):
-                slots = trig._reduced_power(func, m, e, n)
+                slots = next(trig._power_stream(-1 if func is SIN else 1, m, e, n, n))
                 assert not any(_in_top_block(m, x) for x in slots), (func, angle, n)
                 moved = root_combination(m, slots.items())
                 assert moved == root_combination(m, _binomial_terms(func, m, e, n)), (func, angle, n)
