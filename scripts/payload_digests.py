@@ -20,10 +20,12 @@ there.
 
 import hashlib
 import io
+import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import gcd
+from unittest.mock import patch
 
 from trigrat.cli import run_cli
 from trigrat.sweep import reduced_angles
@@ -115,6 +117,34 @@ def large_alpha_oracle_grid():
             yield ["irreducible", str(10 ** e), str(n), "--oracle", "--json"]
 
 
+COMMANDS = ("classify", "eval", "gauss", "sqrt-embed", "root-member", "irreducible", "group", "verify")
+
+# help, and command lines that argparse refuses: no command or an unknown
+# one, options before the command, missing, extra and malformed arguments
+USAGE_ARGV = [
+    [], ["-h"], ["--help"], ["--json"], ["bogus"], ["clas", "cos", "1/3"],
+    ["--json", "classify", "cos", "1/3"], ["--", "classify", "cos", "1/3"],
+    *([name, "-h"] for name in COMMANDS), ["verify", "sweep", "--help"],
+    ["classify"], ["classify", "cos"], ["classify", "cos", "-1/3"], ["classify", "cos", "1/3", "extra"],
+    ["classify", "cos", "1/3", "--bogus"], ["classify", "--bogus", "cos", "1/3"],
+    ["classify", "cos", "1/3", "-x", "y", "--json"],
+    ["eval", "cos", "1/3", "--pow", "x"], ["eval", "cos", "1/3", "--pow"], ["eval", "cos", "-1/3", "--pow", "2"],
+    ["gauss"], ["gauss", "x"], ["gauss", "12", "13"], ["sqrt-embed"], ["sqrt-embed", "2", "3"],
+    ["root-member", "2", "2"], ["root-member", "2", "x", "12"], ["root-member", "2", "2", "12", "1"],
+    ["irreducible", "2"], ["irreducible", "2", "3", "--oracle", "--bogus"], ["irreducible", "2", "3", "--oracle=1"],
+    ["group"], ["group", "3", "--json", "4"],
+    ["verify"], ["verify", "bogus"], ["verify", "sweep", "--q-max"], ["verify", "sweep", "--q-max", "x"],
+    ["verify", "sweep", "extra"], ["verify", "remark", "--funcs"], ["verify", "--q-max", "4", "sweep", "--bogus"],
+]
+
+
+def usage_digest():
+    """The digest of USAGE_ARGV, with argparse's wrapping fixed at 80
+    columns rather than the terminal's width."""
+    with patch.dict(os.environ, {"COLUMNS": "80"}):
+        return commands_digest(USAGE_ARGV)
+
+
 def sweep_digest(q_max, n_max, funcs="cos,sin,tan"):
     code, out, err = run(["verify", "sweep", "--q-max", str(q_max), "--n-max", str(n_max),
                           "--funcs", funcs, "--json"])
@@ -143,6 +173,7 @@ GRIDS = {
     "irreducible --oracle 10^e, e = 1, 8, ..., 295, n<=12": lambda: commands_digest(large_alpha_oracle_grid()),
     "verify sweep q<=1000 n<=12": lambda: sweep_digest(1000, 12),
     "verify sweep q<=12 n<=1000": lambda: sweep_digest(12, 1000),
+    "usage errors and help": usage_digest,
 }
 
 

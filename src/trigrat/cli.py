@@ -4,6 +4,15 @@ One subcommand per question the library answers, plus ``verify`` for the
 batch checks.  Exit codes: 0 for success (including a clean verify run),
 1 when a verify run finds violations, 2 for usage errors or malformed
 values.  ``--json`` switches any subcommand to machine-readable output.
+
+Each command has one entry in ``COMMANDS``: its help text, a function that
+declares its arguments, and its handler.  ``run_cli`` parses a command
+line with the parser of its command alone, built on that command's first
+use and kept for later calls, so a process builds only the parsers of the
+commands it runs.  The full parser (``build_parser``) is built from the
+same table, and only for ``trigrat -h``, a missing or unknown command, or
+an argument left over; every output and exit code is the one the full
+parser gives.
 """
 
 from __future__ import annotations
@@ -13,6 +22,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from .kummer import (
     MAX_WITNESS_MODULUS,
@@ -161,14 +171,16 @@ def _cmd_verify(args) -> int:
             funcs=_parse_funcs(args.funcs),
         )
         report = verify_theorem_sweep(config)
-        if args.json:
-            print(json.dumps(report.to_json(), sort_keys=True, indent=2))
-        else:
-            print(f"sweep q <= {config.q_max}, n <= {config.n_max}: "
-                  f"{report.queries} queries, {len(report.hits)} rational powers, "
-                  f"{len(report.violations)} violations")
-            for v in report.violations:
-                print(f"  VIOLATION {v.func}(pi*{v.angle}) n={v.n}: {v.reason}")
+
+        def human():
+            return "\n".join([
+                f"sweep q <= {config.q_max}, n <= {config.n_max}: "
+                f"{report.queries} queries, {len(report.hits)} rational powers, "
+                f"{len(report.violations)} violations",
+                *(f"  VIOLATION {v.func}(pi*{v.angle}) n={v.n}: {v.reason}" for v in report.violations),
+            ])
+
+        _emit(args, report.to_json(), human)
         return 0 if report.clean else 1
 
     if args.target == "gauss":
@@ -205,79 +217,116 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-@lru_cache(maxsize=1)
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by later calls
-    (parsing leaves it unchanged)."""
-    parser = argparse.ArgumentParser(
-        prog="trigrat",
-        description="Exact rationality of powers of cos, sin and tan at rational multiples of pi.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", parents=[common],
-                       help="least exponent making func(pi*theta)^n rational")
+def _classify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("func", help="cos, sin or tan")
     # a leading '-' reads as an option, so a negative angle follows '--'
     p.add_argument("theta", help="rational angle p/q (in units of pi); put a negative angle"
                                  " after --, as in: classify cos -- -1/3")
-    p.set_defaults(handler=_cmd_classify)
 
-    p = sub.add_parser("eval", parents=[common], help="exact value of func(pi*theta)^n when rational")
+
+def _eval_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("func")
     p.add_argument("theta", help="rational angle p/q (in units of pi); put a negative angle"
                                  " after -- and the options before it, as in: eval cos --pow 2 -- -1/3")
     p.add_argument("--pow", dest="n", type=int, default=1, metavar="N",
                    help="exponent (default 1)")
-    p.set_defaults(handler=_cmd_eval)
 
-    p = sub.add_parser("gauss", parents=[common], help="quadratic Gauss sum for one modulus, with case check")
-    p.add_argument("m", type=int)
-    p.set_defaults(handler=_cmd_gauss)
 
-    p = sub.add_parser("sqrt-embed", parents=[common], help="cyclotomic witness for sqrt(alpha)")
-    p.add_argument("alpha")
-    p.set_defaults(handler=_cmd_sqrt_embed)
-
-    p = sub.add_parser("root-member", parents=[common], help="is alpha^(1/n) an element of Q(zeta_m)?")
+def _root_member_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("alpha")
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
-    p.set_defaults(handler=_cmd_root_member)
 
-    p = sub.add_parser("irreducible", parents=[common], help="is x^n - alpha irreducible over Q?")
+
+def _irreducible_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("alpha")
     p.add_argument("n", type=int)
     p.add_argument("--oracle", action="store_true",
                    help="cross-check with the exhaustive subset factor scan")
-    p.set_defaults(handler=_cmd_irreducible)
 
-    p = sub.add_parser("group", parents=[common], help="axioms and relation for the root-permutation group")
-    p.add_argument("n", type=int)
-    p.set_defaults(handler=_cmd_group)
 
-    p = sub.add_parser("verify", parents=[common], help="batch verification runs")
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("target", choices=["sweep", "gauss", "group", "remark"])
     p.add_argument("--q-max", type=int, default=24, help="sweep: largest denominator")
     p.add_argument("--n-max", type=int, default=8, help="sweep/group: largest exponent or n")
     p.add_argument("--m-max", type=int, default=60, help="gauss: largest modulus")
     p.add_argument("--funcs", default="cos,sin,tan", help="sweep: comma-separated functions")
     p.add_argument("--parallel", action="store_true", help="sweep: ignored, the sweep runs in one process")
-    p.set_defaults(handler=_cmd_verify)
 
+
+class _Command(NamedTuple):
+    help: str
+    arguments: Callable[[argparse.ArgumentParser], object]  # declares all but --json
+    handler: Callable[[argparse.Namespace], int]
+
+
+# in the order ``trigrat -h`` lists them
+COMMANDS = {
+    "classify": _Command("least exponent making func(pi*theta)^n rational", _classify_arguments, _cmd_classify),
+    "eval": _Command("exact value of func(pi*theta)^n when rational", _eval_arguments, _cmd_eval),
+    "gauss": _Command("quadratic Gauss sum for one modulus, with case check",
+                      lambda p: p.add_argument("m", type=int), _cmd_gauss),
+    "sqrt-embed": _Command("cyclotomic witness for sqrt(alpha)", lambda p: p.add_argument("alpha"), _cmd_sqrt_embed),
+    "root-member": _Command("is alpha^(1/n) an element of Q(zeta_m)?", _root_member_arguments, _cmd_root_member),
+    "irreducible": _Command("is x^n - alpha irreducible over Q?", _irreducible_arguments, _cmd_irreducible),
+    "group": _Command("axioms and relation for the root-permutation group",
+                      lambda p: p.add_argument("n", type=int), _cmd_group),
+    "verify": _Command("batch verification runs", _verify_arguments, _cmd_verify),
+}
+
+
+def _declare(parser: argparse.ArgumentParser, command: _Command) -> argparse.ArgumentParser:
+    parser.add_argument("--json", action="store_true", help="machine-readable output")
+    command.arguments(parser)
+    return parser
+
+
+@lru_cache(maxsize=None)
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command alone, built on its first use and shared by
+    later calls; its prog, usage, help and errors are those of the
+    command's subparser in :func:`build_parser`."""
+    return _declare(argparse.ArgumentParser(prog=f"trigrat {name}"), COMMANDS[name])
+
+
+@lru_cache(maxsize=1)
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser, every command a subparser, built on first use.
+    ``run_cli`` needs it only for ``trigrat -h``, a missing or unknown
+    command, and the top-level "unrecognized arguments" error."""
+    parser = argparse.ArgumentParser(
+        prog="trigrat",
+        description="Exact rationality of powers of cos, sin and tan at rational multiples of pi.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        _declare(sub.add_parser(name, help=command.help), command)
     return parser
 
 
 def run_cli(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command line; return its exit code.
+
+    A line that starts with a command name is parsed by that command's
+    own parser, which gives the same arguments, help and errors as the
+    full parser, whose top level takes the name and hands the rest to the
+    command's subparser.  Only an argument left over is reported from the
+    top level, so the full parser prints that error, and every line that
+    does not start with a command."""
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in COMMANDS:
+            name = argv[0]
+            args, extras = _command_parser(name).parse_known_args(argv[1:])
+            if extras:
+                build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+        else:
+            args = build_parser().parse_args(argv)
+            name = args.command
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        return COMMANDS[name].handler(args)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

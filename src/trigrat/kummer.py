@@ -46,7 +46,6 @@ from .cyclotomic import CycElem, root_combination, zeta_power
 from .numtheory import (
     _check_positive,
     _squarefree_part,
-    divisors,
     euler_phi,
     format_rational,
     nth_root_rational,
@@ -154,8 +153,16 @@ def subset_factorizations(alpha: Scalar, n: int) -> list[SubsetFactor]:
 
 
 def _rational_root_degree(alpha: Fraction, n: int) -> int:
-    """The largest divisor e of n for which alpha is a rational e-th power."""
-    return next(d for d in reversed(divisors(n)) if nth_root_rational(alpha, d) is not None)
+    """The largest divisor e of n for which alpha is a rational e-th power.
+
+    alpha = 1 is an n-th power.  Any other alpha has a part a > 1, its
+    numerator or denominator, and a = c^e with c >= 2 gives 2^e <= a, so e
+    is at most the larger bit length of the two parts: only the divisors
+    of n up to that bound are tried, and n is not factored."""
+    if alpha == 1:
+        return n
+    bound = min(n, max(alpha.numerator.bit_length(), alpha.denominator.bit_length()))
+    return next(d for d in range(bound, 0, -1) if n % d == 0 and nth_root_rational(alpha, d) is not None)
 
 
 def _constant_term_sizes(alpha: Fraction, n: int) -> range:
@@ -298,9 +305,12 @@ MAX_GROUP_ORDER = 480
 
 def _check_group_order(n: int) -> None:
     """ValueError for n < 2, or when the group ``meta_group_checks(n)``
-    enumerates, of order n * phi(n), is above MAX_GROUP_ORDER."""
+    enumerates, of order n * phi(n), is above MAX_GROUP_ORDER.  An n above
+    the limit is refused without factoring it, since phi(n) >= 1."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
+    if n > MAX_GROUP_ORDER:
+        raise ValueError(f"group order n*phi(n) >= n = {n} is above the limit {MAX_GROUP_ORDER}")
     order = n * euler_phi(n)
     if order > MAX_GROUP_ORDER:
         raise ValueError(f"group order n*phi(n) = {order} at n = {n} is above the limit {MAX_GROUP_ORDER}")

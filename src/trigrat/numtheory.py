@@ -137,12 +137,19 @@ def radical_condition(alpha: Fraction, n: int) -> bool:
 
     For alpha > 0 the exponents t with alpha**t rational form an additive
     group containing 1, so the condition reduces to: alpha is not a perfect
-    r-th power for any prime r dividing n.  (The equivalence is itself
-    property-tested against the direct definition.)
+    r-th power for any prime r dividing n, or, the same, for any divisor
+    r >= 2 of n.  (The equivalence is itself property-tested against the
+    direct definition.)  alpha = 1 is every power, so the condition fails;
+    any other alpha has a part a > 1, its numerator or denominator, and
+    a = c^r with c >= 2 gives 2^r <= a, so only the divisors of n up to the
+    larger bit length of the two parts are tried, and n is not factored.
     """
     alpha = _check_positive(alpha)
     _check_natural(n, 2)
-    return all(nth_root_rational(alpha, r) is None for r in prime_divisors(n))
+    if alpha == 1:
+        return False
+    bound = min(n, max(alpha.numerator.bit_length(), alpha.denominator.bit_length()))
+    return all(nth_root_rational(alpha, r) is None for r in range(2, bound + 1) if n % r == 0)
 
 
 def _squarefree_part(n: int, bound: int) -> int | None:

@@ -262,6 +262,18 @@ def test_constant_term_sizes_follow_the_divisor_rule(a, b, k, n):
     assert list(_constant_term_sizes(alpha, n)) == direct
 
 
+@given(st.integers(1, 60), st.integers(1, 60), st.integers(1, 24), st.data())
+@settings(max_examples=300)
+def test_rational_root_degree_matches_the_search_over_every_divisor(a, b, k, data):
+    """Trying only the divisors of n up to alpha's bit length finds the
+    degree that the search over all of n's divisors finds; alpha = (a/b)^k
+    (1 when a = b), n any number up to 10^4 or a multiple of k."""
+    alpha = Fraction(a, b) ** k
+    n = data.draw(st.one_of(st.integers(1, 10 ** 4), st.integers(1, 60).map(lambda c: k * c)))
+    factored = next(d for d in reversed(divisors(n)) if nth_root_rational(alpha, d) is not None)
+    assert _rational_root_degree(alpha, n) == factored
+
+
 def test_subset_scan_matches_reference_at_every_root_degree():
     """alpha = base^d with base a prime over a coprime integer, so alpha's
     largest rational root degree among the divisors of n is d; d runs over
@@ -806,11 +818,13 @@ def test_sqrt_non_membership_with_a_large_square_factor_factors_nothing(monkeypa
     (["sqrt-embed", "1000000016000000063"], 2, ""),
     (["root-member", "2", "1000000007", "12"], 0, "2^(1/1000000007) in Q(zeta_12): NO  [theorem_1_3]\n"),
     (["irreducible", "2", "1000000007"], 0, "x^1000000007 - 2 is irreducible over Q\n"),
+    (["root-member", "2", "1000000016000000063", "12"], 0, "2^(1/1000000016000000063) in Q(zeta_12): NO  [theorem_1_3]\n"),
+    (["irreducible", "2", "1000000016000000063"], 0, "x^1000000016000000063 - 2 is irreducible over Q\n"),
 ])
 def test_large_prime_factors_answer_within_a_second(argv, code, out):
-    """No command trial-divides alpha up to its square root, and no n-th
-    root of alpha forms 2^n at a large prime n: each answers, or refuses
-    with a message, in a fresh process within 1 s."""
+    """No command trial-divides alpha up to its square root or factors n,
+    and no n-th root of alpha forms 2^n at a large prime n: each answers,
+    or refuses with a message, in a fresh process within 1 s."""
     start = time.perf_counter()
     result = subprocess.run([sys.executable, "-m", "trigrat", *argv], capture_output=True, text=True, timeout=20)
     assert time.perf_counter() - start < 1.0, argv

@@ -120,6 +120,18 @@ def test_radical_condition_matches_direct_definition():
                 assert radical_condition(alpha, n) == direct, (alpha, n)
 
 
+@given(st.integers(1, 60), st.integers(1, 60), st.integers(1, 24), st.data())
+@settings(max_examples=300)
+def test_radical_condition_matches_the_test_at_every_prime_of_n(a, b, k, data):
+    """Trying only the divisors of n up to alpha's bit length gives the
+    answer of the test at each prime factor of n; alpha = (a/b)^k (1 when
+    a = b), n any number in 2..10^4 or a multiple of k."""
+    alpha = Fraction(a, b) ** k
+    n = data.draw(st.one_of(st.integers(2, 10 ** 4), st.integers(1, 60).map(lambda c: 2 * k * c)))
+    factored = all(nth_root_rational(alpha, r) is None for r, _ in prime_factorization(n))
+    assert radical_condition(alpha, n) == factored
+
+
 def test_radical_condition_examples():
     assert radical_condition(Fraction(2), 8) is True
     assert radical_condition(Fraction(8), 6) is False

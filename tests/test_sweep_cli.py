@@ -1,9 +1,12 @@
+import argparse
 import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -442,6 +445,9 @@ def test_cli_group_refuses_orders_past_the_limit(capsys, monkeypatch):
     code, out, err = run(capsys, "group", "23")
     assert (code, out) == (2, "")
     assert err == "error: group order n*phi(n) = 506 at n = 23 is above the limit 480\n"
+    code, out, err = run(capsys, "group", str(LARGE_N))  # refused without factoring
+    assert (code, out) == (2, "")
+    assert err == f"error: group order n*phi(n) >= n = {LARGE_N} is above the limit 480\n"
 
     def forbidden(n):
         raise AssertionError(f"group {n} built before the limit was checked")
@@ -583,6 +589,102 @@ def test_radical_commands_answer_or_refuse_within_the_budget(argv):
     assert result.returncode in (0, 1, 2), (argv, result.stderr)
     assert "Traceback" not in result.stderr, argv
     assert (result.returncode == 2) == ("error: " in result.stderr), (argv, result.stderr)
+
+
+# (10^9 + 7)(10^9 + 9) as an exponent, a modulus or an order: factoring it
+# by trial division would take minutes
+LARGE_N = LARGE_PRIMES[0] * LARGE_PRIMES[1]
+
+
+@st.composite
+def other_argv(draw):
+    """eval --pow, irreducible with and without --oracle, gauss, group and
+    verify sweep|gauss|group, each size small or LARGE_N, --json or not;
+    alpha = a/b (a, b <= 60), possibly times a prime near 10^9."""
+    def size(small):
+        return str(draw(st.one_of(st.integers(-2, small), st.just(LARGE_N))))
+
+    command = draw(st.sampled_from(["eval", "irreducible", "gauss", "group", "sweep", "verify gauss", "verify group"]))
+    if command == "eval":
+        argv = ["eval", draw(st.sampled_from(["cos", "sin", "tan"])), f"1/{draw(st.integers(1, 60))}", "--pow", size(60)]
+    elif command == "irreducible":
+        alpha = Fraction(draw(st.integers(1, 60)), draw(st.integers(1, 60))) * draw(st.sampled_from((1,) + LARGE_PRIMES))
+        argv = ["irreducible", str(alpha), size(12)] + draw(st.sampled_from([[], ["--oracle"]]))
+    elif command == "gauss":
+        argv = ["gauss", size(200)]
+    elif command == "group":
+        argv = ["group", size(12)]
+    elif command == "sweep":
+        argv = ["verify", "sweep", "--q-max", size(12), "--n-max", size(12)]
+    elif command == "verify gauss":
+        argv = ["verify", "gauss", "--m-max", size(30)]
+    else:
+        argv = ["verify", "group", "--n-max", size(12)]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@given(other_argv())
+@settings(max_examples=40)
+def test_other_commands_answer_or_refuse_within_the_budget(argv):
+    """Each run answers (exit 0 or 1) or refuses with a message (exit 2)
+    within 20 s, and never ends in a traceback; no exponent, modulus or
+    order is factored past a bound."""
+    result = subprocess.run([sys.executable, "-m", "trigrat", *argv], capture_output=True, text=True, timeout=20)
+    assert result.returncode in (0, 1, 2), (argv, result.stderr)
+    assert "Traceback" not in result.stderr, argv
+    assert (result.returncode == 2) == ("error: " in result.stderr), (argv, result.stderr)
+
+
+def _usage_argv():
+    """The help and usage-error command lines of the digest script's
+    "usage errors and help" grid."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "payload_digests.py"
+    spec = importlib.util.spec_from_file_location("payload_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.USAGE_ARGV
+
+
+def test_cli_prints_the_full_parsers_help_and_usage_errors(capsys):
+    """Every help and usage-error line gives through ``run_cli`` the exit
+    code, stdout and stderr of the full parser, although ``run_cli`` parses
+    a line that names a command with that command's parser alone."""
+    for argv in _usage_argv():
+        got = (run_cli(list(argv)), *capsys.readouterr())
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(list(argv))
+        assert got == (int(exc.value.code or 0), *capsys.readouterr()), argv
+
+
+def test_a_command_builds_only_its_own_parser(monkeypatch, capsys):
+    """The first classify of a process constructs one ArgumentParser, its
+    own, not the full parser with all eight subparsers."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._command_parser.cache_clear()
+    cli.build_parser.cache_clear()
+    assert run_cli(["classify", "cos", "1/3"]) == 0
+    assert run_cli(["classify", "sin", "1/6"]) == 0
+    assert built == ["trigrat classify"]
+
+
+def test_cli_help_lists_every_command(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    names = ["classify", "eval", "gauss", "sqrt-embed", "root-member", "irreducible", "group", "verify"]
+    assert list(cli.COMMANDS) == names
+    assert run_cli(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert "{" + ",".join(names) + "}" in out
+    for command in cli.COMMANDS.values():
+        assert command.help in out
 
 
 def test_cli_verify_sweep_json(capsys):
