@@ -138,6 +138,17 @@ USAGE_ARGV = [
 ]
 
 
+def group_verify_grid():
+    """group N for N = 2..12, verify gauss --m-max 40, verify group
+    --n-max 8 and verify remark, each as text and under --json: the
+    payloads of booleans, empty lists and flat dicts."""
+    lines = [["group", str(n)] for n in range(2, 13)]
+    lines += [["verify", "gauss", "--m-max", "40"], ["verify", "group", "--n-max", "8"], ["verify", "remark"]]
+    for argv in lines:
+        yield argv
+        yield argv + ["--json"]
+
+
 def usage_digest():
     """The digest of USAGE_ARGV, with argparse's wrapping fixed at 80
     columns rather than the terminal's width."""
@@ -174,6 +185,7 @@ GRIDS = {
     "verify sweep q<=1000 n<=12": lambda: sweep_digest(1000, 12),
     "verify sweep q<=12 n<=1000": lambda: sweep_digest(12, 1000),
     "usage errors and help": usage_digest,
+    "group 2..12, verify gauss|group|remark, text and --json": lambda: commands_digest(group_verify_grid()),
 }
 
 

@@ -18,10 +18,10 @@ parser gives.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 from .kummer import (
@@ -42,11 +42,48 @@ from .sweep import SweepConfig, verify_theorem_sweep
 from .trig import Angle, Case, TrigFunc, UndefinedTrigValue, classify, power_rational
 
 
+def _json_text(value, newline: str = "\n") -> str:
+    """The text of ``json.dumps(value, sort_keys=True, indent=2)``, for the
+    types a payload holds: dicts with str keys, lists, str, int, bool and
+    None.  Anything else raises ``TypeError``.  Strings go through the
+    escaper ``json.dumps`` uses, and a list of strings is joined at once.
+    ``newline`` is the line break and indent of the value's own depth."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    sep = "," + inner
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        try:
+            body = sep.join(map(encode_basestring_ascii, value))
+        except TypeError:
+            body = sep.join([_json_text(item, inner) for item in value])
+        return f"[{inner}{body}{newline}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("a payload's keys are str")
+        body = sep.join([f"{encode_basestring_ascii(key)}: {_json_text(value[key], inner)}"
+                         for key in sorted(value)])
+        return f"{{{inner}{body}{newline}}}"
+    raise TypeError(f"a payload holds no {type(value).__name__}")
+
+
 def _emit(args, payload: dict, human) -> None:
     """Print the payload under --json, else the text: ``human`` is the text,
     or a function that builds it, called only when the text is printed."""
     if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(_json_text(payload))
     else:
         print(human() if callable(human) else human)
 

@@ -12,18 +12,21 @@ Products, Galois images, embeddings and sums of roots of unity lay their
 terms out as integer coefficients of powers of z and reduce once, through
 ``_reduce``: exponents mod m, then the remainder modulo the monic integer
 Phi_m (``trig`` decides whether a power is rational by p-gon moves, not
-here).  Phi_m is Phi_r(x^(m/r)) for r the radical of m, and Phi_r is built
-one binomial x^k - 1 at a time, each multiplied in or divided out exactly
-in linear time (Arnold & Monagan, Math. Comp. 80, 2011); only its nonzero
-tail is cached per modulus (``_cyclotomic_divisor``).  The polynomial
-arithmetic itself (the convolution, the monic long division and
-square-and-multiply) is the shared kernel of ``polynomials``;
-``minimal_polynomial`` runs the same convolution with ``CycElem``
-coefficients.  The table of reduced powers of z (``_power_table``) has no
-reader in the library: it is an independent oracle for the tests, and the
-span tracer of ``perfbench`` records the moduli it is built for.  Floating
-point enters only in :meth:`CycElem.numeric_eval`, which is for sanity
-checks and never decides anything.
+here).  Phi_m is Phi_R(x^(m/R)) for R the radical of m.  Phi_r, for r the
+odd radical (the radical of m's odd part), is built one binomial x^k - 1
+at a time, each multiplied in or divided out exactly in linear time
+(Arnold & Monagan, Math. Comp. 80, 2011); for even m, R = 2r and
+Phi_2r(x) = Phi_r(-x), or x + 1 when r = 1, so the prime 2 adds no
+binomial.  Only Phi_m's nonzero tail is cached per modulus
+(``_cyclotomic_divisor``).  The polynomial arithmetic itself (the
+convolution, the monic long division and square-and-multiply) is the
+shared kernel of ``polynomials``; ``minimal_polynomial`` runs the same
+convolution with ``CycElem`` coefficients.  The table of reduced powers of
+z (``_power_table``) has no reader in the library: it is an independent
+oracle for the tests, and the span tracer of ``perfbench`` records the
+moduli it is built for.  Floating point enters only in
+:meth:`CycElem.numeric_eval`, which is for sanity checks and never decides
+anything.
 """
 
 from __future__ import annotations
@@ -48,22 +51,25 @@ Scalar = Union[int, Fraction]
 def _cyclotomic_int_coeffs(m: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_m, constant term first.
 
-    With r = rad(m), the product of the primes dividing m,
-    Phi_m(x) = Phi_r(x^(m/r)), and Phi_r is the Moebius product of the
-    binomials x^(r/d) - 1 over the d | r, with exponent mu(d) = (-1)^|S|
-    for d the product of a set S of those primes.  Each binomial costs
-    linear time (Arnold & Monagan, "Calculating cyclotomic polynomials",
-    Math. Comp. 80, 2011): multiplying by x^k - 1 is a shift and a
-    subtraction, and dividing by it runs q[i] = q[i-k] - num[i] up from the
-    constant term, along each residue class mod k when k is small, else
-    one block of k at a time.  Run over the whole numerator, the recurrence
-    ends in k zeros exactly when the division is exact; anything else
-    raises ``ArithmeticError``.
+    With r the odd radical of m (the product of its odd primes), Phi_r is
+    the Moebius product of the binomials x^(r/d) - 1 over the d | r, with
+    exponent mu(d) = (-1)^|S| for d the product of a set S of those
+    primes.  For even m, Phi_2r(x) = Phi_r(-x) when r > 1 and Phi_2 is
+    x + 1, so the prime 2 adds no binomial and every even modulus costs
+    half the steps.  Then Phi_m(x) = Phi_R(x^(m/R)) for R = rad(m), that
+    is r or 2r.  Each binomial costs linear time (Arnold & Monagan,
+    "Calculating cyclotomic polynomials", Math. Comp. 80, 2011):
+    multiplying by x^k - 1 is a shift and a subtraction, and dividing by
+    it runs q[i] = q[i-k] - num[i] up from the constant term, along each
+    residue class mod k when k is small, else one block of k at a time.
+    Run over the whole numerator, the recurrence ends in k zeros exactly
+    when the division is exact; anything else raises ``ArithmeticError``.
     """
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
-    signed = [(1, 1)]  # (d, mu(d)) over the squarefree divisors d of m
-    for p in prime_divisors(m):
+    odd = m // (m & -m)
+    signed = [(1, 1)]  # (d, mu(d)) over the squarefree divisors d of odd
+    for p in prime_divisors(odd):
         signed += [(d * p, -mu) for d, mu in signed]
     r = signed[-1][0]
     coeffs = [1]
@@ -85,6 +91,12 @@ def _cyclotomic_int_coeffs(m: int) -> tuple[int, ...]:
             if n < 1 or any(q[n:]):
                 raise ArithmeticError("inexact polynomial division")
             coeffs = q[:n]
+    if odd < m:
+        if r == 1:
+            coeffs = [1, 1]
+        else:
+            coeffs[1::2] = [-c for c in coeffs[1::2]]
+        r *= 2
     stride = m // r
     spread = [0] * (stride * (len(coeffs) - 1) + 1)
     spread[::stride] = coeffs
@@ -111,14 +123,15 @@ def _reduce(m: int, coeffs: list[int]) -> list[int]:
     """
     if len(coeffs) > m:
         folded = coeffs[:m]
-        for k in range(m, len(coeffs)):
-            folded[k % m] += coeffs[k]
+        for start in range(m, len(coeffs), m):
+            block = coeffs[start:start + m]
+            folded[:len(block)] = map(add, folded, block)
         coeffs = folded
     half = m // 2
     if m % 2 == 0 and len(coeffs) > half:
-        for k in range(half, len(coeffs)):
-            coeffs[k - half] -= coeffs[k]
+        top = coeffs[half:]
         del coeffs[half:]
+        coeffs[:len(top)] = map(sub, coeffs, top)
     phi, tail = _cyclotomic_divisor(m)
     _divide_monic(coeffs, phi, tail)
     return coeffs[:phi]
@@ -184,7 +197,7 @@ class CycElem:
         if den < 0:
             nums = [-a for a in nums]
             den = -den
-        g = gcd(den, reduce(gcd, nums, 0))
+        g = gcd(den, *nums)
         if g > 1:
             nums = [a // g for a in nums]
             den //= g
@@ -363,13 +376,14 @@ class CycElem:
 
     def to_json(self) -> dict:
         """Coordinates as reduced fractions a/b, or a when b = 1: the strings
-        ``str(Fraction)`` prints, written from the integer numerators."""
+        ``str(Fraction)`` prints, written from the integer numerators, each
+        distinct one once."""
         den = self._den
-        coeffs = []
-        for a in self._nums:
+        text = {}
+        for a in set(self._nums):
             g = gcd(a, den)
-            coeffs.append(str(a // g) if g == den else f"{a // g}/{den // g}")
-        return {"modulus": self.modulus, "coeffs": coeffs}
+            text[a] = str(a // g) if g == den else f"{a // g}/{den // g}"
+        return {"modulus": self.modulus, "coeffs": list(map(text.__getitem__, self._nums))}
 
     @classmethod
     def from_json(cls, data: dict) -> "CycElem":

@@ -19,6 +19,7 @@ from trigrat.cyclotomic import (
 )
 from trigrat.numtheory import divisors, euler_phi
 from trigrat.polynomials import RatPoly, _poly_mul
+from trigrat.trig import Angle, TrigFunc, trig_elem
 
 from reference import (
     express_in_submodulus,
@@ -69,10 +70,27 @@ def test_cyclotomic_coeffs_match_moebius_reference():
     the dense Moebius product over all divisors of m."""
     for m in [*range(1, 2001), 4620]:
         assert _cyclotomic_int_coeffs(m) == reference_cyclotomic_coeffs(m), m
-    # 30030 = 2*3*5*7*11*13: monic, palindromic, Phi(1) = 1, degree phi
-    coeffs = _cyclotomic_int_coeffs(30030)
-    assert len(coeffs) == euler_phi(30030) + 1
-    assert coeffs == coeffs[::-1] and sum(coeffs) == 1
+    # 30030 = 2*15015 and 60060 = 4*15015, 15015 = 3*5*7*11*13: monic,
+    # palindromic, Phi(1) = 1, degree phi
+    for m in (30030, 60060):
+        coeffs = _cyclotomic_int_coeffs(m)
+        assert len(coeffs) == euler_phi(m) + 1 and coeffs[-1] == 1, m
+        assert coeffs == coeffs[::-1] and sum(coeffs) == 1, m
+    # Phi_60060(x) = Phi_30030(x^2)
+    assert _cyclotomic_int_coeffs(60060)[::2] == _cyclotomic_int_coeffs(30030)
+    assert not any(_cyclotomic_int_coeffs(60060)[1::2])
+
+
+@pytest.mark.parametrize("odd", [1, 3, 105, 1155, 1009])
+def test_cyclotomic_coeffs_at_each_power_of_two_match_reference(odd):
+    """Phi_m is built at the odd radical r of m and, for even m, turned into
+    Phi_2r(x) = Phi_r(-x) (Phi_2 = x + 1) before the stride: it matches the
+    dense Moebius product, which counts 2 as one more prime, at
+    m = 2^a * odd for a = 0..6, up to m = 2*10^4."""
+    for a in range(7):
+        m = 2**a * odd
+        if m <= 20000:
+            assert _cyclotomic_int_coeffs(m) == reference_cyclotomic_coeffs(m), m
 
 
 @pytest.mark.parametrize("m, primes", [(4, (2, 2)), (8, (2, 4))])
@@ -345,6 +363,28 @@ def test_json_roundtrip():
     assert CycElem.from_json(x.to_json()) == x
     assert x.to_json()["modulus"] == 12
     assert x.to_json()["coeffs"][0] == "1/2"
+
+
+@given(
+    st.integers(1, 60),
+    st.integers(2, 30),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+    st.randoms(use_true_random=False),
+)
+def test_json_roundtrip_with_repeated_and_negative_numerators(m, den, pool, rng):
+    """Coordinates drawn from a few numerators over one denominator den > 1,
+    which 1/den keeps: each distinct numerator is formatted once, and every
+    coordinate reads back."""
+    x = CycElem(m, [Fraction(1, den)] + [Fraction(rng.choice(pool), den) for _ in range(euler_phi(m) - 1)])
+    data = x.to_json()
+    assert data == {"modulus": m, "coeffs": [str(c) for c in x.coeffs]}
+    assert CycElem.from_json(data) == x
+
+
+def test_witness_to_json_is_pinned():
+    # cos(pi/5) = (z^2 + z^-2)/2 = (1 + z^4 - z^6)/2 for z = zeta_20
+    witness = trig_elem(TrigFunc.COS, Angle(1, 5))
+    assert witness.to_json() == {"modulus": 20, "coeffs": ["1/2", "0", "0", "0", "1/2", "0", "-1/2", "0"]}
 
 
 def test_modulus_mismatch_is_rejected():

@@ -431,6 +431,39 @@ def test_cli_json_output_formats_no_text(capsys, monkeypatch):
     assert len(json.loads(out)["factors"]) == len(formatted) == 6
 
 
+# quotes, backslashes, control characters and non-ASCII, besides any text
+json_strings = st.text(max_size=8) | st.sampled_from(['"', "\\", "a\n\t\x00\x1f\x7f", "é\u2028😀"])
+json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | json_strings,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(json_strings, inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@given(json_trees)
+@settings(max_examples=300)
+def test_json_writer_prints_what_json_dumps_prints(tree):
+    """The payload writer is byte for byte the stdlib's sorted, two-space
+    indented, ASCII-escaped JSON, on every shape a payload can take."""
+    assert cli._json_text(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), {1: "a"}, {"a": [0.5]}, ["a", ("b",)], {None: 1}, {"a": {2: 3}}])
+def test_json_writer_refuses_what_no_payload_holds(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
+
+
+def test_cli_json_does_not_call_json_dumps(capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(json, "dumps", forbidden)
+    code, out, _ = run(capsys, "classify", "cos", "1/7", "--json")
+    assert code == 0
+    assert json.loads(out)["witness"]["modulus"] == 28
+
+
 def test_cli_group(capsys):
     code, out, _ = run(capsys, "group", "5")
     assert code == 0
