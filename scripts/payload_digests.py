@@ -110,8 +110,8 @@ def oracle_grid(n_max=12):
 
 def large_alpha_oracle_grid():
     """irreducible 10^e n --oracle at e = 1, 8, ..., 295 and n = 2..12, where
-    the float roots are large enough that rounding decides which factors
-    the subset oracle finds."""
+    the roots are too large for floats to carry most factors' coefficients,
+    so the subset oracle rebuilds them exactly."""
     for e in range(1, 296, 7):
         for n in range(2, 13):
             yield ["irreducible", str(10 ** e), str(n), "--oracle", "--json"]

@@ -7,17 +7,10 @@ rational alpha, which cyclotomic fields contain the real root alpha^(1/n)?
   the radical criterion (no prime-order root of alpha is rational; for
   positive alpha the quartic exception of the general theorem cannot occur).
 * ``subset_factorizations`` gives a second opinion with no theory in it:
-  over C the monic factors of x^n - alpha are exactly the subset products
-  of (x - alpha^(1/n) zeta_n^j), and a rational factor's subset is closed
-  under conjugation j -> n - j.  A factor of degree s has a constant term
-  c0 with c0^n = (-1)^(n*s) * alpha^s, so s must be a size at which
-  alpha^s has a rational n-th root; these are read off alpha first, and
-  when no size in 1..n-1 admits one the scan stops there with no float
-  work.  Otherwise a depth-first walk builds only the closed subsets (126
-  of the 4094 proper ones at n = 12), each float product from its
-  parent's in O(n), and nominates the products that look real; a
-  candidate is divided only if its rebuilt c0 passes that test, and no c0
-  is rebuilt at any other size.  Exact division confirms or rejects.
+  a monic factor over Q is a product of x - alpha^(1/n) zeta_n^j over a
+  subset closed under j -> n - j.  The scan rebuilds each such product at
+  an admissible size in integers, after the substitution x = y/Q that
+  makes the target monic over Z, and confirms it by exact division.
 * ``sqrt_in_cyclotomic`` writes sqrt(alpha) at the conductor of
   Q(sqrt(alpha)) in closed form, one combination of roots of unity, and
   checks it once by squaring, up to conductor MAX_WITNESS_MODULUS;
@@ -39,7 +32,9 @@ import enum
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf, isqrt
+from functools import lru_cache
+from itertools import combinations
+from math import comb, gcd, inf, isqrt
 from typing import Union
 
 from .cyclotomic import CycElem, root_combination, zeta_power
@@ -48,17 +43,15 @@ from .numtheory import (
     _squarefree_part,
     euler_phi,
     format_rational,
+    integer_nth_root,
     nth_root_rational,
     radical_condition,
 )
-from .polynomials import RatPoly, _poly_mul
+from .polynomials import RatPoly, _divide_monic, _monic_tail, _poly_mul
 
 Scalar = Union[int, Fraction]
 
-# proposed rational coefficients are only trusted after exact division; the cap
-# is below some true factors' denominators (x - 1/1009^2 divides x^2 - 1/1009^4)
-_RECONSTRUCT_DENOMINATOR_CAP = 10 ** 6
-_IMAG_TOLERANCE = 1e-6
+_FLOAT_ERROR, _FLOAT_BOUND = 2.0 ** -43, 2.0 ** 40  # the subset oracle's float route, see _integer_coefficients
 
 
 # ----------------------------------------------------------------------
@@ -88,36 +81,22 @@ class SubsetFactor:
 
 
 def subset_factorizations(alpha: Scalar, n: int) -> list[SubsetFactor]:
-    """All monic rational factors of x^n - alpha of degree 1..n-1, located
-    by brute force over subsets of the complex roots.
+    """All monic rational factors of x^n - alpha of degree 1..n-1, in order
+    of size, then of subset, found over subsets of the roots and confirmed
+    by exact division in integers.
 
-    Every monic factor over Q is a subset product of the roots
-    alpha^(1/n) * zeta_n^j, so scanning all 2^n - 2 proper subsets is
-    complete.  A monic divisor of degree s has s roots r with r^n = alpha,
-    so its constant term c0 = (-1)^s * (their product) has
-    c0^n = (-1)^(n*s) * alpha^s, and a rational c0 of that kind exists only
-    when alpha^s has a rational n-th root.  The scan first reads those sizes
-    off alpha (``_constant_term_sizes``) and returns [] when there are none,
-    before it computes a root or walks a subset.  Otherwise it walks: a
-    rational factor is real, so its set of root indices is closed under
-    complex conjugation j -> n - j, and the walk builds only closed
-    subsets: it takes or skips each j <= n/2 and takes j > n/2 with n - j.
-    The walk goes depth first, adding root indices in increasing order, so
-    a subset's float product is its parent's times one linear factor:
-    O(size) work per subset, not O(size^2), and the same float operations
-    in the same order as multiplying the subset out from scratch.  Only
-    closed subsets whose product has all imaginary parts within
-    ``_IMAG_TOLERANCE`` are kept, in ``itertools.combinations`` order.
-    Floating point only nominates candidates: a subset counts only when the
-    exactly reconstructed polynomial divides x^n - alpha with zero
-    remainder.  Before that division the reconstructed constant term c0 is
-    checked alone against c0^n = (-1)^(n*s) * alpha^s; a candidate that
-    fails is no divisor, so the check drops no factor and skips most
-    divisions, and at a size outside the admissible ones no constant term
-    is rebuilt at all.  The walk builds 446 partial products at n = 12 and
-    222 at n = 11, the 126 and 62 closed subsets among them, against
-    2^n - 2, and is meant for small n.  ValueError when alpha lies outside
-    the positive normal float range, where its roots cannot be computed.
+    A monic factor over Q is the product of x - alpha^(1/n) zeta_n^j over a
+    subset of j, closed under j -> n - j, of a size s at which alpha^s has
+    a rational n-th root: a multiple of k = n/e, alpha = beta^e with
+    e = ``_rational_root_degree(alpha, n)`` (``_constant_term_sizes``; with
+    none the answer is [] at once).  With Q the denominator of beta, x = y/Q
+    gives the target y^n - (beta Q^k)^e, monic over Z with roots
+    M zeta_n^j, M = (beta Q^k)^(1/k), so its monic factors have integer
+    coefficients (Gauss).  A closed subset's constant term is
+    (-1)^s (+1 if sum(subset) = 0 mod n, else -1) M^s; its other
+    coefficients come from ``_integer_coefficients``; ``_divide_monic`` on
+    ints confirms it.  ValueError when alpha lies outside the positive
+    normal float range.
     """
     alpha = _check_positive(alpha)
     if not 2 <= n <= 12:
@@ -131,25 +110,69 @@ def subset_factorizations(alpha: Scalar, n: int) -> list[SubsetFactor]:
     sizes = _constant_term_sizes(alpha, n)
     if not sizes:
         return []
-    rho = magnitude ** (1.0 / n)
-    roots = [rho * cmath.exp(2j * cmath.pi * j / n) for j in range(n)]
-    target = RatPoly.monomial(n) - alpha
-    constant_powers = {size: (-1) ** (n * size) * alpha ** size for size in sizes}
+    k = sizes.step
+    beta = nth_root_rational(alpha, n // k)
+    q = beta.denominator
+    radicand = beta.numerator * q ** (k - 1)  # M^k
+    scale = inf if radicand >> 41 * k else float(radicand) ** (1 / k)  # past 2^41 nothing is rounded
+    target = [-radicand ** (n // k)] + [0] * (n - 1) + [1]
+    products = _unit_products(n)
     found: list[SubsetFactor] = []
-    for subset, coeffs in _real_subset_products(roots):
-        constant = constant_powers.get(len(subset))
-        if constant is None:
-            continue
-        c0 = Fraction(coeffs[0].real).limit_denominator(_RECONSTRUCT_DENOMINATOR_CAP)
-        if c0 ** n != constant:
-            continue
-        candidate = RatPoly(
-            [c0] + [Fraction(c.real).limit_denominator(_RECONSTRUCT_DENOMINATOR_CAP) for c in coeffs[1:]]
-        )
-        quotient, remainder = divmod(target, candidate)
-        if remainder.is_zero():
-            found.append(SubsetFactor(frozenset(subset), candidate, quotient))
+    for s in sizes:
+        constant = (-1) ** s * radicand ** (s // k)
+        for subset, unit in products[s]:
+            coeffs = _integer_coefficients(n, subset, unit, k, radicand, scale)
+            if coeffs is None:
+                continue
+            factor = [constant if sum(subset) % n == 0 else -constant] + coeffs + [1]
+            rest = target.copy()
+            cofactor = _divide_monic(rest, *_monic_tail(factor))
+            if not any(rest[:s]):
+                found.append(SubsetFactor(frozenset(subset), _unscaled(factor, q), _unscaled(cofactor, q)))
     return found
+
+
+def _integer_coefficients(n: int, subset: tuple, unit: tuple, k: int, radicand: int, scale: float) -> list[int] | None:
+    """The coefficients of y^1 .. y^(s-1) of the product of y - M zeta_n^j
+    over the subset, M = radicand^(1/k) (``scale`` in floats), as ints, or
+    None at the first that is not an integer.  The one d places below the
+    top is M^d u, u the unit product's (``unit`` in floats), |u| <= C(s, d).
+    The unit roots are within 2^5 units of 2^-53, each of the s <= 11 walk
+    steps adds a few, and M^d is off by d (ln M + 3) at most, so the float
+    is within _FLOAT_ERROR C(s, d) M^d, under 1/8 up to _FLOAT_BOUND; there
+    it is rounded, and rejected when farther than that from every integer.
+    (Two closed subsets of one size have unit products 0.61 or more apart
+    in some coefficient, so a rounded candidate that divides is its own
+    subset's.)  Past the bound u is rebuilt in Z[zeta_n]: (M^d u)^k =
+    radicand^d u^k must be an integer with a k-th root, signed as the float
+    u (|u| >= 1 when u^k is a nonzero integer)."""
+    s = len(subset)
+    coeffs = []
+    for i in range(1, s):
+        d = s - i
+        weight = comb(s, d) * scale ** d
+        if weight <= _FLOAT_BOUND:
+            value = unit[i] * scale ** d
+            c = round(value)
+            if abs(value - c) > weight * _FLOAT_ERROR:
+                return None
+        else:
+            power = (root_combination(n, [(sum(t), (-1) ** d) for t in combinations(subset, d)]) ** k).as_rational()
+            if power is None:
+                return None
+            whole, part = divmod(d, k)
+            power = radicand ** part * abs(int(power))
+            c = integer_nth_root(power, k)
+            if c ** k != power:
+                return None
+            c *= radicand ** whole if unit[i] > 0 else -radicand ** whole
+        coeffs.append(c)
+    return coeffs
+
+
+def _unscaled(coeffs: list[int], q: int) -> RatPoly:
+    """The monic q^-deg g(q x) of the monic integer polynomial g(y)."""
+    return RatPoly(Fraction(c, q ** (len(coeffs) - 1 - i)) for i, c in enumerate(coeffs))
 
 
 def _rational_root_degree(alpha: Fraction, n: int) -> int:
@@ -179,25 +202,27 @@ def _constant_term_sizes(alpha: Fraction, n: int) -> range:
     return range(step, n, step)
 
 
-def _real_subset_products(roots: list[complex]) -> list[tuple[tuple[int, ...], list[complex]]]:
-    """(subset, coefficients of the product of x - roots[j] over j in subset)
-    for the proper nonempty subsets closed under conjugation j -> n - j
-    whose product looks real, in ``itertools.combinations`` order (size
-    first, then lexicographic).
+@lru_cache(maxsize=11)  # one entry per n in 2..12
+def _unit_products(n: int) -> tuple:
+    """The (subset, real coefficients) pairs of ``_real_subset_products`` at
+    the roots of unity zeta_n^j, in a tuple indexed by subset size."""
+    closed = _real_subset_products([cmath.exp(2j * cmath.pi * j / n) for j in range(n)])
+    return tuple(tuple(entry for entry in closed if len(entry[0]) == s) for s in range(n))
 
-    Depth first over j = 0, 1, ..., n - 1: each j <= n/2 is taken or
-    skipped, and each j > n/2 is taken iff its partner n - j was, so only
-    closed subsets are built, 2^(n//2 + 1) - 2 of them.  Taking j
-    multiplies the parent's coefficients by x - roots[j], so each subset's
-    product is built from the same chain of parents, in increasing index
-    order, as multiplying it out from scratch would."""
+
+def _real_subset_products(roots: list[complex]) -> list[tuple[tuple[int, ...], tuple[float, ...]]]:
+    """(subset, real parts of the coefficients of the product of x - roots[j]
+    over it) for the proper nonempty subsets closed under j -> n - j, in
+    ``itertools.combinations`` order.  Depth first: each j <= n/2 is taken
+    or skipped, each j > n/2 taken iff n - j was, so only the 2^(n//2+1) - 2
+    closed subsets are built, each from its parent's product."""
     n = len(roots)
-    passing = []
+    closed = []
 
     def walk(subset, coeffs, j):
         if j == n:
-            if subset and all(abs(c.imag) <= _IMAG_TOLERANCE for c in coeffs):
-                passing.append((subset, coeffs))
+            if subset:
+                closed.append((subset, tuple(c.real for c in coeffs)))
             return
         free = 2 * j <= n  # else j is taken iff its partner n - j was
         taken = free or n - j in subset
@@ -205,16 +230,14 @@ def _real_subset_products(roots: list[complex]) -> list[tuple[tuple[int, ...], l
             walk(subset, coeffs, j + 1)
         if taken and len(subset) < n - 1:  # the full set is not proper
             root = roots[j]
-            # (x - root) * coeffs, as the in-place update coeffs[k] -= root * coeffs[k + 1]
-            # of [0] + coeffs would compute it
-            child = [0j - root * coeffs[0]]
+            child = [0j - root * coeffs[0]]  # (x - root) * coeffs
             child += [a - root * b for a, b in zip(coeffs, coeffs[1:])]
             child.append(coeffs[-1])
             walk(subset + (j,), child, j + 1)
 
     walk((), [complex(1.0)], 0)
-    passing.sort(key=lambda entry: (len(entry[0]), entry[0]))
-    return passing
+    closed.sort(key=lambda entry: (len(entry[0]), entry[0]))
+    return closed
 
 
 def subset_unity_product(n: int, subset: frozenset[int]) -> CycElem:

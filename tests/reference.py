@@ -23,8 +23,18 @@ checks:
 * ``reference_sweep`` surveys every reduced angle, not one representative
   per Galois orbit;
 * ``reference_subset_factorizations`` multiplies every subset of roots out
-  from scratch and divides every real-looking candidate, not depth first
-  with the constant term checked before any division.
+  from scratch in floats, rebuilds every real-looking candidate with
+  ``limit_denominator`` and divides it over Q, the oracle's design before
+  it worked in integers.  It keeps that design's two constants, so it
+  misses every factor with a denominator past FLOAT_DENOMINATOR_CAP, and
+  every factor whose float product has imaginary parts past
+  FLOAT_IMAG_TOLERANCE (roots of modulus 10^10, say); the tests compare
+  against it only on inputs with roots of modulus below 2.5 and factors'
+  denominators within the cap;
+* ``reference_exact_subset_factorizations`` rebuilds every coefficient of
+  every closed subset's product exactly, as the rational n-th root of
+  alpha^d * e_d^n with e_d in Q(zeta_n), and divides over Q: no floats but
+  a sign, no integer substitution, no size filter.
 """
 
 import cmath
@@ -32,15 +42,16 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
-from trigrat.cyclotomic import CycElem, _power_table, zeta_power
-from trigrat.kummer import (
-    _IMAG_TOLERANCE,
-    _RECONSTRUCT_DENOMINATOR_CAP,
-    SubsetFactor,
-    gauss_sum,
-    sqrt_in_cyclotomic,
+from trigrat.cyclotomic import CycElem, _power_table, root_combination, zeta_power
+from trigrat.kummer import SubsetFactor, gauss_sum, sqrt_in_cyclotomic
+from trigrat.numtheory import (
+    _check_positive,
+    divisors,
+    euler_phi,
+    mobius,
+    nth_root_rational,
+    squarefree_decompose,
 )
-from trigrat.numtheory import _check_positive, divisors, euler_phi, mobius, squarefree_decompose
 from trigrat.polynomials import RatPoly, _divide_monic, _monic_tail, _poly_mul
 from trigrat.sweep import Hit, SweepReport, Violation, _survey, reduced_angles
 from trigrat.trig import Case, TrigFunc, UndefinedTrigValue
@@ -233,10 +244,15 @@ def reference_sweep(config):
     return report
 
 
+FLOAT_DENOMINATOR_CAP = 10 ** 6
+FLOAT_IMAG_TOLERANCE = 1e-6
+
+
 def reference_subset_factorizations(alpha, n: int) -> list[SubsetFactor]:
-    """The subset scan of ``kummer.subset_factorizations`` one subset at a
-    time: each subset's product multiplied out from scratch, and every
-    candidate whose product looks real reconstructed in full and divided."""
+    """The float subset scan one subset at a time: each subset's product
+    multiplied out from scratch, and every candidate whose product looks
+    real reconstructed with denominators up to FLOAT_DENOMINATOR_CAP and
+    divided."""
     alpha = _check_positive(alpha)
     if not 2 <= n <= 12:
         raise ValueError(f"subset scan supports 2 <= n <= 12, got {n}")
@@ -252,13 +268,49 @@ def reference_subset_factorizations(alpha, n: int) -> list[SubsetFactor]:
                 coeffs = [0j] + coeffs
                 for k in range(len(coeffs) - 1):
                     coeffs[k] -= root * coeffs[k + 1]
-            if any(abs(c.imag) > _IMAG_TOLERANCE for c in coeffs):
+            if any(abs(c.imag) > FLOAT_IMAG_TOLERANCE for c in coeffs):
                 continue
             candidate = RatPoly(
-                Fraction(c.real).limit_denominator(_RECONSTRUCT_DENOMINATOR_CAP)
+                Fraction(c.real).limit_denominator(FLOAT_DENOMINATOR_CAP)
                 for c in coeffs
             )
             quotient, remainder = divmod(target, candidate)
             if remainder.is_zero():
                 found.append(SubsetFactor(frozenset(subset), candidate, quotient))
+    return found
+
+
+def reference_exact_subset_factorizations(alpha, n: int) -> list[SubsetFactor]:
+    """Every closed subset S of 0..n-1, in ``itertools.combinations``
+    order, whose product of x - alpha^(1/n) zeta_n^j divides x^n - alpha.
+
+    The coefficient of x^(s-d) is (-1)^d alpha^(d/n) e_d, e_d the d-th
+    elementary symmetric function of the zeta_n^j, j in S.  It is rational
+    iff alpha^d e_d^n is the n-th power of a rational r, and then it is
+    +-r with the sign of (-1)^d e_d: e_d is real for a closed S, and
+    |e_d| >= 1 when e_d^n is a nonzero rational (an algebraic integer), so
+    a float sum of the roots of unity decides the sign."""
+    alpha = _check_positive(alpha)
+    target = RatPoly.monomial(n) - alpha
+    found = []
+    for size in range(1, n):
+        for subset in itertools.combinations(range(n), size):
+            if set(subset) != {(n - j) % n for j in subset}:
+                continue
+            coeffs = []
+            for d in range(size, 0, -1):
+                sums = [sum(t) for t in itertools.combinations(subset, d)]
+                power = (root_combination(n, [(k, 1) for k in sums]) ** n).as_rational()
+                if power is None:
+                    break
+                root = nth_root_rational(alpha ** d * abs(power), n) if power else Fraction(0)
+                if root is None:
+                    break
+                e_d = sum(cmath.exp(2j * cmath.pi * k / n) for k in sums).real
+                coeffs.append(root if (e_d > 0) == (d % 2 == 0) else -root)
+            else:
+                candidate = RatPoly(coeffs + [1])
+                quotient, remainder = divmod(target, candidate)
+                if remainder.is_zero():
+                    found.append(SubsetFactor(frozenset(subset), candidate, quotient))
     return found

@@ -7,7 +7,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, inf, prod
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +17,6 @@ from trigrat import kummer
 from trigrat.cli import run_cli
 from trigrat.cyclotomic import CycElem, zeta_power
 from trigrat.kummer import (
-    _IMAG_TOLERANCE,
     MAX_MEMBER_MODULUS,
     MAX_WITNESS_MODULUS,
     GroupReport,
@@ -41,7 +40,10 @@ from trigrat.numtheory import divisors, mobius, nth_root_rational, prime_factori
 from trigrat.polynomials import RatPoly, _poly_mul
 
 from reference import (
+    FLOAT_DENOMINATOR_CAP,
+    FLOAT_IMAG_TOLERANCE,
     express_in_submodulus,
+    reference_exact_subset_factorizations,
     reference_sqrt_member,
     reference_sqrt_witness,
     reference_subset_factorizations,
@@ -133,59 +135,152 @@ def subset_keys(found):
 
 
 def test_subset_scan_matches_per_subset_reference():
-    """The depth-first scan finds the same subsets, factors and cofactors,
-    in the same order, as multiplying out and dividing every subset."""
+    """The integer scan finds the same subsets, factors and cofactors, in
+    the same order, as the exact per-subset rebuild on every case, and as
+    the float per-subset scan on the cases where that one is exact: every
+    factor's denominators at most its cap (the roots here have modulus
+    below 2.5, where its imaginary-part filter holds)."""
     shapes = (2, 3, 4, 6, 8, 12)
     small = sorted({Fraction(a, b) for a in range(1, 7) for b in range(1, 7)})
     cases = [(alpha, n) for alpha in small for n in range(2, 13)]
     cases += [(Fraction(c, 1009) ** k, n) for c in (1, 2) for k in shapes for n in shapes]
     assert len(cases) == 325
+    float_exact = 0
     for alpha, n in cases:
-        expected = subset_keys(reference_subset_factorizations(alpha, n))
-        assert subset_keys(subset_factorizations(alpha, n)) == expected, (alpha, n)
-    # today's behaviour, not a right answer: x - 1/1009^2 divides
-    # x^2 - 1/1009^4, but its constant term's denominator is past the
-    # reconstruction cap, so both scans miss it (the subset-oracle false
-    # alarm that ROADMAP.md lists)
-    assert subset_factorizations(Fraction(1, 1009 ** 4), 2) == []
+        found = subset_keys(subset_factorizations(alpha, n))
+        assert found == subset_keys(reference_exact_subset_factorizations(alpha, n)), (alpha, n)
+        if all(c.denominator <= FLOAT_DENOMINATOR_CAP for _, factor, _ in found for c in factor):
+            assert found == subset_keys(reference_subset_factorizations(alpha, n)), (alpha, n)
+            float_exact += 1
+    assert float_exact == 275
+    # the float scan's two blind spots: x -+ 1/1009^2 divide x^2 - 1/1009^4,
+    # past its denominator cap, and x^4 - 10^40 has six proper monic
+    # factors, all but x - 10^10 with float imaginary parts past its
+    # tolerance; x^12 - 10^300 has 62, and the radical criterion agrees
+    found = subset_factorizations(Fraction(1, 1009 ** 4), 2)
+    assert [str(f.factor) for f in found] == ["x - 1/1018081", "x + 1/1018081"]
     assert reference_subset_factorizations(Fraction(1, 1009 ** 4), 2) == []
-    # today's behaviour at large alpha, not a right answer: x^4 - 10^40 has
-    # six proper monic factors (x -+ 10^10, x^2 -+ 10^20 and two cubics),
-    # but the rounding error in the imaginary parts of their float
-    # coefficients grows with the roots, past _IMAG_TOLERANCE for all but
-    # x - 10^10, so both scans find that one alone; at 10^300 they find
-    # nothing and the oracle contradicts the radical criterion
     found = subset_factorizations(10 ** 40, 4)
-    assert [str(f.factor) for f in found] == [f"x - {10 ** 10}"]
-    assert subset_keys(found) == subset_keys(reference_subset_factorizations(10 ** 40, 4))
-    assert subset_factorizations(10 ** 300, 12) == reference_subset_factorizations(10 ** 300, 12) == []
-    assert run_cli(["irreducible", "1" + "0" * 300, "12", "--oracle", "--json"]) == 1
+    assert [str(f.factor) for f in found] == [
+        f"x - {10 ** 10}", f"x + {10 ** 10}", f"x^2 - {10 ** 20}", f"x^2 + {10 ** 20}",
+        f"x^3 - {10 ** 10}*x^2 + {10 ** 20}*x - {10 ** 30}",
+        f"x^3 + {10 ** 10}*x^2 + {10 ** 20}*x + {10 ** 30}",
+    ]
+    assert subset_keys(found) == subset_keys(reference_exact_subset_factorizations(10 ** 40, 4))
+    assert [str(f.factor) for f in reference_subset_factorizations(10 ** 40, 4)] == [f"x - {10 ** 10}"]
+    assert len(subset_factorizations(10 ** 300, 12)) == 62
+    assert reference_subset_factorizations(10 ** 300, 12) == []
+    assert run_cli(["irreducible", "1" + "0" * 300, "12", "--oracle", "--json"]) == 0
+    assert run_cli(["irreducible", "1/1036488922561", "2", "--oracle", "--json"]) == 0
+
+
+def test_large_alpha_grid_agrees_with_the_radical_criterion():
+    """Every call of the 10^e grid of scripts/payload_digests.py (e = 1, 8,
+    ..., 295, n = 2..12) finds a factor iff the radical criterion says
+    reducible, and every factor times its cofactor is x^n - alpha."""
+    cases = [(10 ** e, n) for e in range(1, 296, 7) for n in range(2, 13)]
+    assert len(cases) == 473
+    for alpha, n in cases:
+        found = subset_factorizations(alpha, n)
+        assert bool(found) == (not binomial_irreducible(alpha, n)), (alpha, n)
+        target = RatPoly.monomial(n) - alpha
+        assert all(f.factor * f.cofactor == target for f in found), (alpha, n)
+
+
+@given(st.integers(1, 10 ** 4), st.integers(1, 10 ** 4), st.integers(1, 12),
+       st.integers(1, 12), st.integers(2, 12))
+@settings(max_examples=60, deadline=None)
+def test_integer_scan_matches_exact_reference_on_powers(a, b, k, s, n):
+    """alpha = (a/b)^k * s: the scan finds exactly the factors, subsets and
+    cofactors of the exact per-subset rebuild, and a factor iff the radical
+    criterion says reducible."""
+    alpha = Fraction(a, b) ** k * s
+    found = subset_factorizations(alpha, n)
+    assert subset_keys(found) == subset_keys(reference_exact_subset_factorizations(alpha, n))
+    assert bool(found) == (not binomial_irreducible(alpha, n))
+
+
+@pytest.mark.parametrize("alpha, n, count", [(Fraction(1, 1009) ** 12, 12, 62), (10 ** 40, 4, 6)],
+                         ids=["1009^-12-12-62", "10^40-4-6"])
+def test_every_factor_of_a_perfect_power_is_found(alpha, n, count):
+    """x^n - beta^n has a factor for each proper nonempty union of the
+    cyclotomic factors of y^n - 1 (6 of them at n = 12, 3 at n = 4), each
+    found once and each times its cofactor equal to x^n - alpha."""
+    found = subset_factorizations(alpha, n)
+    assert len(found) == len({f.factor for f in found}) == count
+    target = RatPoly.monomial(n) - alpha
+    for f in found:
+        assert f.factor * f.cofactor == target
+        assert f.factor.degree == len(f.subset)
+
+
+def test_past_the_float_bound_coefficients_are_rebuilt_exactly(monkeypatch):
+    """In x^4 - 10^48 the coefficients 10^12 and 10^24 of the cubic factors
+    have weights 3 * 10^12 and 3 * 10^24, past the float bound, and are
+    rebuilt in Z[zeta_4]; at (1/1009)^12, n = 12, the roots' modulus after
+    the substitution is 1 and nothing is.  Forced through the float route,
+    10^24 (no double) rounds wrong and the cubics are lost."""
+    rebuilt = []
+    combination = kummer.root_combination
+
+    def counting(n, terms):
+        rebuilt.append(n)
+        return combination(n, terms)
+
+    monkeypatch.setattr(kummer, "root_combination", counting)
+    assert len(subset_factorizations(10 ** 48, 4)) == 6
+    assert rebuilt
+    rebuilt.clear()
+    assert len(subset_factorizations(Fraction(1, 1009) ** 12, 12)) == 62
+    assert rebuilt == []
+    monkeypatch.setattr(kummer, "_FLOAT_BOUND", inf)
+    assert [f.factor.degree for f in subset_factorizations(10 ** 48, 4)] == [1, 1, 2, 2]
+
+
+def test_closed_subsets_of_one_size_are_far_apart():
+    """Two closed subsets of one size have unit products that differ by more
+    than 1/4 in some coefficient (0.61 at the closest, n = 11), above twice
+    the float route's error bound: a rounded candidate that divides is the
+    product over its own subset."""
+    closest = min(
+        max(abs(x - y) for x, y in zip(first, second))
+        for n in range(2, 13)
+        for products in kummer._unit_products(n)
+        for (_, first), (_, second) in itertools.combinations(products, 2)
+    )
+    assert 0.6 < closest < 0.61
+    assert kummer._FLOAT_BOUND * kummer._FLOAT_ERROR == 1 / 8
 
 
 @pytest.mark.parametrize("alpha, n, divisions", [
     (Fraction(8, 7), 12, 0),
     (4, 4, 2),
-    (8, 6, 6),
-    (9, 12, 20),
-    (Fraction(1, 1036488922561), 2, 0),
+    (8, 6, 2),
+    (9, 12, 2),
+    (Fraction(1, 1036488922561), 2, 2),
     (Fraction(27, 8), 3, 2),
 ])
 def test_subset_scan_divides_only_after_the_constant_term_check(monkeypatch, alpha, n, divisions):
-    """A real-looking subset is divided out only when its constant term c0
-    has c0^n = (-1)^(n*size) * alpha^size, as every monic divisor's has."""
+    """A closed subset of an admissible size is divided out only when every
+    coefficient of its integer candidate is an integer; the division is on
+    ints, and the scan makes no division over Q."""
     count = 0
-    divmod_ = RatPoly.__divmod__
+    divide_monic = kummer._divide_monic
 
-    def counting(self, other):
+    def counting(*args):
         nonlocal count
         count += 1
-        return divmod_(self, other)
+        return divide_monic(*args)
 
-    monkeypatch.setattr(RatPoly, "__divmod__", counting)
+    def forbidden(self, other):
+        raise AssertionError("division over Q in the subset scan")
+
+    monkeypatch.setattr(kummer, "_divide_monic", counting)
+    monkeypatch.setattr(RatPoly, "__divmod__", forbidden)
     found = subset_factorizations(alpha, n)
     assert count == divisions
     monkeypatch.undo()
-    assert subset_keys(found) == subset_keys(reference_subset_factorizations(alpha, n))
+    assert subset_keys(found) == subset_keys(reference_exact_subset_factorizations(alpha, n))
 
 
 def is_conjugation_closed(subset, n):
@@ -206,7 +301,7 @@ class CountingRoots(list):
 @pytest.mark.parametrize("n, visited, closed", [(11, 222, 62), (12, 446, 126)])
 def test_subset_walk_visits_only_subsets_that_can_close(n, visited, closed):
     """2^n - 2 subsets shrink to the ones that can still close under
-    j -> n - j; on the unit circle exactly the closed ones look real."""
+    j -> n - j, and the walk returns exactly the closed ones."""
     roots = CountingRoots(cmath.exp(2j * cmath.pi * j / n) for j in range(n))
     passing = [subset for subset, _ in _real_subset_products(roots)]
     assert roots.reads == visited
@@ -222,20 +317,19 @@ def test_subset_walk_visits_only_subsets_that_can_close(n, visited, closed):
 
 def test_generic_alpha_rebuilds_no_constant_term(monkeypatch):
     """5^s has no rational 12th root for 0 < s < 12, so no subset of any
-    size gets as far as limit_denominator; 9 does, at size 6."""
-    calls = 0
-    limit_denominator = Fraction.limit_denominator
+    size gets its integer candidate rebuilt; 9 does, at size 6 only."""
+    sizes = []
+    rebuild = kummer._integer_coefficients
 
-    def counting(self, cap):
-        nonlocal calls
-        calls += 1
-        return limit_denominator(self, cap)
+    def counting(n, subset, *args):
+        sizes.append(len(subset))
+        return rebuild(n, subset, *args)
 
-    monkeypatch.setattr(Fraction, "limit_denominator", counting)
+    monkeypatch.setattr(kummer, "_integer_coefficients", counting)
     assert subset_factorizations(5, 12) == []
-    assert calls == 0
+    assert sizes == []
     assert subset_factorizations(9, 12)
-    assert calls > 0
+    assert sizes and set(sizes) == {6}
 
 
 @pytest.mark.parametrize("alpha, n", [(5, 12)] + [(Fraction(2, 3), n) for n in range(2, 13)])
@@ -288,7 +382,7 @@ def test_subset_scan_matches_reference_at_every_root_degree():
                 base = Fraction(p, rng.choice([b for b in range(1, 30) if b % p]))
                 alpha = base ** d
                 assert _rational_root_degree(alpha, n) == d, (alpha, n)
-                expected = subset_keys(reference_subset_factorizations(alpha, n))
+                expected = subset_keys(reference_exact_subset_factorizations(alpha, n))
                 assert subset_keys(subset_factorizations(alpha, n)) == expected, (alpha, n)
                 cases += 1
     assert cases == 68
@@ -301,8 +395,10 @@ def test_subset_scan_matches_reference_at_every_root_degree():
 ])
 def test_subset_scan_with_tiny_roots_matches_reference(alpha, n):
     """Roots this small make subsets that are not closed under j -> n - j
-    look real to the float filter.  The walk drops them, and still finds
-    what the per-subset scan finds, all of it closed."""
+    look real to the float scan's imaginary-part filter.  The walk builds
+    closed subsets only, on the unit circle, and finds every factor that
+    the exact per-subset rebuild finds, all of it closed, where the float
+    scan misses those with denominators past its cap."""
     rho = float(alpha) ** (1.0 / n)
     roots = [rho * cmath.exp(2j * cmath.pi * j / n) for j in range(n)]
 
@@ -312,16 +408,18 @@ def test_subset_scan_with_tiny_roots_matches_reference(alpha, n):
             coeffs = [0j] + coeffs
             for k in range(len(coeffs) - 1):
                 coeffs[k] -= roots[j] * coeffs[k + 1]
-        return all(abs(c.imag) <= _IMAG_TOLERANCE for c in coeffs)
+        return all(abs(c.imag) <= FLOAT_IMAG_TOLERANCE for c in coeffs)
 
     assert any(
         looks_real(subset) and not is_conjugation_closed(subset, n)
         for size in range(1, n)
         for subset in itertools.combinations(range(n), size)
     )
-    expected = reference_subset_factorizations(alpha, n)
+    expected = reference_exact_subset_factorizations(alpha, n)
+    assert expected
     assert subset_keys(subset_factorizations(alpha, n)) == subset_keys(expected)
     assert all(is_conjugation_closed(f.subset, n) for f in expected)
+    assert len(reference_subset_factorizations(alpha, n)) < len(expected)
 
 
 @pytest.mark.parametrize("alpha, n, expected", [
@@ -329,11 +427,15 @@ def test_subset_scan_with_tiny_roots_matches_reference(alpha, n):
     (Fraction(1, 10 ** 36), 6, [([0], "x - 1/1000000"), ([3], "x + 1/1000000")]),
 ])
 def test_subset_scan_reports_only_closed_subsets(alpha, n, expected):
-    """Roots of modulus 10^-6 make single roots look real and round to the
-    true factor x -+ 10^-6.  Only subsets closed under j -> n - j are
-    reported, so each such factor is listed once, at its real root."""
+    """Roots of modulus 10^-6 make single roots look real to a float filter
+    and round to the true factor x -+ 10^-6.  Only subsets closed under
+    j -> n - j are reported, so each factor is listed once, the linear ones
+    at their real roots."""
     found = subset_factorizations(alpha, n)
-    assert [(sorted(f.subset), str(f.factor)) for f in found] == expected
+    assert [(sorted(f.subset), str(f.factor)) for f in found if len(f.subset) == 1] == expected
+    assert len({f.factor for f in found}) == len(found)
+    assert all(is_conjugation_closed(f.subset, n) for f in found)
+    assert subset_keys(found) == subset_keys(reference_exact_subset_factorizations(alpha, n))
 
 
 # ----------------------------------------------------------------------
@@ -606,11 +708,11 @@ def test_root_member_payloads_match_product_digest(capsys):
 
 # irreducible --oracle --json at n = 2..8 for coprime a/b with a, b <= 12,
 # and at the (n, k) of the kummer benchmark's perfect powers (a/b)^k, a <= 9
-# prime to b, b in 1001..1010, and the same grid at n = 2..12; the same
-# digests as the per-subset scan (scripts/payload_digests.py prints the
-# second)
-ORACLE_8_DIGEST = "08c2297130885ee36dbcba4fb33dcad330da72f3b54c0a79cbe1792b25207257"
-ORACLE_12_DIGEST = "e617dc2f3fb1ba8be9bf57aecca2292c2f4ac4559afcbb62adfdcae05fd09d0a"
+# prime to b, b in 1001..1010, and the same grid at n = 2..12, every call
+# with exit 0: the oracle agrees with the radical criterion throughout
+# (scripts/payload_digests.py prints the second)
+ORACLE_8_DIGEST = "5d85bc2ac9865cd7f7fb965feec9946ac35445f1ea75e8c31ecc6ca320ea0227"
+ORACLE_12_DIGEST = "79fa03390b95e5a120dd52e5fb92216bbdc9e55be4b32f95a3ff026d90e0a30c"
 
 
 def oracle_commands(n_max):
@@ -630,6 +732,7 @@ def test_oracle_payloads_match_per_subset_digest(capsys):
 
 def test_full_oracle_grid_matches_per_subset_digest(capsys):
     assert kummer_digest(capsys, oracle_commands(12)) == ORACLE_12_DIGEST
+    assert all(run_cli(argv) == 0 for argv in oracle_commands(12))
 
 
 def test_sqrt_rejects_nonpositive():
