@@ -40,7 +40,7 @@ from operator import add, sub
 from typing import Iterable, Union
 
 from .numtheory import euler_phi, prime_divisors
-from .polynomials import RatPoly, _divide_monic, _monic_tail, _poly_mul, _power
+from .polynomials import RatPoly, _divide_monic, _format_terms, _monic_tail, _poly_mul, _power
 
 Scalar = Union[int, Fraction]
 
@@ -390,23 +390,7 @@ class CycElem:
         return cls(data["modulus"], [Fraction(c) for c in data["coeffs"]])
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                var = f"z{self.modulus}" if k == 1 else f"z{self.modulus}^{k}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return _format_terms(enumerate(self.coeffs), f"z{self.modulus}")
 
     def __repr__(self) -> str:
         return f"CycElem(m={self.modulus}, {self})"
@@ -427,7 +411,10 @@ def root_combination(m: int, terms: Iterable[tuple[int, int]], den: int = 1) -> 
     ``terms`` holds (exponent, integer coefficient) pairs; exponents are
     taken mod m and repeated ones add up.  The whole combination is reduced
     modulo Phi_m once, so no intermediate field element is built.
+    ValueError for m < 1.
     """
+    if m < 1:
+        raise ValueError(f"modulus must be >= 1, got {m}")
     out = [0] * m
     for k, c in terms:
         out[k % m] += c

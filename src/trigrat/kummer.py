@@ -3,14 +3,20 @@
 The pieces here answer one question from several directions: for positive
 rational alpha, which cyclotomic fields contain the real root alpha^(1/n)?
 
+Each starts from one reduction, ``numtheory._root_reduction``: alpha =
+beta^e with e the largest divisor of n at which alpha is a rational e-th
+power, so alpha^(1/n) = beta^(1/k), k = n/e, found without factoring n.
+
 * ``binomial_irreducible`` settles irreducibility of x^n - alpha over Q by
-  the radical criterion (no prime-order root of alpha is rational; for
-  positive alpha the quartic exception of the general theorem cannot occur).
+  the radical criterion, e = 1 (no prime-order root of alpha is rational;
+  for positive alpha the quartic exception of the general theorem cannot
+  occur).
 * ``subset_factorizations`` gives a second opinion with no theory in it:
   a monic factor over Q is a product of x - alpha^(1/n) zeta_n^j over a
   subset closed under j -> n - j.  The scan rebuilds each such product at
-  an admissible size in integers, after the substitution x = y/Q that
-  makes the target monic over Z, and confirms it by exact division.
+  an admissible size, a multiple of k, in integers, after the substitution
+  x = y/Q that makes the target monic over Z, and confirms it by exact
+  division.
 * ``sqrt_in_cyclotomic`` writes sqrt(alpha) at the conductor of
   Q(sqrt(alpha)) in closed form, one combination of roots of unity, and
   checks it once by squaring, up to conductor MAX_WITNESS_MODULUS;
@@ -40,6 +46,7 @@ from typing import Union
 from .cyclotomic import CycElem, root_combination, zeta_power
 from .numtheory import (
     _check_positive,
+    _root_reduction,
     _squarefree_part,
     euler_phi,
     format_rational,
@@ -87,9 +94,12 @@ def subset_factorizations(alpha: Scalar, n: int) -> list[SubsetFactor]:
 
     A monic factor over Q is the product of x - alpha^(1/n) zeta_n^j over a
     subset of j, closed under j -> n - j, of a size s at which alpha^s has
-    a rational n-th root: a multiple of k = n/e, alpha = beta^e with
-    e = ``_rational_root_degree(alpha, n)`` (``_constant_term_sizes``; with
-    none the answer is [] at once).  With Q the denominator of beta, x = y/Q
+    a rational n-th root.  For reduced alpha a prime's exponent in alpha^s
+    is s times its exponent in alpha, so that holds iff alpha is a rational
+    (n/gcd(s, n))-th power, and the divisors of n at which it is are those
+    of the largest, e in alpha = beta^e (``numtheory._root_reduction``): the
+    sizes are the multiples of k = n/e below n, none when e = 1, and then
+    the answer is [] at once.  With Q the denominator of beta, x = y/Q
     gives the target y^n - (beta Q^k)^e, monic over Z with roots
     M zeta_n^j, M = (beta Q^k)^(1/k), so its monic factors have integer
     coefficients (Gauss).  A closed subset's constant term is
@@ -107,18 +117,17 @@ def subset_factorizations(alpha: Scalar, n: int) -> list[SubsetFactor]:
         magnitude = inf
     if not sys.float_info.min <= magnitude <= sys.float_info.max:
         raise ValueError("alpha is outside the float range the subset scan works in")
-    sizes = _constant_term_sizes(alpha, n)
-    if not sizes:
+    e, beta = _root_reduction(alpha, n)
+    if e == 1:
         return []
-    k = sizes.step
-    beta = nth_root_rational(alpha, n // k)
+    k = n // e
     q = beta.denominator
     radicand = beta.numerator * q ** (k - 1)  # M^k
     scale = inf if radicand >> 41 * k else float(radicand) ** (1 / k)  # past 2^41 nothing is rounded
-    target = [-radicand ** (n // k)] + [0] * (n - 1) + [1]
+    target = [-radicand ** e] + [0] * (n - 1) + [1]
     products = _unit_products(n)
     found: list[SubsetFactor] = []
-    for s in sizes:
+    for s in range(k, n, k):
         constant = (-1) ** s * radicand ** (s // k)
         for subset, unit in products[s]:
             coeffs = _integer_coefficients(n, subset, unit, k, radicand, scale)
@@ -173,33 +182,6 @@ def _integer_coefficients(n: int, subset: tuple, unit: tuple, k: int, radicand: 
 def _unscaled(coeffs: list[int], q: int) -> RatPoly:
     """The monic q^-deg g(q x) of the monic integer polynomial g(y)."""
     return RatPoly(Fraction(c, q ** (len(coeffs) - 1 - i)) for i, c in enumerate(coeffs))
-
-
-def _rational_root_degree(alpha: Fraction, n: int) -> int:
-    """The largest divisor e of n for which alpha is a rational e-th power.
-
-    alpha = 1 is an n-th power.  Any other alpha has a part a > 1, its
-    numerator or denominator, and a = c^e with c >= 2 gives 2^e <= a, so e
-    is at most the larger bit length of the two parts: only the divisors
-    of n up to that bound are tried, and n is not factored."""
-    if alpha == 1:
-        return n
-    bound = min(n, max(alpha.numerator.bit_length(), alpha.denominator.bit_length()))
-    return next(d for d in range(bound, 0, -1) if n % d == 0 and nth_root_rational(alpha, d) is not None)
-
-
-def _constant_term_sizes(alpha: Fraction, n: int) -> range:
-    """The sizes s in 1..n-1 at which alpha^s has a rational n-th root, the
-    only degrees at which a monic rational divisor of x^n - alpha can have
-    its constant term.
-
-    For reduced alpha a prime's exponent in alpha^s is s times its exponent
-    in alpha, so alpha^s is a rational n-th power iff alpha is a rational
-    (n/gcd(s, n))-th power.  The divisors of n at which alpha is a rational
-    power are the divisors of the largest one, e, so the sizes are the
-    multiples of n/e below n: none when e = 1."""
-    step = n // _rational_root_degree(alpha, n)
-    return range(step, n, step)
 
 
 @lru_cache(maxsize=11)  # one entry per n in 2..12
@@ -565,10 +547,11 @@ def _conductor_divides(beta: Fraction, m: int) -> bool:
 def nth_root_in_cyclotomic(alpha: Scalar, n: int, m: int) -> RootMembershipVerdict:
     """Decide whether the positive real n-th root of alpha lies in Q(zeta_m).
 
-    The exponent is first reduced: with e the largest divisor of n for which
-    alpha^(1/e) is rational, the query becomes beta^(1/k) with beta rational
-    and k = n/e, and beta then has no rational prime-order root.  Three
-    ranges of k remain.  k = 1: the root is rational, hence a member.
+    The exponent is first reduced (``numtheory._root_reduction``): with e
+    the largest divisor of n for which alpha^(1/e) is rational, the query
+    becomes beta^(1/k) with beta rational and k = n/e, and beta then has no
+    rational prime-order root.  Three ranges of k remain.  k = 1: the root
+    is rational, hence a member.
     k = 2: sqrt(beta) has an explicit witness at the conductor f of
     Q(sqrt(beta)) (d when the squarefree part d of beta is 1 mod 4, else
     4d), and Q(zeta_m) contains it iff f divides m, the closed form of the
@@ -591,8 +574,7 @@ def nth_root_in_cyclotomic(alpha: Scalar, n: int, m: int) -> RootMembershipVerdi
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
 
-    e = _rational_root_degree(alpha, n)
-    beta = nth_root_rational(alpha, e)
+    e, beta = _root_reduction(alpha, n)
     k = n // e
 
     if k == 1:

@@ -3,7 +3,9 @@
 Everything in this module is pure and exact: arbitrary-precision integers,
 ``fractions.Fraction`` for rationals, no floating point anywhere.  All moduli
 and exponents that show up in this project are desk-scale, so factoring is
-plain trial division.
+plain trial division, by one bounded loop (``_trial_division``) that
+``trig``'s spread check shares.  ``_root_reduction`` writes alpha = beta^e,
+the one reduction behind the radical criterion and ``kummer``.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt, prod
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
@@ -64,24 +66,29 @@ def integer_nth_root(x: int, n: int) -> int:
     return lo
 
 
+def _trial_division(n: int, bound: int) -> tuple[list[tuple[int, int]], int, int]:
+    """Divide n >= 1 by 2 and the odd p <= bound while p * p <= n: the
+    (prime, exponent) pairs found, in order, the cofactor left and the next
+    trial divisor p.  The cofactor is 1 or a prime when p * p is above it,
+    and otherwise has only primes above bound."""
+    factors, p = [], 2
+    while p <= bound and p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n, e = n // p, e + 1
+            factors.append((p, e))
+        p += 1 if p == 2 else 2
+    return factors, n, p
+
+
 @lru_cache(maxsize=1024)
 def prime_factorization(n: int) -> tuple[tuple[int, int], ...]:
     """Sorted (prime, exponent) pairs of n >= 1, by trial division.  The
     cache keeps the 1024 arguments used last."""
     _check_natural(n, 1)
-    factors = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            factors.append((p, e))
-        p += 1 if p == 2 else 2
-    if n > 1:
-        factors.append((n, 1))
-    return tuple(factors)
+    factors, rest, _ = _trial_division(n, n)
+    return tuple(factors + [(rest, 1)] if rest > 1 else factors)
 
 
 def prime_divisors(n: int) -> tuple[int, ...]:
@@ -132,24 +139,37 @@ def nth_root_rational(alpha: Fraction, n: int) -> Fraction | None:
     return Fraction(num_root, den_root)
 
 
+def _root_reduction(alpha: Fraction, n: int) -> tuple[int, Fraction]:
+    """(e, beta) with alpha = beta^e, beta > 0 rational and e the largest
+    divisor of n at which alpha is a rational e-th power, so that
+    alpha^(1/n) = beta^(1/k) for k = n/e.
+
+    alpha = 1 is 1^n.  Any other alpha has a part a > 1, its numerator or
+    denominator, and a = c^e with c >= 2 gives 2^e <= a, so e is at most
+    the larger bit length of the two parts: only the divisors of n up to
+    that bound are tried, downward, and n is not factored.
+    """
+    if alpha == 1:
+        return n, alpha
+    bound = min(n, max(alpha.numerator.bit_length(), alpha.denominator.bit_length()))
+    for e in range(bound, 0, -1):  # e = 1 ends it: beta = alpha
+        if n % e == 0 and (beta := nth_root_rational(alpha, e)) is not None:
+            return e, beta
+
+
 def radical_condition(alpha: Fraction, n: int) -> bool:
     """True iff alpha**(k/n) is irrational for every 1 <= k <= n-1.
 
     For alpha > 0 the exponents t with alpha**t rational form an additive
     group containing 1, so the condition reduces to: alpha is not a perfect
     r-th power for any prime r dividing n, or, the same, for any divisor
-    r >= 2 of n.  (The equivalence is itself property-tested against the
-    direct definition.)  alpha = 1 is every power, so the condition fails;
-    any other alpha has a part a > 1, its numerator or denominator, and
-    a = c^r with c >= 2 gives 2^r <= a, so only the divisors of n up to the
-    larger bit length of the two parts are tried, and n is not factored.
+    r >= 2 of n, that is, e = 1 in ``_root_reduction``.  (The equivalence
+    is itself property-tested against the direct definition.)  alpha = 1 is
+    every power, so the condition fails.
     """
     alpha = _check_positive(alpha)
     _check_natural(n, 2)
-    if alpha == 1:
-        return False
-    bound = min(n, max(alpha.numerator.bit_length(), alpha.denominator.bit_length()))
-    return all(nth_root_rational(alpha, r) is None for r in range(2, bound + 1) if n % r == 0)
+    return _root_reduction(alpha, n)[0] == 1
 
 
 def _squarefree_part(n: int, bound: int) -> int | None:
@@ -157,18 +177,11 @@ def _squarefree_part(n: int, bound: int) -> int | None:
     numbers up to bound only.  None when what is left then has no factor up
     to bound and is neither 1, a prime nor a square: some prime above bound
     divides d."""
-    d, p = 1, 2
-    while p <= bound and p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n, e = n // p, e + 1
-            if e % 2:
-                d *= p
-        p += 1 if p == 2 else 2
-    if p * p > n:  # n is 1 or a prime
-        return d * n
-    return d if isqrt(n) ** 2 == n else None
+    factors, rest, p = _trial_division(n, bound)
+    d = prod(q for q, e in factors if e % 2)
+    if p * p > rest:  # rest is 1 or a prime
+        return d * rest
+    return d if isqrt(rest) ** 2 == rest else None
 
 
 def squarefree_decompose(alpha: Fraction) -> tuple[Fraction, int]:

@@ -12,8 +12,9 @@ ring whose elements support ``+``, ``-`` and ``*`` with each other and with
 ``_divide_monic`` the long division by a monic polynomial, which reads the
 divisor as its nonzero tail (``_monic_tail``, cached per modulus for
 Phi_m), and ``_power`` square-and-multiply for ``RatPoly`` and ``CycElem``
-powers.  Zero coefficients are skipped by truthiness; a ``CycElem`` is
-always truthy, so over Q(zeta_m) every product is formed.  The names are
+powers; ``_format_terms`` prints ``RatPoly`` and ``CycElem`` alike.
+Zero coefficients are skipped by truthiness; a ``CycElem`` is always
+truthy, so over Q(zeta_m) every product is formed.  The names are
 private: the span tracer of ``perfbench/tracer.py`` wraps every public
 callable, and a span per product would move the products' time out of the
 layer that asks for them.
@@ -180,27 +181,29 @@ class RatPoly:
         return result
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self[k]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                var = "x" if k == 1 else f"x^{k}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return _format_terms(reversed(list(enumerate(self.coeffs))), "x")
 
     def __repr__(self) -> str:
         return f"RatPoly({self})"
+
+
+def _format_terms(terms: Iterable[tuple[int, Fraction]], var: str) -> str:
+    """The sum of c * var^k over the (k, c) pairs in their order, as
+    ``RatPoly`` and ``CycElem`` print it: zero terms skipped, each sign
+    pulled out, a unit magnitude dropped before var, and "0" for no term."""
+    parts = []
+    for k, c in terms:
+        if c == 0:
+            continue
+        mag = abs(c)
+        power = var if k == 1 else f"{var}^{k}"
+        body = str(mag) if k == 0 else power if mag == 1 else f"{mag}*{power}"
+        if parts:
+            body = ("+ " if c > 0 else "- ") + body
+        elif c < 0:
+            body = "-" + body
+        parts.append(body)
+    return " ".join(parts) or "0"
 
 
 def _coerce(value) -> RatPoly | None:

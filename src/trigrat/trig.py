@@ -43,10 +43,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .cyclotomic import CycElem, root_combination
-from .numtheory import format_rational, nth_root_rational, parse_rational
+from .numtheory import _trial_division, format_rational, nth_root_rational, parse_rational
 
 
 class TrigFunc(enum.Enum):
@@ -187,24 +187,20 @@ def _polygon_moves(m: int) -> tuple[tuple[int, int, int, int], ...]:
     dividing M, p increasing.
 
     ValueError when the spread, prod(p - 1) over those p, is above
-    MAX_POLYGON_SPREAD.  Trial division stops at MAX_POLYGON_SPREAD + 1,
-    since a prime past it is past the limit alone, so M is never factored
-    further: what is left then is one prime or is over the limit."""
-    moves, rest, spread, p = [], m // (m & -m), 1, 3
-    while rest > 1 and spread <= MAX_POLYGON_SPREAD:
-        if p * p > rest or p > MAX_POLYGON_SPREAD + 1:
-            p = rest
-        if rest % p == 0:
-            pa = p
-            rest //= p
-            while rest % p == 0:
-                pa, rest = pa * p, rest // p
-            spread *= p - 1
-            moves.append((pa, pow(m // pa, -1, pa), pa - pa // p, m // p))
-        p += 2
-    if spread > MAX_POLYGON_SPREAD:
+    MAX_POLYGON_SPREAD.  M's odd part is trial-divided up to
+    MAX_POLYGON_SPREAD + 1 only (``numtheory._trial_division``), since a
+    prime past that is past the limit alone, so M is never factored
+    further: what is left then is 1, one prime, or over the limit."""
+    factors, rest, _ = _trial_division(m // (m & -m), MAX_POLYGON_SPREAD + 1)
+    if rest > 1:
+        factors.append((rest, 1))
+    if prod(p - 1 for p, _ in factors) > MAX_POLYGON_SPREAD:
         raise ValueError(f"the spread prod(p - 1) over the odd primes p of M = {m}"
                          f" is above the limit {MAX_POLYGON_SPREAD}")
+    moves = []
+    for p, a in factors:
+        pa = p ** a
+        moves.append((pa, pow(m // pa, -1, pa), pa - pa // p, m // p))
     return tuple(moves)
 
 

@@ -34,13 +34,20 @@ checks:
 * ``reference_exact_subset_factorizations`` rebuilds every coefficient of
   every closed subset's product exactly, as the rational n-th root of
   alpha^d * e_d^n with e_d in Q(zeta_n), and divides over Q: no floats but
-  a sign, no integer substitution, no size filter.
+  a sign, no integer substitution, no size filter;
+* ``reference_prime_factorization``, ``reference_squarefree_part`` and
+  ``reference_polygon_moves`` are three trial-division loops, each with
+  its own stopping rule, not the one bounded ``numtheory._trial_division``
+  that the library's three callers share;
+* ``reference_radical_condition`` searches the divisors of n upward for a
+  rational root and ``reference_rational_root_degree`` downward for the
+  largest, each on its own, not through ``numtheory._root_reduction``.
 """
 
 import cmath
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from trigrat.cyclotomic import CycElem, _power_table, root_combination, zeta_power
 from trigrat.kummer import SubsetFactor, gauss_sum, sqrt_in_cyclotomic
@@ -54,7 +61,7 @@ from trigrat.numtheory import (
 )
 from trigrat.polynomials import RatPoly, _divide_monic, _monic_tail, _poly_mul
 from trigrat.sweep import Hit, SweepReport, Violation, _survey, reduced_angles
-from trigrat.trig import Case, TrigFunc, UndefinedTrigValue
+from trigrat.trig import MAX_POLYGON_SPREAD, Case, TrigFunc, UndefinedTrigValue
 
 
 def reference_cyclotomic_coeffs(m: int) -> tuple[int, ...]:
@@ -314,3 +321,82 @@ def reference_exact_subset_factorizations(alpha, n: int) -> list[SubsetFactor]:
                 if remainder.is_zero():
                     found.append(SubsetFactor(frozenset(subset), candidate, quotient))
     return found
+
+
+def reference_prime_factorization(n: int) -> tuple[tuple[int, int], ...]:
+    """Sorted (prime, exponent) pairs of n >= 1, trial division by 2 and
+    the odd numbers while p * p <= n."""
+    factors = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            factors.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        factors.append((n, 1))
+    return tuple(factors)
+
+
+def reference_squarefree_part(n: int, bound: int) -> int | None:
+    """The squarefree part of n >= 1 from trial division by 2 and the odd
+    numbers up to bound, or None when what is left is neither 1, a prime
+    nor a square."""
+    d, p = 1, 2
+    while p <= bound and p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n, e = n // p, e + 1
+            if e % 2:
+                d *= p
+        p += 1 if p == 2 else 2
+    if p * p > n:  # n is 1 or a prime
+        return d * n
+    return d if isqrt(n) ** 2 == n else None
+
+
+def reference_polygon_moves(m: int) -> tuple[tuple[int, int, int, int], ...]:
+    """``trig._polygon_moves`` by trial division of M's odd part that stops
+    as soon as the spread passes MAX_POLYGON_SPREAD, and takes what is left
+    as one factor once p passes MAX_POLYGON_SPREAD + 1."""
+    moves, rest, spread, p = [], m // (m & -m), 1, 3
+    while rest > 1 and spread <= MAX_POLYGON_SPREAD:
+        if p * p > rest or p > MAX_POLYGON_SPREAD + 1:
+            p = rest
+        if rest % p == 0:
+            pa = p
+            rest //= p
+            while rest % p == 0:
+                pa, rest = pa * p, rest // p
+            spread *= p - 1
+            moves.append((pa, pow(m // pa, -1, pa), pa - pa // p, m // p))
+        p += 2
+    if spread > MAX_POLYGON_SPREAD:
+        raise ValueError(f"the spread prod(p - 1) over the odd primes p of M = {m}"
+                         f" is above the limit {MAX_POLYGON_SPREAD}")
+    return tuple(moves)
+
+
+def _root_bound(alpha: Fraction, n: int) -> int:
+    """The largest e worth trying: 2^e <= a for a part a > 1 of alpha."""
+    return min(n, max(alpha.numerator.bit_length(), alpha.denominator.bit_length()))
+
+
+def reference_radical_condition(alpha: Fraction, n: int) -> bool:
+    """No divisor r >= 2 of n, up to alpha's bit length, at which alpha is
+    a rational r-th power, tried upward."""
+    if alpha == 1:
+        return False
+    return all(nth_root_rational(alpha, r) is None for r in range(2, _root_bound(alpha, n) + 1) if n % r == 0)
+
+
+def reference_rational_root_degree(alpha: Fraction, n: int) -> int:
+    """The largest divisor e of n, up to alpha's bit length, at which alpha
+    is a rational e-th power, tried downward."""
+    if alpha == 1:
+        return n
+    return next(d for d in range(_root_bound(alpha, n), 0, -1) if n % d == 0 and nth_root_rational(alpha, d) is not None)

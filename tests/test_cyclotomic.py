@@ -387,6 +387,33 @@ def test_witness_to_json_is_pinned():
     assert witness.to_json() == {"modulus": 20, "coeffs": ["1/2", "0", "0", "0", "1/2", "0", "-1/2", "0"]}
 
 
+@pytest.mark.parametrize("x, text", [
+    (CycElem(5, [Fraction(1, 2), Fraction(-3, 4), 0, 1]), "1/2 - 3/4*z5 + z5^3"),
+    (CycElem(8, [0, 0, -1, Fraction(2, 3)]), "-z8^2 + 2/3*z8^3"),
+    (CycElem(12, [0, -1, Fraction(7, 2), -1]), "-z12 + 7/2*z12^2 - z12^3"),
+    (CycElem(7, [Fraction(-5, 3), 0, 0, 0, 0, 0]), "-5/3"),
+    (CycElem(1, [Fraction(-2, 9)]), "-2/9"),
+    (CycElem.zero(12), "0"),
+])
+def test_str_rendering(x, text):
+    """Fractional coordinates, a negative leading term, a rational-only
+    value and zero print as RatPoly terms do, in z_m and lowest power first."""
+    assert str(x) == text
+    assert repr(x) == f"CycElem(m={x.modulus}, {text})"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: zeta(0),
+    lambda: zeta(3).embed(0),
+    lambda: zeta(-3),
+    lambda: zeta_power(-4, 1),
+    lambda: zeta(12).embed(-24),
+], ids=["zeta(0)", "zeta(3).embed(0)", "zeta(-3)", "zeta_power(-4, 1)", "zeta(12).embed(-24)"])
+def test_nonpositive_moduli_are_refused(build):
+    with pytest.raises(ValueError, match="modulus must be >= 1"):
+        build()
+
+
 def test_modulus_mismatch_is_rejected():
     with pytest.raises(ValueError):
         zeta(8) + zeta(12)

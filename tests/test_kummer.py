@@ -32,12 +32,11 @@ from trigrat.kummer import (
     subset_factorizations,
     subset_unity_product,
     verify_remark_factorization,
-    _constant_term_sizes,
-    _rational_root_degree,
     _real_subset_products,
 )
-from trigrat.numtheory import divisors, mobius, nth_root_rational, prime_factorization
+from trigrat.numtheory import _root_reduction, divisors, mobius, nth_root_rational, prime_factorization
 from trigrat.polynomials import RatPoly, _poly_mul
+from trigrat.trig import MAX_POLYGON_SPREAD
 
 from reference import (
     FLOAT_DENOMINATOR_CAP,
@@ -349,23 +348,28 @@ def test_scan_with_no_admissible_size_builds_no_root_or_subset(monkeypatch, alph
 @given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 12), st.integers(2, 12))
 @settings(max_examples=200)
 def test_constant_term_sizes_follow_the_divisor_rule(a, b, k, n):
-    """The sizes read off alpha are those at which alpha^s itself has a
-    rational n-th root."""
+    """The sizes the subset scan tries, the multiples of k = n/e below n for
+    alpha = beta^e, are those at which alpha^s itself has a rational n-th
+    root."""
     alpha = Fraction(a, b) ** k
     direct = [s for s in range(1, n) if nth_root_rational(alpha ** s, n) is not None]
-    assert list(_constant_term_sizes(alpha, n)) == direct
+    step = n // _root_reduction(alpha, n)[0]
+    assert list(range(step, n, step)) == direct
 
 
 @given(st.integers(1, 60), st.integers(1, 60), st.integers(1, 24), st.data())
 @settings(max_examples=300)
 def test_rational_root_degree_matches_the_search_over_every_divisor(a, b, k, data):
     """Trying only the divisors of n up to alpha's bit length finds the
-    degree that the search over all of n's divisors finds; alpha = (a/b)^k
-    (1 when a = b), n any number up to 10^4 or a multiple of k."""
+    degree that the search over all of n's divisors finds: alpha = beta^e
+    with e dividing n, and no larger divisor of n gives a rational root;
+    alpha = (a/b)^k (1 when a = b), n any number up to 10^4 or a multiple
+    of k."""
     alpha = Fraction(a, b) ** k
     n = data.draw(st.one_of(st.integers(1, 10 ** 4), st.integers(1, 60).map(lambda c: k * c)))
-    factored = next(d for d in reversed(divisors(n)) if nth_root_rational(alpha, d) is not None)
-    assert _rational_root_degree(alpha, n) == factored
+    e, beta = _root_reduction(alpha, n)
+    assert n % e == 0 and beta ** e == alpha
+    assert all(nth_root_rational(alpha, d) is None for d in divisors(n) if d > e)
 
 
 def test_subset_scan_matches_reference_at_every_root_degree():
@@ -381,7 +385,7 @@ def test_subset_scan_matches_reference_at_every_root_degree():
                 p = rng.choice(primes)
                 base = Fraction(p, rng.choice([b for b in range(1, 30) if b % p]))
                 alpha = base ** d
-                assert _rational_root_degree(alpha, n) == d, (alpha, n)
+                assert _root_reduction(alpha, n) == (d, base), (alpha, n)
                 expected = subset_keys(reference_exact_subset_factorizations(alpha, n))
                 assert subset_keys(subset_factorizations(alpha, n)) == expected, (alpha, n)
                 cases += 1
@@ -913,6 +917,16 @@ def test_sqrt_non_membership_with_a_large_square_factor_factors_nothing(monkeypa
     assert json.loads(capsys.readouterr().out)["answer"] == "NO"
 
 
+# 3*5*7*11*13*17*19*23*(10^15 + 37): the large prime is past the trial bound
+# of the spread check, which refuses the eval after trial division to 2^20
+_SPREAD_Q = 111546435000004127218095
+_REFUSALS = {
+    "sqrt-embed": f"error: the conductor of Q(sqrt(1000000016000000063)) is above the limit {MAX_WITNESS_MODULUS}\n",
+    "eval": (f"error: the spread prod(p - 1) over the odd primes p of M = {4 * _SPREAD_Q}"
+             f" is above the limit {MAX_POLYGON_SPREAD}\n"),
+}
+
+
 @pytest.mark.parametrize("argv, code, out", [
     (["root-member", "3000000042000000147", "2", "12"],
      0, "3000000042000000147^(1/2) in Q(zeta_12): YES  [galois_invariance]"
@@ -923,17 +937,19 @@ def test_sqrt_non_membership_with_a_large_square_factor_factors_nothing(monkeypa
     (["irreducible", "2", "1000000007"], 0, "x^1000000007 - 2 is irreducible over Q\n"),
     (["root-member", "2", "1000000016000000063", "12"], 0, "2^(1/1000000016000000063) in Q(zeta_12): NO  [theorem_1_3]\n"),
     (["irreducible", "2", "1000000016000000063"], 0, "x^1000000016000000063 - 2 is irreducible over Q\n"),
+    (["eval", "cos", f"1/{_SPREAD_Q}", "--pow", "2"], 2, ""),
 ])
 def test_large_prime_factors_answer_within_a_second(argv, code, out):
     """No command trial-divides alpha up to its square root or factors n,
-    and no n-th root of alpha forms 2^n at a large prime n: each answers,
-    or refuses with a message, in a fresh process within 1 s."""
+    no n-th root of alpha forms 2^n at a large prime n, and the spread
+    check trial-divides M no further than 2^20: each answers, or refuses
+    with a message, in a fresh process within 1 s."""
     start = time.perf_counter()
     result = subprocess.run([sys.executable, "-m", "trigrat", *argv], capture_output=True, text=True, timeout=20)
     assert time.perf_counter() - start < 1.0, argv
     assert (result.returncode, result.stdout) == (code, out), result.stderr
     if code == 2:
-        assert result.stderr == f"error: the conductor of Q(sqrt(1000000016000000063)) is above the limit {MAX_WITNESS_MODULUS}\n"
+        assert result.stderr == _REFUSALS[argv[0]]
 
 
 def _factored_conductor(beta):

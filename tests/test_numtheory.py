@@ -2,10 +2,11 @@ from fractions import Fraction
 from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trigrat.numtheory import (
+    _root_reduction,
     _squarefree_part,
     divisors,
     euler_phi,
@@ -17,6 +18,13 @@ from trigrat.numtheory import (
     prime_factorization,
     radical_condition,
     squarefree_decompose,
+)
+
+from reference import (
+    reference_prime_factorization,
+    reference_radical_condition,
+    reference_rational_root_degree,
+    reference_squarefree_part,
 )
 
 
@@ -167,6 +175,42 @@ def test_bounded_squarefree_part_matches_the_factored_one(n, square):
         got = _squarefree_part(n * square, bound)
         assert got == d or (got is None and max(prime_factorization(d))[0] > bound), (n, square, bound)
     assert _squarefree_part(1000000016000000063 * square, 41000) is None
+
+
+def _primes_above(bound, count):
+    primes, p = [], bound + 1
+    while len(primes) < count:
+        if reference_prime_factorization(p) == ((p, 1),):
+            primes.append(p)
+        p += 1
+    return primes
+
+
+@given(st.integers(1, 2000), st.integers(1, 10 ** 6), st.integers(0, 5))
+@example(1, 1, 0)
+@example(2, 9, 2)
+@settings(max_examples=300)
+def test_trial_division_callers_match_the_reference_loops(bound, small, i):
+    """prime_factorization and _squarefree_part, over the one shared trial
+    division, give what their own loops give: at odd and even bounds, and
+    at n = small * cofactor with the cofactor 1, a prime or a prime square
+    just above the bound, a product of two such primes, or a cube."""
+    q, r = _primes_above(bound, 2)
+    n = small * [1, q, q * q, q * r, q ** 3, q * q * r][i]
+    assert prime_factorization.__wrapped__(n) == reference_prime_factorization(n), n
+    assert _squarefree_part(n, bound) == reference_squarefree_part(n, bound), (n, bound)
+
+
+@given(st.integers(1, 60), st.integers(1, 60), st.integers(1, 24), st.data())
+@settings(max_examples=300)
+def test_root_reduction_matches_both_reference_searches(a, b, k, data):
+    """e from the one downward search is the downward reference's, and
+    radical_condition, e = 1, is the upward reference's; alpha = (a/b)^k,
+    n any number in 2..10^4 or a multiple of k."""
+    alpha = Fraction(a, b) ** k
+    n = data.draw(st.one_of(st.integers(2, 10 ** 4), st.integers(1, 60).map(lambda c: 2 * k * c)))
+    assert _root_reduction(alpha, n)[0] == reference_rational_root_degree(alpha, n)
+    assert radical_condition(alpha, n) == reference_radical_condition(alpha, n)
 
 
 @given(st.integers(-10 ** 9, 10 ** 9), st.integers(1, 10 ** 6))

@@ -28,7 +28,7 @@ from trigrat.trig import (
     value_descriptor,
 )
 
-from reference import reference_power_values, reference_trig_elem
+from reference import reference_polygon_moves, reference_power_values, reference_trig_elem
 
 COS, SIN, TAN = TrigFunc.COS, TrigFunc.SIN, TrigFunc.TAN
 
@@ -489,6 +489,28 @@ def test_powers_at_moduli_with_a_small_spread_are_decided():
     for func in (COS, SIN, TAN):
         assert power_rational(func, angle, 2) is None
     assert power_rational(COS, Angle(10 ** 11 - 1, 10 ** 11), 1000) is None
+
+
+def _moves_or_refusal(polygon_moves, m):
+    try:
+        return polygon_moves(m)
+    except ValueError as error:
+        return str(error)
+
+
+# 524287 and 524309 are the primes either side of 2^19, 1048573 and 1048583
+# either side of 2^20 (and of the trial bound 2^20 + 1)
+@given(st.integers(0, 4), st.sampled_from([1, 3, 5, 9, 15, 27, 105]),
+       st.sampled_from([1, 524287, 524309, 1048573, 1048583, 524287 ** 2, 1048573 ** 2, 1048583 ** 2, 1048583 * 1048589]))
+@settings(max_examples=60, deadline=None)
+def test_polygon_moves_match_the_reference_loop(b, small, cofactor):
+    """The moves over the one bounded trial division are those of the loop
+    that stops once the spread passes the limit, and a refusal has the same
+    message: spreads on either side of 2^20, and cofactors that are a prime
+    or a prime square below or above the trial bound."""
+    m = 2 ** (b + 1) * small * cofactor
+    expected = _moves_or_refusal(reference_polygon_moves, m)
+    assert _moves_or_refusal(trig._polygon_moves.__wrapped__, m) == expected, m
 
 
 def test_power_rational_needs_no_reduction_modulo_phi(monkeypatch):
