@@ -149,6 +149,21 @@ def group_verify_grid():
         yield argv + ["--json"]
 
 
+def sweep_subsets_grid():
+    """verify sweep --q-max 24 --n-max 8 with --funcs sin, tan,cos and
+    cos,tan,sin, then the verify runs that are refused because they would
+    check nothing or count a check twice: --funcs cos,cos, gauss --m-max
+    0 and -3, group --n-max 1 and -2; each as text and under --json."""
+    lines = [["verify", "sweep", "--q-max", "24", "--n-max", "8", "--funcs", funcs]
+             for funcs in ("sin", "tan,cos", "cos,tan,sin")]
+    lines += [["verify", "sweep", "--q-max", "3", "--n-max", "2", "--funcs", "cos,cos"],
+              ["verify", "gauss", "--m-max", "0"], ["verify", "gauss", "--m-max", "-3"],
+              ["verify", "group", "--n-max", "1"], ["verify", "group", "--n-max", "-2"]]
+    for argv in lines:
+        yield argv
+        yield argv + ["--json"]
+
+
 def usage_digest():
     """The digest of USAGE_ARGV, with argparse's wrapping fixed at 80
     columns rather than the terminal's width."""
@@ -186,6 +201,8 @@ GRIDS = {
     "verify sweep q<=12 n<=1000": lambda: sweep_digest(12, 1000),
     "usage errors and help": usage_digest,
     "group 2..12, verify gauss|group|remark, text and --json": lambda: commands_digest(group_verify_grid()),
+    "verify sweep q<=24 n<=8 --funcs subsets, verify refusals, text and --json":
+        lambda: commands_digest(sweep_subsets_grid()),
 }
 
 

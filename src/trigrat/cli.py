@@ -221,6 +221,8 @@ def _cmd_verify(args) -> int:
         return 0 if report.clean else 1
 
     if args.target == "gauss":
+        if args.m_max < 1:  # a run that checks nothing, as the sweep's q_max < 1
+            raise ValueError(f"m_max must be >= 1, got {args.m_max}")
         _check_modulus(args.m_max, MAX_WITNESS_MODULUS)  # refuse before any sum is built
         failures = [m for m in range(1, args.m_max + 1) if not gauss_sum_case_check(m)]
         payload = {"m_max": args.m_max, "failures": failures}
@@ -230,6 +232,8 @@ def _cmd_verify(args) -> int:
         return 0 if not failures else 1
 
     if args.target == "group":
+        if args.n_max < 2:  # a run that checks nothing
+            raise ValueError(f"n_max must be >= 2, got {args.n_max}")
         for n in range(2, args.n_max + 1):  # refuse before any group is built
             _check_group_order(n)
         failures = []

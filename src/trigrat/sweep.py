@@ -4,7 +4,7 @@
 bound: it raises cos, sin and tan of pi*p/q to every exponent up to another
 bound exactly (each power written down by the binomial theorem, its terms
 moved along p-gons, the three functions at one angle read off the same two
-streams of powers, ``trig._power_pairs``) and checks each outcome against
+streams of powers, ``trig._powers``) and checks each outcome against
 what the classification and the predicted value lists say must happen:
 
 * a rational n-th power forces the base value into the finite list for the
@@ -18,13 +18,12 @@ what the classification and the predicted value lists say must happen:
 Every rational power found is recorded as a hit; every broken expectation
 as a violation.  A clean sweep is a report with an empty violation list.
 
-The case of each angle is decided from its powers alone
-(``_classify_by_powers``): x rational makes it rational-at-n=1, x^2
-rational rational-square, and anything else never-rational, since no least
-rational exponent is 3 or more (``trig.classify``).  Those are the survey's
-own first two powers, so the sweep builds no witness, no Phi_M and no long
-division.  ``classify`` decides n = 1 from its witness instead; the tests
-check that the two ways agree on every reduced angle with q <= 200.
+The case of each angle is decided from its powers alone, by the verdict
+``classify`` gives (``trig._classification``): x rational makes it
+rational-at-n=1, x^2 rational rational-square, and anything else
+never-rational, since no least rational exponent is 3 or more.  Those are
+the survey's own first two powers, so the sweep builds no witness, no
+Phi_M and no long division.
 
 The angles are not surveyed one by one but one Galois orbit at a time.  The
 three values at pi*p/q lie in Q(zeta_M), M = lcm(2q, 4), and for c prime to
@@ -58,10 +57,9 @@ from .trig import (
     MAX_TRIG_MODULUS,
     Angle,
     Case,
-    Classification,
     TrigFunc,
-    _decide,
-    _power_pairs,
+    _classification,
+    _powers,
     theorem_value_list,
     value_descriptor,
 )
@@ -92,6 +90,8 @@ class SweepConfig:
             raise ValueError(f"n_max must be <= {MAX_POWER_EXPONENT}, got {self.n_max}")
         if not self.funcs:
             raise ValueError("funcs must not be empty")
+        if len(set(self.funcs)) < len(self.funcs):
+            raise ValueError(f"funcs must not repeat a function, got {','.join(map(str, self.funcs))}")
 
 
 @dataclass(frozen=True)
@@ -182,32 +182,6 @@ def reduced_angles(q_max: int) -> list[Angle]:
     ]
 
 
-def _classify_by_powers(func: TrigFunc, angle: Angle, values: list[Fraction | None]) -> Classification:
-    """``classify``'s case and value from the powers ``values`` at n = 1 and
-    2, with no witness (module docstring); not read at a pole."""
-    if func is TrigFunc.TAN and angle.q == 2:
-        return Classification(func, angle, Case.UNDEFINED, None, None, None)
-    for n, case in ((1, Case.VALUE_RATIONAL), (2, Case.SQUARE_RATIONAL)):
-        if values[n - 1] is not None:
-            return Classification(func, angle, case, n, values[n - 1], None)
-    return Classification(func, angle, Case.NEVER, None, None, None)
-
-
-def _powers(funcs, angle: Angle, n_max: int) -> dict[TrigFunc, list[Fraction | None]]:
-    """func(pi*angle)^n for n = 1..max(n_max, 2) and each func in ``funcs``
-    but tan at a pole, from the power streams they need (``_power_pairs``)."""
-    values = {func: [] for func in funcs if not (func is TrigFunc.TAN and angle.q == 2)}
-    for n, (c, s) in enumerate(_power_pairs(values, angle, 1, max(n_max, 2)), 1):
-        for func, row in values.items():
-            row.append(_decide(func, n, c, s))
-    return values
-
-
-def _survey(func: TrigFunc, angle: Angle, n_max: int) -> tuple[list[Hit], list[Violation], Case]:
-    """Hits and violations for one (func, angle) pair, exponents 1..n_max."""
-    return _check(func, angle, n_max, _powers((func,), angle, n_max).get(func))
-
-
 def _check(func: TrigFunc, angle: Angle, n_max: int, values) -> tuple[list[Hit], list[Violation], Case]:
     """Hits and violations of one function at one angle, from its powers
     ``values`` at n = 1, 2, ... (None at a pole)."""
@@ -217,7 +191,7 @@ def _check(func: TrigFunc, angle: Angle, n_max: int, values) -> tuple[list[Hit],
     def violation(n, reason, value=None):
         violations.append(Violation(func, angle, n, reason, value))
 
-    classification = _classify_by_powers(func, angle, values)
+    classification = _classification(func, angle, values)
     case = classification.case
 
     is_pole = func is TrigFunc.TAN and angle.q == 2
@@ -300,7 +274,7 @@ def verify_theorem_sweep(config: SweepConfig) -> SweepReport:
             funcs = config.funcs
             for member, p in enumerate(_numerators(q, parity)):
                 angle, rest = Angle(p, q), []
-                powers = _powers(funcs, angle, config.n_max)
+                powers = _powers(funcs, angle, 1, max(config.n_max, 2))
                 for func in funcs:
                     result = _check(func, angle, config.n_max, powers.get(func))
                     hits, violations, case = result

@@ -23,17 +23,20 @@ moved along vanishing p-gons until the slots are independent, 1 at slot 0:
 no division by Phi_M (see ``_power_stream`` and ``_decide``).  One
 stream per sign yields the moved slots for k = first..last, stepping the
 folds of its Pascal rows, and cos, sin and tan are decided from the same
-two slot sets: the sweep streams each angle once over n = 1..n_max,
+two slot sets.  ``_powers`` is the one reader of powers: the sweep runs it
+once per angle over n = 1..n_max, ``classify`` over n = 1, 2 and
 ``power_rational`` for one n, and nothing is kept past the stream.
 ``trig_elem`` lays out M slots and refuses M above MAX_TRIG_MODULUS;
-``power_rational`` refuses M at which one term could spread over more
-than MAX_POLYGON_SPREAD slots.
+``_powers`` refuses M at which one term could spread over more than
+MAX_POLYGON_SPREAD slots.
 ``classify`` summarises the full picture for one (function, angle) pair:
 either some power is rational and we report the least such exponent with
 its value, or no power is rational at all.  The latter is the common case:
 an irrational value whose square is irrational has no rational power,
 since a least rational exponent of 3 or more never occurs (see
-:func:`classify`).
+:func:`classify`).  So the first two powers decide the case, for
+``classify`` and the sweep alike (``_classification``); the witness x
+that ``classify`` builds goes into its payload and decides nothing.
 """
 
 from __future__ import annotations
@@ -130,8 +133,9 @@ class Classification:
 
     ``minimal_n`` is the least exponent with a rational power (None for the
     NEVER and UNDEFINED cases) and ``value`` the power's exact value at that
-    exponent.  ``witness`` carries the underlying field element; it is None
-    where the case was read off the powers alone, as in the sweep.
+    exponent.  ``witness`` carries the underlying field element, which the
+    verdict does not read; it is None at a pole and in the sweep, which
+    builds no field element.
     """
 
     func: TrigFunc
@@ -311,16 +315,20 @@ def trig_elem(func: TrigFunc, angle: Angle) -> CycElem:
 MAX_POWER_EXPONENT = 1000
 
 
-def _power_pairs(funcs, angle: Angle, first: int, last: int):
-    """(C, S) for k = first..last: the moved slots of (2 cos)^k and (2 sin)^k,
-    each None where no function in ``funcs`` needs it (cos C, sin S, tan both).
+def _powers(funcs, angle: Angle, first: int, last: int) -> dict[TrigFunc, list[Fraction | None]]:
+    """func(pi*angle)^k for k = first..last and each func in ``funcs`` but
+    tan at a pole, read by ``_decide`` off the streams the functions need
+    (cos the moved slots C of (2 cos)^k, sin S of (2 sin)^k, tan both).
     ValueError before any slot is laid out when M's spread is above the limit."""
     m, e = _zeta_exponent(angle)
     _polygon_moves(m)
-    need = set(funcs)
-    cos = _power_stream(1, m, e, first, last) if need - {TrigFunc.SIN} else repeat(None, last - first + 1)
-    sin = _power_stream(-1, m, e, first, last) if need - {TrigFunc.COS} else repeat(None, last - first + 1)
-    return zip(cos, sin)
+    values = {func: [] for func in funcs if not (func is TrigFunc.TAN and angle.q == 2)}
+    cos = _power_stream(1, m, e, first, last) if values.keys() - {TrigFunc.SIN} else repeat(None)
+    sin = _power_stream(-1, m, e, first, last) if values.keys() - {TrigFunc.COS} else repeat(None)
+    for k, c, s in zip(range(first, last + 1), cos, sin):
+        for func, row in values.items():
+            row.append(_decide(func, k, c, s))
+    return values
 
 
 def _decide(func: TrigFunc, n: int, c: dict[int, int] | None, s: dict[int, int] | None) -> Fraction | None:
@@ -343,9 +351,8 @@ def _decide(func: TrigFunc, n: int, c: dict[int, int] | None, s: dict[int, int] 
 def power_rational(func: TrigFunc, angle: Angle, n: int) -> Fraction | None:
     """Exact value of func(pi*angle)^n when rational, else None.
 
-    The one way the package decides a single power (``classify`` at n = 2,
-    ``eval``), with no product and no division by Phi_M: ``_power_pairs``
-    run for k = n only and read by ``_decide``, as the sweep does for every n.
+    ``eval``'s one power, with no product and no division by Phi_M:
+    ``_powers`` run for k = n only.
 
     Raises UndefinedTrigValue at tangent poles, and ValueError for n < 1,
     n > MAX_POWER_EXPONENT, or M whose spread is above MAX_POLYGON_SPREAD.
@@ -356,8 +363,19 @@ def power_rational(func: TrigFunc, angle: Angle, n: int) -> Fraction | None:
         raise ValueError(f"exponent must be <= {MAX_POWER_EXPONENT}, got {n}")
     if func is TrigFunc.TAN and angle.q == 2:
         raise UndefinedTrigValue(f"tan(pi * {angle}) is undefined")
-    c, s = next(_power_pairs((func,), angle, n, n))
-    return _decide(func, n, c, s)
+    return _powers((func,), angle, n, n)[func][0]
+
+
+def _classification(func: TrigFunc, angle: Angle, values, witness: CycElem | None = None) -> Classification:
+    """The verdict on func(pi*angle) from its powers ``values`` at n = 1 and
+    2, None at a pole (``classify``); ``witness`` only goes into the
+    payload."""
+    if values is None:
+        return Classification(func, angle, Case.UNDEFINED, None, None, None)
+    for n, case in ((1, Case.VALUE_RATIONAL), (2, Case.SQUARE_RATIONAL)):
+        if values[n - 1] is not None:
+            return Classification(func, angle, case, n, values[n - 1], witness)
+    return Classification(func, angle, Case.NEVER, None, None, witness)
 
 
 @lru_cache(maxsize=1024)
@@ -370,21 +388,17 @@ def classify(func: TrigFunc, angle: Angle) -> Classification:
     x^n is irrational for every n >= 1 (case NEVER).  No angle produces a
     least rational exponent of 3 or more: if x^n is rational with n minimal,
     x generates a Kummer-type extension whose degree divides both n and the
-    abelian field Q(zeta_M), forcing n <= 2.  ``classify`` certifies the
-    verdict by exact computation of x and x^2 alone: x is the witness, and
-    x^2 is decided by ``power_rational``, not as the dense product x * x.
+    abelian field Q(zeta_M), forcing n <= 2.  So the verdict is that of x
+    and x^2, decided by ``_powers`` and ``_classification`` as the sweep
+    decides it, not from the coordinates of x or the dense product x * x.
+    x itself (``trig_elem``) is built first, so an M above
+    MAX_TRIG_MODULUS is refused, and goes into the payload as the witness.
     """
     try:
         x = trig_elem(func, angle)
     except UndefinedTrigValue:
-        return Classification(func, angle, Case.UNDEFINED, None, None, None)
-    v1 = x.as_rational()
-    if v1 is not None:
-        return Classification(func, angle, Case.VALUE_RATIONAL, 1, v1, x)
-    v2 = power_rational(func, angle, 2)
-    if v2 is not None:
-        return Classification(func, angle, Case.SQUARE_RATIONAL, 2, v2, x)
-    return Classification(func, angle, Case.NEVER, None, None, x)
+        x = None
+    return _classification(func, angle, _powers((func,), angle, 1, 2).get(func), x)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,11 @@ checks:
   Galois-invariance procedure and a linear descent
   (``express_in_submodulus``, Gauss-Jordan over the power table), not by
   the conductor;
+* ``trig_embedding_error`` checks a trig witness, which no verdict
+  reads, in floats at every embedding sigma_c of Q(zeta_M), not by exact
+  arithmetic in the power basis;
 * ``reference_sweep`` surveys every reduced angle, not one representative
-  per Galois orbit;
+  per Galois orbit, each function on its own (``_survey``);
 * ``reference_subset_factorizations`` multiplies every subset of roots out
   from scratch in floats, rebuilds every real-looking candidate with
   ``limit_denominator`` and divides it over Q, the oracle's design before
@@ -46,8 +49,10 @@ checks:
 
 import cmath
 import itertools
+import math
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from trigrat.cyclotomic import CycElem, _power_table, root_combination, zeta_power
 from trigrat.kummer import SubsetFactor, gauss_sum, sqrt_in_cyclotomic
@@ -60,8 +65,8 @@ from trigrat.numtheory import (
     squarefree_decompose,
 )
 from trigrat.polynomials import RatPoly, _divide_monic, _monic_tail, _poly_mul
-from trigrat.sweep import Hit, SweepReport, Violation, _survey, reduced_angles
-from trigrat.trig import MAX_POLYGON_SPREAD, Case, TrigFunc, UndefinedTrigValue
+from trigrat.sweep import Hit, SweepReport, Violation, _check, reduced_angles
+from trigrat.trig import MAX_POLYGON_SPREAD, Case, TrigFunc, UndefinedTrigValue, _powers
 
 
 def reference_cyclotomic_coeffs(m: int) -> tuple[int, ...]:
@@ -139,6 +144,29 @@ def reference_power_values(func, angle, n_max):
     basis read off by ``as_rational``: the exact value or None."""
     x = reference_trig_elem(func, angle)
     return [(x ** n).as_rational() for n in range(1, n_max + 1)]
+
+
+def trig_embedding_error(witness, func, angle):
+    """The largest |sigma_c(x) - func's value at sigma_c| over the units c
+    mod M, relative to sum |x_k|, for a witness x = sum x_k zeta_M^k of
+    func(pi*angle), M = lcm(2q, 4).
+
+    sigma_c (zeta_M -> zeta_M^c) takes x to sum x_k exp(2 pi i ck/M), and
+    takes cos(pi p/q) to cos(pi pc/q), and sin and tan to chi_4(c) times
+    sin and tan at pc/q, since sigma_c(i) = i^c.  Each power of
+    exp(2 pi i c/M) is one float product from the one before, and pc is
+    reduced mod 2q before it is scaled by pi/q."""
+    m, q = witness.modulus, angle.q
+    xs = [float(a) for a in witness.coeffs]
+    value_at = {TrigFunc.COS: math.cos, TrigFunc.SIN: math.sin, TrigFunc.TAN: math.tan}[func]
+    worst = 0.0
+    for c in range(1, m):
+        if gcd(c, m) == 1:
+            z = cmath.exp(2j * cmath.pi * c / m)
+            image = sum(map(mul, xs, itertools.accumulate(itertools.repeat(z, len(xs) - 1), mul, initial=1)))
+            chi = 1 if func is TrigFunc.COS or c % 4 == 1 else -1
+            worst = max(worst, abs(image - chi * value_at(math.pi * (angle.p * c % (2 * q)) / q)))
+    return worst / sum(map(abs, xs))
 
 
 def reference_sqrt_witness(alpha):
@@ -232,9 +260,16 @@ def reference_sqrt_member(beta, m: int) -> CycElem | None:
     return descended.embed(m)
 
 
+def _survey(func, angle, n_max):
+    """Hits, violations and case for one (func, angle) pair, exponents
+    1..n_max: ``sweep._check`` on the powers ``trig._powers`` reads for
+    that one function."""
+    return _check(func, angle, n_max, _powers((func,), angle, 1, max(n_max, 2)).get(func))
+
+
 def reference_sweep(config):
-    """The brute sweep: ``sweep._survey`` at every (func, angle) pair,
-    functions outside and angles inside, in process."""
+    """The brute sweep: ``_survey`` at every (func, angle) pair, functions
+    outside and angles inside, in process."""
     angles = reduced_angles(config.q_max)
     tasks = [(func, angle, config.n_max) for func in config.funcs for angle in angles]
     results = [_survey(*t) for t in tasks]

@@ -64,6 +64,10 @@ def test_sweep_config_validation():
         SweepConfig(q_max=1, n_max=0)
     with pytest.raises(ValueError):
         SweepConfig(q_max=1, n_max=1, funcs=())
+    with pytest.raises(ValueError, match="funcs must not repeat a function, got cos,cos"):
+        SweepConfig(q_max=1, n_max=1, funcs=(COS, COS))
+    with pytest.raises(ValueError, match="got tan,sin,tan"):
+        SweepConfig(q_max=1, n_max=1, funcs=(TAN, SIN, TAN))
     with pytest.raises(ValueError):
         SweepConfig(q_max=1, n_max=MAX_POWER_EXPONENT + 1)
     # every q <= MAX_TRIG_MODULUS // 4 has M = lcm(2q, 4) <= 4q within the
@@ -144,14 +148,14 @@ def test_misclassified_representatives_survey_their_orbits(monkeypatch):
     over 5) and 3/5 (a member) planted as SQUARE_RATIONAL, both sweeps
     report the same violations, at both angles, and the same case counts."""
     planted = {Angle(1, 5), Angle(3, 5)}
-    decide = sweep._classify_by_powers
+    decide = sweep._classification
 
-    def faulty(func, angle, values):
+    def faulty(func, angle, values, witness=None):
         if func is COS and angle in planted:
             return Classification(func, angle, Case.SQUARE_RATIONAL, 2, Fraction(1, 2), None)
-        return decide(func, angle, values)
+        return decide(func, angle, values, witness)
 
-    monkeypatch.setattr(sweep, "_classify_by_powers", faulty)
+    monkeypatch.setattr(sweep, "_classification", faulty)
     config = SweepConfig(q_max=12, n_max=8)
     orbit, brute = verify_theorem_sweep(config), reference_sweep(config)
     assert {v.angle for v in orbit.violations} == planted
@@ -161,19 +165,25 @@ def test_misclassified_representatives_survey_their_orbits(monkeypatch):
 
 
 def test_witness_and_power_decisions_agree():
-    """``classify`` decides n = 1 from the coordinates of its witness, the
-    sweep from its own powers at n = 1 and 2 alone: on every reduced angle
-    with q <= 200 and each function they give the same case, least
-    exponent and value."""
-    pairs = 0
+    """``classify`` decides from the powers at n = 1 and 2 and carries its
+    witness x, built apart by ``trig_elem``, without reading it.  On every
+    reduced angle with q <= 200 and each function the two agree: x is
+    rational, and equal to the value, exactly in the VALUE_RATIONAL case,
+    and x * x is the value in every SQUARE_RATIONAL case."""
+    pairs = squares = 0
     for angle in reduced_angles(200):
-        powers = sweep._powers((COS, SIN, TAN), angle, 2)
         for func in (COS, SIN, TAN):
-            by_witness, by_powers = classify(func, angle), sweep._classify_by_powers(func, angle, powers.get(func))
-            assert (by_powers.case, by_powers.minimal_n, by_powers.value) == (
-                by_witness.case, by_witness.minimal_n, by_witness.value), (func, angle)
+            verdict = classify(func, angle)
             pairs += 1
-    assert pairs == 73392
+            if verdict.case is Case.UNDEFINED:
+                assert verdict.witness is None, (func, angle)
+                continue
+            x = verdict.witness
+            assert x.as_rational() == (verdict.value if verdict.case is Case.VALUE_RATIONAL else None), (func, angle)
+            if verdict.case is Case.SQUARE_RATIONAL:
+                assert (x * x).as_rational() == verdict.value, (func, angle)
+                squares += 1
+    assert (pairs, squares) == (73392, 24)
 
 
 def test_sweep_builds_no_witness(monkeypatch, capsys):
@@ -201,9 +211,9 @@ def test_sweep_surveys_one_representative_per_orbit(monkeypatch):
     calls = []
     powers = sweep._powers
 
-    def counted(funcs, angle, n_max):
-        calls.append(len(funcs))
-        return powers(funcs, angle, n_max)
+    def counted(funcs, angle, first, last):
+        calls.append((len(funcs), first, last))
+        return powers(funcs, angle, first, last)
 
     monkeypatch.setattr(sweep, "_powers", counted)
     report = verify_theorem_sweep(SweepConfig(q_max=32, n_max=8))
@@ -216,7 +226,7 @@ def test_sweep_surveys_one_representative_per_orbit(monkeypatch):
     n_orbits = sum(len(orbits(q)) for q in range(1, 33))
     other_members = sum(len(o) - 1 for q in (1, 2, 3, 4, 6) for o in orbits(q))
     assert (n_orbits, other_members) == (48, 9)
-    assert calls == [3] * (n_orbits + other_members)
+    assert calls == [(3, 1, 8)] * (n_orbits + other_members)
 
 
 def test_report_json_shape(small_report):
@@ -539,6 +549,28 @@ def test_cli_verify_sweep(capsys):
     code, out, _ = run(capsys, "verify", "sweep", "--q-max", "4", "--n-max", "3")
     assert code == 0
     assert "0 violations" in out
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["verify", "sweep", "--q-max", "3", "--n-max", "2", "--funcs", "cos,cos"],
+     "funcs must not repeat a function, got cos,cos"),
+    (["verify", "sweep", "--q-max", "0"], "q_max must be >= 1, got 0"),
+    (["verify", "gauss", "--m-max", "0"], "m_max must be >= 1, got 0"),
+    (["verify", "gauss", "--m-max", "-3"], "m_max must be >= 1, got -3"),
+    (["verify", "group", "--n-max", "1"], "n_max must be >= 2, got 1"),
+    (["verify", "group", "--n-max", "-2"], "n_max must be >= 2, got -2"),
+])
+def test_cli_verify_refuses_runs_that_check_nothing_or_count_twice(capsys, monkeypatch, argv, error):
+    """A verify run with no case to check, or a function named twice,
+    exits 2 before any sum, group or power is built."""
+    def forbidden(*args):
+        raise AssertionError("work started before the bounds were checked")
+
+    for name in ("gauss_sum_case_check", "meta_group_checks", "_check_group_order", "verify_theorem_sweep"):
+        monkeypatch.setattr(cli, name, forbidden)
+    for flag in ([], ["--json"]):
+        code, out, err = run(capsys, *argv, *flag)
+        assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
 def test_cli_verify_sweep_refuses_exponents_past_the_limit(capsys):

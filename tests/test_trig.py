@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from trigrat import cyclotomic, polynomials, trig
 from trigrat.cyclotomic import CycElem, root_combination
 from trigrat.numtheory import euler_phi, prime_factorization
-from trigrat.sweep import SweepConfig, _survey, reduced_angles, verify_theorem_sweep
+from trigrat.sweep import SweepConfig, reduced_angles, verify_theorem_sweep
 from trigrat.trig import (
     MAX_POLYGON_SPREAD,
     MAX_POWER_EXPONENT,
@@ -28,7 +28,13 @@ from trigrat.trig import (
     value_descriptor,
 )
 
-from reference import reference_polygon_moves, reference_power_values, reference_trig_elem
+from reference import (
+    _survey,
+    reference_polygon_moves,
+    reference_power_values,
+    reference_trig_elem,
+    trig_embedding_error,
+)
 
 COS, SIN, TAN = TrigFunc.COS, TrigFunc.SIN, TrigFunc.TAN
 
@@ -240,6 +246,51 @@ def test_classify_consistent_with_direct_computation(angle):
             assert c.case is Case.NEVER
 
 
+def test_classify_reads_no_coordinate_of_its_witness(monkeypatch):
+    """The verdict comes from the powers alone: with ``as_rational``
+    disabled and the trig caches empty, classify gives every function at
+    every angle with q <= 24 the case, least exponent and value of the
+    dense powers x and x^2, and still carries its witness."""
+    expected = {}
+    for angle in reduced_angles(24):
+        for func in (COS, SIN, TAN):
+            if func is TAN and angle.q == 2:
+                expected[func, angle] = (Case.UNDEFINED, None, None)
+                continue
+            v1, v2 = reference_power_values(func, angle, 2)
+            expected[func, angle] = ((Case.VALUE_RATIONAL, 1, v1) if v1 is not None
+                                     else (Case.SQUARE_RATIONAL, 2, v2) if v2 is not None
+                                     else (Case.NEVER, None, None))
+
+    def forbidden(self):
+        raise AssertionError("classify read a coordinate of its witness")
+
+    monkeypatch.setattr(CycElem, "as_rational", forbidden)
+    trig_elem.cache_clear()
+    classify.cache_clear()
+    for (func, angle), verdict in expected.items():
+        c = classify(func, angle)
+        assert (c.case, c.minimal_n, c.value) == verdict, (func, angle)
+        assert (c.witness is None) == (c.case is Case.UNDEFINED), (func, angle)
+
+
+def test_witnesses_match_their_values_at_every_embedding():
+    """Each witness of cos, sin and tan at 1/q, 100 <= q < 200, evaluated in
+    floats at every embedding zeta_M -> exp(2 pi i c/M), c a unit mod M, is
+    the function's value at pi c/q (times chi_4(c) for sin and tan) within
+    1e-9 of sum |x_k|; with one numerator raised by 1 it is not."""
+    rng = random.Random(23)
+    for q in range(100, 200):
+        angle = Angle(1, q)
+        for func in (COS, SIN, TAN):
+            witness = classify(func, angle).witness
+            assert trig_embedding_error(witness, func, angle) < 1e-9, (func, angle)
+            nums = list(witness._nums)
+            nums[rng.randrange(len(nums))] += 1
+            faulty = CycElem._raw(witness.modulus, nums, witness._den)
+            assert trig_embedding_error(faulty, func, angle) > 1e-9, (func, angle)
+
+
 @given(angles())
 def test_periodicity_and_reflection(angle):
     for func in (COS, SIN, TAN):
@@ -401,8 +452,7 @@ def test_folded_pascal_rows_match_dense_reference(monkeypatch):
                 continue
             expected = reference_power_values(func, angle, n_max)
             rows.clear()
-            stream = trig._power_pairs((func,), angle, 1, n_max)
-            assert [trig._decide(func, n, c, s) for n, (c, s) in enumerate(stream, 1)] == expected, (func, angle)
+            assert trig._powers((func,), angle, 1, n_max)[func] == expected, (func, angle)
             assert max(rows) <= r, (func, angle)
             order = list(range(1, n_max + 1))
             rng.shuffle(order)
