@@ -9,7 +9,7 @@ Run it from a checkout with
     PYTHONPATH=src python3 scripts/payload_digests.py [SUBSTRING ...]
 
 With no arguments it prints every grid; with arguments, only the grids
-whose names contain one of them (``oracle`` picks the two subset-oracle grids).
+whose names contain one of them (``oracle`` picks the three subset-oracle grids).
 
 A grid's digest is taken over each command line, its exit code, then its
 stdout and stderr, in order; each sweep grid is one command, and its
@@ -117,14 +117,27 @@ def large_alpha_oracle_grid():
             yield ["irreducible", str(10 ** e), str(n), "--oracle", "--json"]
 
 
+def oracle_past_floats_grid():
+    """irreducible --oracle at 10^400 and 1/10^400, outside the float range,
+    at n = 2 and 12, and at the square of (3^1047 + 2)/(7^591 + 4), 1000
+    digits over 1000, at n = 2 and 12; each as text and under --json."""
+    square = str(Fraction(3 ** 1047 + 2, 7 ** 591 + 4) ** 2)
+    for alpha in ("1" + "0" * 400, "1/1" + "0" * 400, square):
+        for n in ("2", "12"):
+            yield ["irreducible", alpha, n, "--oracle"]
+            yield ["irreducible", alpha, n, "--oracle", "--json"]
+
+
 COMMANDS = ("classify", "eval", "gauss", "sqrt-embed", "root-member", "irreducible", "group", "verify")
 
 # help, and command lines that argparse refuses: no command or an unknown
-# one, options before the command, missing, extra and malformed arguments
+# one, options before the command, missing, extra and malformed arguments,
+# and a verify option that its target does not read
 USAGE_ARGV = [
     [], ["-h"], ["--help"], ["--json"], ["bogus"], ["clas", "cos", "1/3"],
     ["--json", "classify", "cos", "1/3"], ["--", "classify", "cos", "1/3"],
     *([name, "-h"] for name in COMMANDS), ["verify", "sweep", "--help"],
+    *(["verify", target, "-h"] for target in ("gauss", "group", "remark")),
     ["classify"], ["classify", "cos"], ["classify", "cos", "-1/3"], ["classify", "cos", "1/3", "extra"],
     ["classify", "cos", "1/3", "--bogus"], ["classify", "--bogus", "cos", "1/3"],
     ["classify", "cos", "1/3", "-x", "y", "--json"],
@@ -135,6 +148,9 @@ USAGE_ARGV = [
     ["group"], ["group", "3", "--json", "4"],
     ["verify"], ["verify", "bogus"], ["verify", "sweep", "--q-max"], ["verify", "sweep", "--q-max", "x"],
     ["verify", "sweep", "extra"], ["verify", "remark", "--funcs"], ["verify", "--q-max", "4", "sweep", "--bogus"],
+    ["verify", "gauss", "--m-max", "3", "--funcs", "bogus"], ["verify", "remark", "--q-max", "0"],
+    ["verify", "group", "--n-max", "3", "--q-max", "5"], ["verify", "sweep", "--m-max", "3"],
+    ["verify", "sweep", "--parallel"],
 ]
 
 
@@ -203,6 +219,8 @@ GRIDS = {
     "group 2..12, verify gauss|group|remark, text and --json": lambda: commands_digest(group_verify_grid()),
     "verify sweep q<=24 n<=8 --funcs subsets, verify refusals, text and --json":
         lambda: commands_digest(sweep_subsets_grid()),
+    "irreducible --oracle outside the float range and at 1000 digits, text and --json":
+        lambda: commands_digest(oracle_past_floats_grid()),
 }
 
 

@@ -4,6 +4,8 @@ One subcommand per question the library answers, plus ``verify`` for the
 batch checks.  Exit codes: 0 for success (including a clean verify run),
 1 when a verify run finds violations, 2 for usage errors or malformed
 values.  ``--json`` switches any subcommand to machine-readable output.
+Each ``verify`` target has its own parser and takes only the options it
+reads, so an option another target reads is a usage error.
 
 Each command has one entry in ``COMMANDS``: its help text, a function that
 declares its arguments, and its handler.  ``run_cli`` parses a command
@@ -287,12 +289,18 @@ def _irreducible_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _verify_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("target", choices=["sweep", "gauss", "group", "remark"])
-    p.add_argument("--q-max", type=int, default=24, help="sweep: largest denominator")
-    p.add_argument("--n-max", type=int, default=8, help="sweep/group: largest exponent or n")
-    p.add_argument("--m-max", type=int, default=60, help="gauss: largest modulus")
-    p.add_argument("--funcs", default="cos,sin,tan", help="sweep: comma-separated functions")
-    p.add_argument("--parallel", action="store_true", help="sweep: ignored, the sweep runs in one process")
+    targets = p.add_subparsers(dest="target", required=True)
+    sweep = targets.add_parser("sweep", help="the theorem at every reduced angle and exponent")
+    sweep.add_argument("--q-max", type=int, default=24, help="largest denominator")
+    sweep.add_argument("--n-max", type=int, default=8, help="largest exponent")
+    sweep.add_argument("--funcs", default="cos,sin,tan", help="comma-separated functions")
+    gauss = targets.add_parser("gauss", help="the Gauss sum case check at every modulus")
+    gauss.add_argument("--m-max", type=int, default=60, help="largest modulus")
+    group = targets.add_parser("group", help="the root-permutation group at every n")
+    group.add_argument("--n-max", type=int, default=8, help="largest n")
+    targets.add_parser("remark", help="the octic factorization over Q(zeta_8)")
+    for target in targets.choices.values():  # unless given here, keep a --json given before the target
+        target.add_argument("--json", action="store_true", default=argparse.SUPPRESS, help="machine-readable output")
 
 
 class _Command(NamedTuple):

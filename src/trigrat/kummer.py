@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import cmath
 import enum
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -105,18 +104,12 @@ def subset_factorizations(alpha: Scalar, n: int) -> list[SubsetFactor]:
     coefficients (Gauss).  A closed subset's constant term is
     (-1)^s (+1 if sum(subset) = 0 mod n, else -1) M^s; its other
     coefficients come from ``_integer_coefficients``; ``_divide_monic`` on
-    ints confirms it.  ValueError when alpha lies outside the positive
-    normal float range.
+    ints confirms it.  No float carries M's scale (see
+    ``_integer_coefficients``), so alpha has no range limit.
     """
     alpha = _check_positive(alpha)
     if not 2 <= n <= 12:
         raise ValueError(f"subset scan supports 2 <= n <= 12, got {n}")
-    try:
-        magnitude = float(alpha)
-    except OverflowError:
-        magnitude = inf
-    if not sys.float_info.min <= magnitude <= sys.float_info.max:
-        raise ValueError("alpha is outside the float range the subset scan works in")
     e, beta = _root_reduction(alpha, n)
     if e == 1:
         return []

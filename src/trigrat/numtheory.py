@@ -47,23 +47,19 @@ def _check_positive(alpha: Fraction, name: str = "alpha") -> Fraction:
 
 
 def integer_nth_root(x: int, n: int) -> int:
-    """Largest r >= 0 with r**n <= x, by binary search from the bracket
-    2^t <= r < 2^(t+1), t = (bits(x) - 1) // n: exact, no floats, no power
-    above x^2, and r = 1 at once when x < 2^n."""
+    """Largest r >= 0 with r**n <= x, by Newton's iteration from above:
+    exact, no floats, no power above 2^n x, and r = 1 at once when x < 2^n.
+    From r = 2^ceil(bits(x)/n), above the root, each step is at least the
+    root's floor (AM-GM) and below r while r^n > x."""
     if x < 0:
         raise ValueError("x must be non-negative")
     _check_natural(n, 1)
-    if x in (0, 1) or n == 1:
-        return x
-    lo, hi = 1 << (x.bit_length() - 1) // n, 2 << (x.bit_length() - 1) // n
-    # invariant: lo**n <= x < hi**n
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if mid**n <= x:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    if x.bit_length() <= n:
+        return min(x, 1)
+    r = 1 << -(-x.bit_length() // n)
+    while (s := ((n - 1) * r + x // r ** (n - 1)) // n) < r:
+        r = s
+    return r
 
 
 def _trial_division(n: int, bound: int) -> tuple[list[tuple[int, int]], int, int]:

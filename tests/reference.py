@@ -42,6 +42,8 @@ checks:
   ``reference_polygon_moves`` are three trial-division loops, each with
   its own stopping rule, not the one bounded ``numtheory._trial_division``
   that the library's three callers share;
+* ``reference_integer_nth_root`` bisects the bracket 2^t <= r < 2^(t+1),
+  t = (bits(x) - 1) // n, one n-th power per step, not Newton's iteration;
 * ``reference_radical_condition`` searches the divisors of n upward for a
   rational root and ``reference_rational_root_degree`` downward for the
   largest, each on its own, not through ``numtheory._root_reduction``.
@@ -414,6 +416,21 @@ def reference_polygon_moves(m: int) -> tuple[tuple[int, int, int, int], ...]:
         raise ValueError(f"the spread prod(p - 1) over the odd primes p of M = {m}"
                          f" is above the limit {MAX_POLYGON_SPREAD}")
     return tuple(moves)
+
+
+def reference_integer_nth_root(x: int, n: int) -> int:
+    """Largest r >= 0 with r**n <= x, by binary search from the bracket
+    2^t <= r < 2^(t+1), t = (bits(x) - 1) // n."""
+    if x in (0, 1) or n == 1:
+        return x
+    lo, hi = 1 << (x.bit_length() - 1) // n, 2 << (x.bit_length() - 1) // n
+    while hi - lo > 1:  # lo**n <= x < hi**n
+        mid = (lo + hi) // 2
+        if mid ** n <= x:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def _root_bound(alpha: Fraction, n: int) -> int:

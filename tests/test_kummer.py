@@ -105,10 +105,23 @@ def test_subset_oracle_range():
         subset_factorizations(2, 1)
     with pytest.raises(ValueError):
         subset_factorizations(2, 13)
-    # 10^400 overflows a float and 10^-400 rounds to 0, so no root can be placed
+    # 10^400 overflows a float and 10^-400 rounds to 0, but no float carries
+    # alpha's scale: x^2 - alpha = (x - b)(x + b), b = alpha^(1/2), and at
+    # n = 12, b = alpha^(1/4), x^12 - alpha = (x^3 - b)(x^3 + b)(x^6 + b^2)
+    x = RatPoly.monomial(1)
     for alpha in (Fraction(10 ** 400), Fraction(1, 10 ** 400)):
-        with pytest.raises(ValueError, match="float range"):
-            subset_factorizations(alpha, 2)
+        b = nth_root_rational(alpha, 2)
+        assert [f.factor for f in subset_factorizations(alpha, 2)] == [x - b, x + b]
+        b = nth_root_rational(alpha, 4)
+        cubes = [x ** 3 - b, x ** 3 + b]
+        found = subset_factorizations(alpha, 12)
+        assert [f.factor for f in found] == cubes + [x ** 6 - b ** 2, x ** 6 + b ** 2] + [
+            c * (x ** 6 + b ** 2) for c in cubes]
+        assert found == reference_exact_subset_factorizations(alpha, 12)
+        for n in (2, 12):
+            assert not binomial_irreducible(alpha, n)
+            for f in subset_factorizations(alpha, n):
+                assert f.factor * f.cofactor == RatPoly.monomial(n) - alpha
 
 
 @given(
@@ -920,6 +933,9 @@ def test_sqrt_non_membership_with_a_large_square_factor_factors_nothing(monkeypa
 # 3*5*7*11*13*17*19*23*(10^15 + 37): the large prime is past the trial bound
 # of the spread check, which refuses the eval after trial division to 2^20
 _SPREAD_Q = 111546435000004127218095
+# 500-digit numerator and denominator: the oracle on its square at n = 12
+# takes integer square roots of 1000-digit numbers
+_SQUARE_BASE = Fraction(3 ** 1047 + 2, 7 ** 591 + 4)
 _REFUSALS = {
     "sqrt-embed": f"error: the conductor of Q(sqrt(1000000016000000063)) is above the limit {MAX_WITNESS_MODULUS}\n",
     "eval": (f"error: the spread prod(p - 1) over the odd primes p of M = {4 * _SPREAD_Q}"
@@ -938,12 +954,18 @@ _REFUSALS = {
     (["root-member", "2", "1000000016000000063", "12"], 0, "2^(1/1000000016000000063) in Q(zeta_12): NO  [theorem_1_3]\n"),
     (["irreducible", "2", "1000000016000000063"], 0, "x^1000000016000000063 - 2 is irreducible over Q\n"),
     (["eval", "cos", f"1/{_SPREAD_Q}", "--pow", "2"], 2, ""),
+    pytest.param(["irreducible", str(_SQUARE_BASE ** 2), "12", "--oracle"], 0,
+                 f"x^12 - {_SQUARE_BASE ** 2} is reducible over Q\nsubset oracle agrees: True\n"
+                 f"  factor x^6 - {_SQUARE_BASE}  (cofactor x^6 + {_SQUARE_BASE})\n"
+                 f"  factor x^6 + {_SQUARE_BASE}  (cofactor x^6 - {_SQUARE_BASE})\n",
+                 id="oracle-1000-digit-square"),
 ])
 def test_large_prime_factors_answer_within_a_second(argv, code, out):
     """No command trial-divides alpha up to its square root or factors n,
-    no n-th root of alpha forms 2^n at a large prime n, and the spread
-    check trial-divides M no further than 2^20: each answers, or refuses
-    with a message, in a fresh process within 1 s."""
+    no n-th root of alpha forms 2^n at a large prime n, the spread check
+    trial-divides M no further than 2^20, and an integer root of a
+    1000-digit number takes Newton steps, not one big power per bit: each
+    answers, or refuses with a message, in a fresh process within 1 s."""
     start = time.perf_counter()
     result = subprocess.run([sys.executable, "-m", "trigrat", *argv], capture_output=True, text=True, timeout=20)
     assert time.perf_counter() - start < 1.0, argv

@@ -21,6 +21,7 @@ from trigrat.numtheory import (
 )
 
 from reference import (
+    reference_integer_nth_root,
     reference_prime_factorization,
     reference_radical_condition,
     reference_rational_root_degree,
@@ -88,6 +89,16 @@ def test_integer_nth_root_matches_a_linear_search():
     assert integer_nth_root(2 ** 64 - 1, 10 ** 9 + 7) == 1
     assert integer_nth_root(10 ** 600, 12) == 10 ** 50
     assert integer_nth_root(10 ** 600 - 1, 12) == 10 ** 50 - 1
+
+
+@given(st.integers(0, 2 ** 20000), st.integers(1, 14), st.integers(2, 2 ** (20000 // 14)))
+@settings(max_examples=30)
+def test_integer_nth_root_matches_the_bisection(x, n, y):
+    """Newton's iteration against the reference bisection at x below
+    2^20000, and at an n-th power y^n <= 2^20000 and its neighbours."""
+    assert integer_nth_root(x, n) == reference_integer_nth_root(x, n)
+    for z, root in ((y ** n - 1, y - 1), (y ** n, y), (y ** n + 1, y if n > 1 else y + 1)):
+        assert integer_nth_root(z, n) == reference_integer_nth_root(z, n) == root
 
 
 @given(st.integers(1, 1000), st.integers(1, 1000), st.integers(1, 6))

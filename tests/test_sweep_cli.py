@@ -386,16 +386,30 @@ def test_cli_irreducible_with_oracle(capsys):
 @pytest.mark.parametrize("argv", [
     ["irreducible", "1" + "0" * 400, "2", "--oracle"],
     ["irreducible", "1/1" + "0" * 400, "2", "--oracle", "--json"],
+    ["irreducible", "1" + "0" * 400, "12", "--oracle", "--json"],
+    ["irreducible", "1/1" + "0" * 400, "12", "--oracle"],
 ])
-def test_cli_oracle_refuses_alpha_outside_the_float_range(argv):
+def test_cli_oracle_factors_alpha_outside_the_float_range(argv):
+    """10^400 overflows a float and 10^-400 rounds to 0; the oracle answers
+    at both, in a fresh process, with the library's factors, and agrees
+    with the radical criterion."""
     result = subprocess.run(
         [sys.executable, "-m", "trigrat", *argv],
         capture_output=True,
         text=True,
         timeout=120,
     )
-    assert (result.returncode, result.stdout) == (2, "")
-    assert result.stderr == "error: alpha is outside the float range the subset scan works in\n"
+    alpha, n = Fraction(argv[1]), int(argv[2])
+    factors = [str(f.factor) for f in kummer.subset_factorizations(alpha, n)]
+    assert factors and not kummer.binomial_irreducible(alpha, n)
+    assert (result.returncode, result.stderr) == (0, "")
+    if "--json" in argv:
+        payload = json.loads(result.stdout)
+        assert (payload["irreducible"], payload["oracle_reducible"], payload["factors"]) == (False, True, factors)
+    else:
+        lines = result.stdout.splitlines()
+        assert lines[:2] == [f"x^{n} - {alpha} is reducible over Q", "subset oracle agrees: True"]
+        assert [line.split("  (cofactor ")[0] for line in lines[2:]] == [f"  factor {f}" for f in factors]
 
 
 def test_cli_refuses_witnesses_past_the_modulus_limits(capsys, monkeypatch):
@@ -760,10 +774,37 @@ def test_cli_verify_sweep_json(capsys):
     assert data["totals"]["queries"] > 0
 
 
-def test_cli_verify_sweep_parallel_flag_changes_nothing(capsys):
-    """--parallel is accepted and ignored: the sweep runs in one process."""
-    argv = ("verify", "sweep", "--q-max", "12", "--n-max", "3")
-    assert run(capsys, *argv, "--parallel") == run(capsys, *argv)
+@pytest.mark.parametrize("argv, extras", [
+    (["verify", "gauss", "--m-max", "3", "--funcs", "bogus"], "--funcs bogus"),
+    (["verify", "remark", "--q-max", "0"], "--q-max 0"),
+    (["verify", "group", "--n-max", "3", "--q-max", "5"], "--q-max 5"),
+    (["verify", "sweep", "--m-max", "3"], "--m-max 3"),
+    (["verify", "sweep", "--parallel"], "--parallel"),
+], ids=["gauss-funcs", "remark-q-max", "group-q-max", "sweep-m-max", "sweep-parallel"])
+def test_cli_verify_refuses_an_option_its_target_does_not_read(capsys, monkeypatch, argv, extras):
+    """Each verify target takes only the options it reads: any other one,
+    and --parallel, is an unrecognized argument, exit 2 with no handler
+    called."""
+    def forbidden(args):
+        raise AssertionError("a handler ran on a refused line")
+
+    monkeypatch.setitem(cli.COMMANDS, "verify", cli.COMMANDS["verify"]._replace(handler=forbidden))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"\ntrigrat: error: unrecognized arguments: {extras}\n")
+
+
+@pytest.mark.parametrize("target", [
+    ["sweep", "--q-max", "6", "--n-max", "3", "--funcs", "tan,cos"],
+    ["gauss", "--m-max", "12"],
+    ["group", "--n-max", "4"],
+    ["remark"],
+])
+def test_cli_verify_takes_json_before_or_after_the_target(capsys, target):
+    before = run(capsys, "verify", "--json", *target)
+    assert before[0] == 0 and json.loads(before[1])
+    assert run(capsys, "verify", *target, "--json") == before
+    assert run(capsys, "verify", *target)[1] != before[1]
 
 
 def test_cli_module_entry_point():
