@@ -36,12 +36,10 @@ from .numtheory import (
     divisors,
     euler_phi,
     format_rational,
-    mobius,
     nth_root_rational,
     parse_rational,
     prime_factorization,
     radical_condition,
-    squarefree_decompose,
 )
 from .polynomials import RatPoly
 from .sweep import Hit, SweepConfig, SweepReport, Violation, reduced_angles, verify_theorem_sweep
@@ -89,7 +87,6 @@ __all__ = [
     "meta_compose",
     "meta_group_checks",
     "minimal_polynomial",
-    "mobius",
     "nth_root_in_cyclotomic",
     "nth_root_rational",
     "parse_rational",
@@ -99,7 +96,6 @@ __all__ = [
     "reduced_angles",
     "run_cli",
     "sqrt_in_cyclotomic",
-    "squarefree_decompose",
     "subset_factorizations",
     "subset_unity_product",
     "theorem_value_list",

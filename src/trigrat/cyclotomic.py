@@ -315,12 +315,16 @@ class CycElem:
         return _power(self, n, CycElem.one(self.modulus))
 
     def inverse(self) -> "CycElem":
-        """Multiplicative inverse via the Galois norm: with cofactor the
-        product of sigma_c(x) over the units c != 1 mod m, the norm
-        N(x) = x * cofactor is a nonzero rational and 1/x = cofactor / N(x)."""
+        """Multiplicative inverse: the reciprocal of a rational x, else via
+        the Galois norm: with cofactor the product of sigma_c(x) over the
+        units c != 1 mod m, the norm N(x) = x * cofactor is a nonzero
+        rational and 1/x = cofactor / N(x)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in a cyclotomic field")
         m = self.modulus
+        value = self.as_rational()
+        if value is not None:
+            return CycElem.from_rational(m, 1 / value)
         cofactor = CycElem.one(m)
         for c in range(2, m):
             if gcd(c, m) == 1:
@@ -337,12 +341,6 @@ class CycElem:
         if gcd(c, m) != 1:
             raise ValueError(f"galois_apply needs gcd(c, m) = 1, got c = {c}, m = {m}")
         return root_combination(m, ((i * c, a) for i, a in enumerate(self._nums)), self._den)
-
-    def conjugate(self) -> "CycElem":
-        """Complex conjugation (the automorphism c = m - 1; identity for m <= 2)."""
-        if self.modulus <= 2:
-            return self
-        return self.galois_apply(self.modulus - 1)
 
     def as_rational(self) -> Fraction | None:
         """The exact rational value if all coordinates of index >= 1 vanish.

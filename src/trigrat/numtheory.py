@@ -48,15 +48,33 @@ def _check_positive(alpha: Fraction, name: str = "alpha") -> Fraction:
 
 def integer_nth_root(x: int, n: int) -> int:
     """Largest r >= 0 with r**n <= x, by Newton's iteration from above:
-    exact, no floats, no power above 2^n x, and r = 1 at once when x < 2^n.
-    From r = 2^ceil(bits(x)/n), above the root, each step is at least the
-    root's floor (AM-GM) and below r while r^n > x."""
+    exact, no floats, and r = 1 at once when x < 2^n.
+
+    Newton's step from any r is at least the root's floor (AM-GM), and
+    below r while r^n > x; from r = R(1 + e) it shrinks r about n e times
+    by a factor (n - 1)/n before it converges quadratically, so it starts
+    near the root R, which lies in [2^t, 2^(t+1)), t = (bits(x) - 1) // n.
+    For k = (t - bits(n)) // 2 of at least 16 the start is taken from x's
+    top bits, as ``math.isqrt`` does: the root s of x >> nk gives
+    s 2^k <= R < (s + 1) 2^k, and from (s + 1) 2^k, within a factor
+    1 + 2^(k-t) of R, one step lands within 1 of R.  For a shorter root
+    the recursion costs more than it saves, and the bracket is bisected
+    down to a factor 1 + 4/n instead.
+    """
     if x < 0:
         raise ValueError("x must be non-negative")
     _check_natural(n, 1)
     if x.bit_length() <= n:
         return min(x, 1)
-    r = 1 << -(-x.bit_length() // n)
+    t = (x.bit_length() - 1) // n
+    k = (t - n.bit_length()) // 2
+    if k >= 16:
+        r = (integer_nth_root(x >> n * k, n) + 1) << k
+    else:
+        lo, r = 1 << t, 2 << t
+        while (r - lo) * n > 4 * lo and r - lo > 1:  # lo^n <= x < r^n
+            mid = (lo + r) // 2
+            lo, r = (mid, r) if mid ** n <= x else (lo, mid)
     while (s := ((n - 1) * r + x // r ** (n - 1)) // n) < r:
         r = s
     return r
@@ -107,15 +125,6 @@ def euler_phi(n: int) -> int:
     for p in prime_divisors(n):
         phi = phi // p * (p - 1)
     return phi
-
-
-def mobius(n: int) -> int:
-    """The Moebius function: 0 on non-squarefree n, else (-1)**(#primes)."""
-    _check_natural(n, 1)
-    factorization = prime_factorization(n)
-    if any(e >= 2 for _, e in factorization):
-        return 0
-    return -1 if len(factorization) % 2 else 1
 
 
 def nth_root_rational(alpha: Fraction, n: int) -> Fraction | None:
@@ -179,15 +188,3 @@ def _squarefree_part(n: int, bound: int) -> int | None:
         return d * rest
     return d if isqrt(rest) ** 2 == rest else None
 
-
-def squarefree_decompose(alpha: Fraction) -> tuple[Fraction, int]:
-    """Write alpha = r**2 * d with r rational and d a squarefree integer.
-
-    d is the squarefree part of numerator * denominator of the reduced alpha.
-    """
-    alpha = _check_positive(alpha)
-    nd = alpha.numerator * alpha.denominator
-    d = _squarefree_part(nd, isqrt(nd))  # the bound reaches sqrt(nd): never None
-    r = nth_root_rational(alpha / d, 2)
-    assert r is not None  # alpha/d is a perfect square by construction
-    return r, d

@@ -106,15 +106,6 @@ class RatPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def leading(self) -> Fraction:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __getitem__(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = RatPoly([other])
@@ -157,28 +148,6 @@ class RatPoly:
         if n < 0:
             raise ValueError("negative power of a polynomial")
         return _power(self, n, RatPoly([1]))
-
-    def __divmod__(self, other) -> tuple["RatPoly", "RatPoly"]:
-        """Quotient and remainder by ``other``: the division by the monic
-        other / lead gives lead * quotient, exact over Q."""
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        lead = other.leading
-        rem = list(self.coeffs)
-        quotient = _divide_monic(rem, *_monic_tail([c / lead for c in other.coeffs]))
-        return RatPoly(c / lead for c in quotient), RatPoly(rem[: other.degree])
-
-    def evaluate(self, x):
-        """Horner evaluation; x may be anything supporting * and + with Fraction."""
-        result = None
-        for c in reversed(self.coeffs):
-            result = c if result is None else result * x + c
-        if result is None:
-            return Fraction(0)
-        return result
 
     def __str__(self) -> str:
         return _format_terms(reversed(list(enumerate(self.coeffs))), "x")

