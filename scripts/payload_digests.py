@@ -83,14 +83,27 @@ def three_odd_primes_grid():
                     yield ["eval", func, f"{p}/{q}", "--pow", str(n), "--json"]
 
 
-def cold_classify_grid(q_low=100, q_high=200):
-    """classify for cos, sin, tan at p/q with p in {1, 7, 2q - 1} coprime
-    to q, for q_low <= q < q_high: one modulus lcm(2q, 4) per q."""
-    for q in range(q_low, q_high):
+def cold_classify_grid(*options):
+    """classify, with ``options``, for cos, sin, tan at p/q with p in
+    {1, 7, 2q - 1} coprime to q, for 100 <= q < 200: one modulus
+    lcm(2q, 4) per q."""
+    for q in range(100, 200):
         for p in (1, 7, 2 * q - 1):
             if gcd(p, q) == 1:
                 for func in FUNCS:
-                    yield ["classify", func, f"{p}/{q}", "--json"]
+                    yield ["classify", func, f"{p}/{q}", *options]
+
+
+def text_classify_grid():
+    """classify as text, with no --json: the cold-classify angles, cos and
+    sin at 1/15015 and tan at 1/1000003, whose witnesses take seconds to
+    build, then the refusals of M above the modulus limit at 1/2097151 and
+    at 100140047/100160063, whose spread (10007 * 10009) is above its own
+    limit too, so the modulus must be refused first."""
+    yield from cold_classify_grid()
+    for func, theta in (("cos", "1/15015"), ("sin", "1/15015"), ("tan", "1/1000003"),
+                        ("cos", "1/2097151"), ("cos", "100140047/100160063")):
+        yield ["classify", func, theta]
 
 
 def oracle_grid(n_max=12):
@@ -200,7 +213,7 @@ GRIDS = {
     "verify sweep q<=32 n<=8": lambda: sweep_digest(32, 8),
     "verify sweep q<=96 n<=8": lambda: sweep_digest(96, 8),
     "verify sweep q<=48 n<=12 --funcs tan,sin,cos": lambda: sweep_digest(48, 12, "tan,sin,cos"),
-    "classify 100<=q<200": lambda: commands_digest(cold_classify_grid()),
+    "classify 100<=q<200": lambda: commands_digest(cold_classify_grid("--json")),
     "root-member a/b<=12 n in 1,2,4,6 m<=60": lambda: commands_digest(
         ["root-member", alpha, str(n), str(m), "--json"]
         for alpha in coprime_fractions(12)
@@ -221,6 +234,7 @@ GRIDS = {
         lambda: commands_digest(sweep_subsets_grid()),
     "irreducible --oracle outside the float range and at 1000 digits, text and --json":
         lambda: commands_digest(oracle_past_floats_grid()),
+    "classify as text: 100<=q<200, slow witnesses, modulus refusals": lambda: commands_digest(text_classify_grid()),
 }
 
 

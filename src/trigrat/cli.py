@@ -81,11 +81,11 @@ def _json_text(value, newline: str = "\n") -> str:
     raise TypeError(f"a payload holds no {type(value).__name__}")
 
 
-def _emit(args, payload: dict, human) -> None:
-    """Print the payload under --json, else the text: ``human`` is the text,
-    or a function that builds it, called only when the text is printed."""
+def _emit(args, payload, human) -> None:
+    """Print the payload under --json, else the text ``human``: each is a
+    value, or a function that builds it, called only when it is printed."""
     if args.json:
-        print(_json_text(payload))
+        print(_json_text(payload() if callable(payload) else payload))
     else:
         print(human() if callable(human) else human)
 
@@ -103,7 +103,7 @@ def _cmd_classify(args) -> int:
             f"{func}(pi*{angle})^{result.minimal_n} = {format_rational(result.value)}"
             f" is the least rational power ({result.case})"
         )
-    _emit(args, result.to_json(), human)
+    _emit(args, result.to_json, human)
     return 0
 
 
@@ -152,7 +152,7 @@ def _cmd_root_member(args) -> int:
             text += f"  witness = {verdict.witness}"
         return text
 
-    _emit(args, verdict.to_json(), human)
+    _emit(args, verdict.to_json, human)
     return 0
 
 
@@ -219,7 +219,7 @@ def _cmd_verify(args) -> int:
                 *(f"  VIOLATION {v.func}(pi*{v.angle}) n={v.n}: {v.reason}" for v in report.violations),
             ])
 
-        _emit(args, report.to_json(), human)
+        _emit(args, report.to_json, human)
         return 0 if report.clean else 1
 
     if args.target == "gauss":

@@ -230,10 +230,10 @@ def _check(func: TrigFunc, angle: Angle, n_max: int, values) -> tuple[list[Hit],
         if base is not None and base not in allowed:
             violation(n, "base value outside the predicted list", value)
 
-    if classification.minimal_n is not None and classification.minimal_n <= n_max:
-        if first_hit_n != classification.minimal_n:
-            violation(first_hit_n, "least rational exponent mismatch")
-    if classification.minimal_n is None and first_hit_n is not None:
+    minimal_n = classification.minimal_n  # read off the case
+    if minimal_n is not None and minimal_n <= n_max and first_hit_n != minimal_n:
+        violation(first_hit_n, "least rational exponent mismatch")
+    if minimal_n is None and first_hit_n is not None:
         violation(first_hit_n, "hit despite no classified minimal exponent")
     return hits, violations, case
 

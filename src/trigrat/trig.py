@@ -26,9 +26,9 @@ folds of its Pascal rows, and cos, sin and tan are decided from the same
 two slot sets.  ``_powers`` is the one reader of powers: the sweep runs it
 once per angle over n = 1..n_max, ``classify`` over n = 1, 2 and
 ``power_rational`` for one n, and nothing is kept past the stream.
-``trig_elem`` lays out M slots and refuses M above MAX_TRIG_MODULUS;
-``_powers`` refuses M at which one term could spread over more than
-MAX_POLYGON_SPREAD slots.
+``trig_elem`` lays out M slots; it and ``classify`` refuse M above
+MAX_TRIG_MODULUS, and ``_powers`` refuses M at which one term could
+spread over more than MAX_POLYGON_SPREAD slots.
 ``classify`` summarises the full picture for one (function, angle) pair:
 either some power is rational and we report the least such exponent with
 its value, or no power is rational at all.  The latter is the common case:
@@ -36,7 +36,7 @@ an irrational value whose square is irrational has no rational power,
 since a least rational exponent of 3 or more never occurs (see
 :func:`classify`).  So the first two powers decide the case, for
 ``classify`` and the sweep alike (``_classification``); the witness x
-that ``classify`` builds goes into its payload and decides nothing.
+decides nothing and is built only when read (``Classification.witness``).
 """
 
 from __future__ import annotations
@@ -129,30 +129,33 @@ class Case(enum.Enum):
 
 @dataclass(frozen=True)
 class Classification:
-    """Verdict for one (function, angle) pair.
-
-    ``minimal_n`` is the least exponent with a rational power (None for the
-    NEVER and UNDEFINED cases) and ``value`` the power's exact value at that
-    exponent.  ``witness`` carries the underlying field element, which the
-    verdict does not read; it is None at a pole and in the sweep, which
-    builds no field element.
-    """
+    """Verdict for one (function, angle) pair: the case, and ``value``, the
+    least rational power's exact value (None for NEVER and UNDEFINED).
+    ``minimal_n`` (1, 2 or None) is read off the case; ``witness``, the
+    value as a field element (None at a pole), is built when read."""
 
     func: TrigFunc
     angle: Angle
     case: Case
-    minimal_n: int | None
     value: Fraction | None
-    witness: CycElem | None
+
+    @property
+    def minimal_n(self) -> int | None:
+        return 1 if self.case is Case.VALUE_RATIONAL else 2 if self.case is Case.SQUARE_RATIONAL else None
+
+    @property
+    def witness(self) -> CycElem | None:
+        return None if self.case is Case.UNDEFINED else trig_elem(self.func, self.angle)
 
     def to_json(self) -> dict:
+        witness = self.witness  # built once, for this payload
         return {
             "func": str(self.func),
             "theta": str(self.angle),
             "case": str(self.case),
             "minimal_n": self.minimal_n,
             "value": None if self.value is None else format_rational(self.value),
-            "witness": None if self.witness is None else self.witness.to_json(),
+            "witness": None if witness is None else witness.to_json(),
         }
 
 
@@ -269,31 +272,32 @@ def _moved_slots(sign: int, m: int, e: int, k: int, row) -> dict[int, int]:
     return {x: c for x, c in slots.items() if c}
 
 
-# The largest M = lcm(2q, 4) at which ``trig_elem``, and so ``classify``,
-# builds a value: it lays out M slots and reduces them modulo Phi_M, in
-# memory linear in M.  In a fresh process on a 2-core Xeon with Python
-# 3.11, classify tan 1/1000003 (M = 4000012) takes 2.2 s and 484 MB,
-# cos 1/1000003 1.4 s and 370 MB, and tan 1/2499997 (M = 9999988) 6.1 s
-# and 1216 MB.  The time also grows with the odd primes of M: the long
-# division makes classify cos 1/255255 (M = 1021020) run past 60 s.
-# Every M at or below the
-# limit has spread (p - 1 over its odd primes) below 2^20, so ``classify``
-# is never refused by MAX_POLYGON_SPREAD after building its witness.
+# The largest M = lcm(2q, 4) at which ``trig_elem`` builds a value: M slots
+# reduced modulo Phi_M, in memory linear in M.  In a fresh process on a
+# 2-core Xeon with Python 3.11, classify tan --json took 2.2 s and 484 MB
+# at 1/1000003 (M = 4000012), 6.1 s and 1216 MB at 1/2499997 (M = 9999988).
+# ``classify`` refuses the same M, so --json changes no exit code.  Every M
+# within the limit has spread (p - 1 over its odd primes) below 2^20, so
+# ``classify`` meets MAX_POLYGON_SPREAD only past this limit.
 MAX_TRIG_MODULUS = 2 ** 22
 
 
-# The trig caches are bounded LRU caches of the 1024 (func, angle) pairs
-# used last: cos, sin and tan at a few angles per modulus over a range of a
-# hundred moduli.  The sweep fills neither, as it decides from powers alone.
-@lru_cache(maxsize=1024)
+def _trig_modulus(angle: Angle) -> tuple[int, int]:
+    """``_zeta_exponent``, with ValueError when M is above MAX_TRIG_MODULUS."""
+    m, e = _zeta_exponent(angle)
+    if m > MAX_TRIG_MODULUS:
+        raise ValueError(f"modulus M = lcm(2q, 4) = {m} at {angle} is above the limit {MAX_TRIG_MODULUS}")
+    return m, e
+
+
+# No decision reads a witness, and each payload reads its own once: keep 16.
+@lru_cache(maxsize=16)
 def trig_elem(func: TrigFunc, angle: Angle) -> CycElem:
     """The exact value of func(pi * angle) as an element of Q(zeta_M),
     M = lcm(2q, 4), from the division-free closed forms in the module
     docstring.  Raises UndefinedTrigValue at tangent poles and ValueError
     when M is above MAX_TRIG_MODULUS."""
-    m, e = _zeta_exponent(angle)
-    if m > MAX_TRIG_MODULUS:
-        raise ValueError(f"modulus M = lcm(2q, 4) = {m} at {angle} is above the limit {MAX_TRIG_MODULUS}")
+    m, e = _trig_modulus(angle)
     quarter = m // 4
     if func is not TrigFunc.TAN:
         sign, shift = (-1, quarter) if func is TrigFunc.SIN else (1, 0)
@@ -366,16 +370,15 @@ def power_rational(func: TrigFunc, angle: Angle, n: int) -> Fraction | None:
     return _powers((func,), angle, n, n)[func][0]
 
 
-def _classification(func: TrigFunc, angle: Angle, values, witness: CycElem | None = None) -> Classification:
+def _classification(func: TrigFunc, angle: Angle, values) -> Classification:
     """The verdict on func(pi*angle) from its powers ``values`` at n = 1 and
-    2, None at a pole (``classify``); ``witness`` only goes into the
-    payload."""
+    2, None at a pole."""
     if values is None:
-        return Classification(func, angle, Case.UNDEFINED, None, None, None)
-    for n, case in ((1, Case.VALUE_RATIONAL), (2, Case.SQUARE_RATIONAL)):
-        if values[n - 1] is not None:
-            return Classification(func, angle, case, n, values[n - 1], witness)
-    return Classification(func, angle, Case.NEVER, None, None, witness)
+        return Classification(func, angle, Case.UNDEFINED, None)
+    for value, case in zip(values, (Case.VALUE_RATIONAL, Case.SQUARE_RATIONAL)):
+        if value is not None:
+            return Classification(func, angle, case, value)
+    return Classification(func, angle, Case.NEVER, None)
 
 
 @lru_cache(maxsize=1024)
@@ -391,14 +394,11 @@ def classify(func: TrigFunc, angle: Angle) -> Classification:
     abelian field Q(zeta_M), forcing n <= 2.  So the verdict is that of x
     and x^2, decided by ``_powers`` and ``_classification`` as the sweep
     decides it, not from the coordinates of x or the dense product x * x.
-    x itself (``trig_elem``) is built first, so an M above
-    MAX_TRIG_MODULUS is refused, and goes into the payload as the witness.
+    x is not built (``Classification.witness`` builds it when read), but an
+    M above MAX_TRIG_MODULUS is refused first, as ``trig_elem`` refuses it.
     """
-    try:
-        x = trig_elem(func, angle)
-    except UndefinedTrigValue:
-        x = None
-    return _classification(func, angle, _powers((func,), angle, 1, 2).get(func), x)
+    _trig_modulus(angle)
+    return _classification(func, angle, _powers((func,), angle, 1, 2).get(func))
 
 
 @dataclass(frozen=True)

@@ -150,10 +150,10 @@ def test_misclassified_representatives_survey_their_orbits(monkeypatch):
     planted = {Angle(1, 5), Angle(3, 5)}
     decide = sweep._classification
 
-    def faulty(func, angle, values, witness=None):
+    def faulty(func, angle, values):
         if func is COS and angle in planted:
-            return Classification(func, angle, Case.SQUARE_RATIONAL, 2, Fraction(1, 2), None)
-        return decide(func, angle, values, witness)
+            return Classification(func, angle, Case.SQUARE_RATIONAL, Fraction(1, 2))
+        return decide(func, angle, values)
 
     monkeypatch.setattr(sweep, "_classification", faulty)
     config = SweepConfig(q_max=12, n_max=8)
@@ -965,6 +965,28 @@ def test_cold_moduli_payloads_match_digest(capsys):
                     code, out, err = run(capsys, *argv)
                     digest.update(f"{' '.join(argv)}\n{code}\n{out}{err}".encode())
     assert digest.hexdigest() == COLD_CLASSIFY_DIGEST
+
+
+def test_text_classify_builds_no_field_element(monkeypatch, capsys):
+    """Text-mode classify prints the verdict alone: with ``root_combination``
+    refused and the trig caches empty, it answers at the cold-classify
+    angles, at cos 1/15015 and at tan 1/10007, whose witnesses take
+    seconds, while each --json line still builds its witness."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("field element built")
+
+    monkeypatch.setattr("trigrat.trig.root_combination", forbidden)
+    monkeypatch.setattr("trigrat.cyclotomic.root_combination", forbidden)
+    trig_elem.cache_clear()
+    classify.cache_clear()
+    lines = [(func, f"{p}/{q}") for q in range(100, 200) for p in (1, 7, 2 * q - 1) if gcd(p, q) == 1
+             for func in ("cos", "sin", "tan")]
+    for func, theta in lines + [("cos", "1/15015"), ("tan", "1/10007")]:
+        code, out, err = run(capsys, "classify", func, theta)
+        assert (code, err) == (0, ""), (func, theta)
+        assert out.startswith(f"{func}(pi*{theta})"), (func, theta)
+        with pytest.raises(AssertionError, match="field element built"):
+            run_cli(["classify", func, theta, "--json"])
 
 
 def test_decision_paths_build_no_dense_power(monkeypatch, capsys):

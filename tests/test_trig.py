@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
@@ -18,6 +19,7 @@ from trigrat.trig import (
     MAX_TRIG_MODULUS,
     Angle,
     Case,
+    Classification,
     TrigFunc,
     UndefinedTrigValue,
     ValueDescriptor,
@@ -201,6 +203,24 @@ def test_classify_cases():
 
     c = classify(COS, Angle(1, 12))
     assert c.case is Case.NEVER
+
+
+def test_classify_keeps_the_verdict_alone():
+    """A verdict is its four fields, and classify keeps no witness: five tan
+    verdicts at primes q near 10^4, whose witnesses hold about 1 MB each,
+    retain under 0.1 MB."""
+    assert classify(COS, Angle(1, 5)) == Classification(COS, Angle(1, 5), Case.NEVER, None)
+    classify.cache_clear()
+    trig_elem.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        verdicts = [classify(TAN, Angle(1, q)) for q in (10007, 10009, 10037, 10039, 10061)]
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert [v.case for v in verdicts] == [Case.NEVER] * 5
+    assert retained < 100_000, retained
 
 
 def test_classification_json_contains_witness():
