@@ -17,7 +17,8 @@ odd radical (the radical of m's odd part), is built one binomial x^k - 1
 at a time, each multiplied in or divided out exactly in linear time
 (Arnold & Monagan, Math. Comp. 80, 2011); for even m, R = 2r and
 Phi_2r(x) = Phi_r(-x), or x + 1 when r = 1, so the prime 2 adds no
-binomial.  Only Phi_m's nonzero tail is cached per modulus
+binomial.  Only Phi_m's nonzero tail is cached, for the moduli used last
+and up to a number of (j, c) pairs over all of them
 (``_cyclotomic_divisor``).  The polynomial arithmetic itself (the
 convolution, the monic long division and square-and-multiply) is the
 shared kernel of ``polynomials``; ``minimal_polynomial`` runs the same
@@ -103,12 +104,32 @@ def _cyclotomic_int_coeffs(m: int) -> tuple[int, ...]:
     return tuple(spread)
 
 
-@lru_cache(maxsize=256)
+# The (j, c) pairs of tails that ``_cyclotomic_divisor`` keeps, over all
+# moduli: about 3 MB at some 90 bytes a pair.  A benchmark child asks for at
+# most about 3400 (the 50 moduli M < 800 of a cold-classify batch), while
+# the tail of Phi_M at q near 10^4 alone has about 10^4.
+_DIVISOR_PAIRS = 2 ** 15
+_divisors: dict[int, tuple[int, tuple]] = {}  # modulus -> (phi, tail), least recently used first
+_divisor_pairs = 0  # the pairs _divisors holds
+
+
 def _cyclotomic_divisor(m: int) -> tuple[int, tuple]:
     """Phi_m as the long division reads it: its degree phi(m) and its
     nonzero lower coefficients (see ``polynomials._monic_tail``).  The
-    cache keeps the 256 moduli used last."""
-    return _monic_tail(_cyclotomic_int_coeffs(m))
+    tails used last are kept, _DIVISOR_PAIRS pairs at most; a tail longer
+    than that is rebuilt whenever it is asked for."""
+    global _divisor_pairs
+    divisor = _divisors.pop(m, None)
+    if divisor is None:
+        divisor = _monic_tail(_cyclotomic_int_coeffs(m))
+        size = len(divisor[1])
+        if size > _DIVISOR_PAIRS:
+            return divisor
+        _divisor_pairs += size
+        while _divisor_pairs > _DIVISOR_PAIRS:
+            _divisor_pairs -= len(_divisors.pop(next(iter(_divisors)))[1])
+    _divisors[m] = divisor
+    return divisor
 
 
 def _reduce(m: int, coeffs: list[int]) -> list[int]:

@@ -35,13 +35,13 @@ from __future__ import annotations
 
 import cmath
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, gcd, inf, isqrt
 from typing import Union
 
+from ._record import FrozenRecord
 from .cyclotomic import CycElem, root_combination, zeta_power
 from .numtheory import (
     _check_positive,
@@ -76,14 +76,16 @@ def binomial_irreducible(alpha: Scalar, n: int) -> bool:
     return radical_condition(alpha, n)
 
 
-@dataclass(frozen=True)
-class SubsetFactor:
+class SubsetFactor(FrozenRecord):
     """A verified factorization x^n - alpha = factor * cofactor where factor
     is the subset product over the root indices in ``subset``."""
 
-    subset: frozenset[int]
-    factor: RatPoly
-    cofactor: RatPoly
+    __slots__ = ("subset", "factor", "cofactor")
+
+    def __init__(self, subset: frozenset[int], factor: RatPoly, cofactor: RatPoly):
+        object.__setattr__(self, "subset", subset)
+        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "cofactor", cofactor)
 
 
 def subset_factorizations(alpha: Scalar, n: int) -> list[SubsetFactor]:
@@ -228,24 +230,24 @@ def subset_unity_product(n: int, subset: frozenset[int]) -> CycElem:
 # ----------------------------------------------------------------------
 # the metacyclic group acting on the roots
 
-@dataclass(frozen=True)
-class MetaGaloisElem:
+class MetaGaloisElem(FrozenRecord):
     """A symbol sigma^a tau_c acting on the root set of x^n - alpha:
     sigma multiplies the chosen root by zeta_n, tau_c raises zeta_n to c."""
 
-    n: int
-    a: int
-    c: int
+    __slots__ = ("n", "a", "c")
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
-        if not 0 <= self.a < self.n:
-            raise ValueError(f"a must lie in [0, {self.n}), got {self.a}")
-        if not 1 <= self.c < self.n:
-            raise ValueError(f"c must lie in [1, {self.n}), got {self.c}")
-        if gcd(self.c, self.n) != 1:
-            raise ValueError(f"c = {self.c} is not a unit mod {self.n}")
+    def __init__(self, n: int, a: int, c: int):
+        if n < 2:
+            raise ValueError(f"n must be >= 2, got {n}")
+        if not 0 <= a < n:
+            raise ValueError(f"a must lie in [0, {n}), got {a}")
+        if not 1 <= c < n:
+            raise ValueError(f"c must lie in [1, {n}), got {c}")
+        if gcd(c, n) != 1:
+            raise ValueError(f"c = {c} is not a unit mod {n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "c", c)
 
     @classmethod
     def identity(cls, n: int) -> "MetaGaloisElem":
@@ -283,14 +285,16 @@ def _meta_power(base: MetaGaloisElem, k: int) -> MetaGaloisElem:
     return result
 
 
-@dataclass(frozen=True)
-class GroupReport:
+class GroupReport(FrozenRecord):
     """Summary of the sanity run over one semidirect product."""
 
-    n: int
-    order: int
-    abelian: bool
-    relation_holds: bool
+    __slots__ = ("n", "order", "abelian", "relation_holds")
+
+    def __init__(self, n: int, order: int, abelian: bool, relation_holds: bool):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "abelian", abelian)
+        object.__setattr__(self, "relation_holds", relation_holds)
 
 
 # The largest group order n * phi(n) ``meta_group_checks`` enumerates.  The
@@ -483,8 +487,7 @@ class RootJustification(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class RootMembershipVerdict:
+class RootMembershipVerdict(FrozenRecord):
     """Answer to 'is the positive real alpha^(1/n) an element of Q(zeta_m)?'
 
     ``witness`` is the root written in the power basis of Q(zeta_m) whenever
@@ -492,12 +495,16 @@ class RootMembershipVerdict:
     witness to the n-th power.
     """
 
-    alpha: Fraction
-    n: int
-    modulus: int
-    member: bool
-    justification: RootJustification
-    witness: CycElem | None
+    __slots__ = ("alpha", "n", "modulus", "member", "justification", "witness")
+
+    def __init__(self, alpha: Fraction, n: int, modulus: int, member: bool,
+                 justification: RootJustification, witness: CycElem | None):
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "member", member)
+        object.__setattr__(self, "justification", justification)
+        object.__setattr__(self, "witness", witness)
 
     @property
     def answer(self) -> str:

@@ -47,10 +47,10 @@ not survey; the tests compare the report with a survey of every angle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
+from ._record import FrozenRecord, Record
 from .numtheory import euler_phi, format_rational
 from .trig import (
     MAX_POWER_EXPONENT,
@@ -67,41 +67,44 @@ from .trig import (
 _FUNC_ORDER = {TrigFunc.COS: 0, TrigFunc.SIN: 1, TrigFunc.TAN: 2}
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(FrozenRecord):
     """Bounds for one sweep.  ``n_max`` is at most
     ``trig.MAX_POWER_EXPONENT``, the largest exponent ``power_rational``
     computes, and ``q_max`` at most ``trig.MAX_TRIG_MODULUS // 4``, the
     largest bound at which every M = lcm(2q, 4) is within that limit (then
     so is every spread, as it is below q)."""
 
-    q_max: int
-    n_max: int
-    funcs: tuple[TrigFunc, ...] = (TrigFunc.COS, TrigFunc.SIN, TrigFunc.TAN)
+    __slots__ = ("q_max", "n_max", "funcs")
 
-    def __post_init__(self):
-        if self.q_max < 1:
-            raise ValueError(f"q_max must be >= 1, got {self.q_max}")
-        if self.q_max > MAX_TRIG_MODULUS // 4:
-            raise ValueError(f"q_max must be <= {MAX_TRIG_MODULUS // 4}, got {self.q_max}")
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-        if self.n_max > MAX_POWER_EXPONENT:
-            raise ValueError(f"n_max must be <= {MAX_POWER_EXPONENT}, got {self.n_max}")
-        if not self.funcs:
+    def __init__(self, q_max: int, n_max: int,
+                 funcs: tuple[TrigFunc, ...] = (TrigFunc.COS, TrigFunc.SIN, TrigFunc.TAN)):
+        if q_max < 1:
+            raise ValueError(f"q_max must be >= 1, got {q_max}")
+        if q_max > MAX_TRIG_MODULUS // 4:
+            raise ValueError(f"q_max must be <= {MAX_TRIG_MODULUS // 4}, got {q_max}")
+        if n_max < 1:
+            raise ValueError(f"n_max must be >= 1, got {n_max}")
+        if n_max > MAX_POWER_EXPONENT:
+            raise ValueError(f"n_max must be <= {MAX_POWER_EXPONENT}, got {n_max}")
+        if not funcs:
             raise ValueError("funcs must not be empty")
-        if len(set(self.funcs)) < len(self.funcs):
-            raise ValueError(f"funcs must not repeat a function, got {','.join(map(str, self.funcs))}")
+        if len(set(funcs)) < len(funcs):
+            raise ValueError(f"funcs must not repeat a function, got {','.join(map(str, funcs))}")
+        object.__setattr__(self, "q_max", q_max)
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "funcs", funcs)
 
 
-@dataclass(frozen=True)
-class Hit:
+class Hit(FrozenRecord):
     """One rational power: func(pi*theta)^n = value exactly."""
 
-    func: TrigFunc
-    angle: Angle
-    n: int
-    value: Fraction
+    __slots__ = ("func", "angle", "n", "value")
+
+    def __init__(self, func: TrigFunc, angle: Angle, n: int, value: Fraction):
+        object.__setattr__(self, "func", func)
+        object.__setattr__(self, "angle", angle)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "value", value)
 
     def sort_key(self):
         return (_FUNC_ORDER[self.func], self.angle.q, self.angle.p, self.n)
@@ -115,15 +118,17 @@ class Hit:
         }
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(FrozenRecord):
     """A broken expectation, kept machine-readable for triage."""
 
-    func: TrigFunc
-    angle: Angle
-    n: int | None
-    reason: str
-    value: Fraction | None = None
+    __slots__ = ("func", "angle", "n", "reason", "value")
+
+    def __init__(self, func: TrigFunc, angle: Angle, n: int | None, reason: str, value: Fraction | None = None):
+        object.__setattr__(self, "func", func)
+        object.__setattr__(self, "angle", angle)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "value", value)
 
     def sort_key(self):
         return (_FUNC_ORDER[self.func], self.angle.q, self.angle.p, self.n or 0)
@@ -138,15 +143,20 @@ class Violation:
         }
 
 
-@dataclass
-class SweepReport:
-    """Everything a sweep found, in deterministic order."""
+class SweepReport(Record):
+    """Everything a sweep found, in deterministic order.  Mutable, and so
+    unhashable; a list or dict left out starts empty."""
 
-    config: SweepConfig
-    hits: list[Hit] = field(default_factory=list)
-    violations: list[Violation] = field(default_factory=list)
-    case_counts: dict[TrigFunc, dict[Case, int]] = field(default_factory=dict)
-    queries: int = 0
+    __slots__ = ("config", "hits", "violations", "case_counts", "queries")
+
+    def __init__(self, config: SweepConfig, hits: list[Hit] | None = None,
+                 violations: list[Violation] | None = None,
+                 case_counts: dict[TrigFunc, dict[Case, int]] | None = None, queries: int = 0):
+        self.config = config
+        self.hits = [] if hits is None else hits
+        self.violations = [] if violations is None else violations
+        self.case_counts = {} if case_counts is None else case_counts
+        self.queries = queries
 
     @property
     def clean(self) -> bool:

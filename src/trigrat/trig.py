@@ -42,12 +42,12 @@ decides nothing and is built only when read (``Classification.witness``).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import gcd, lcm, prod
 
+from ._record import FrozenRecord
 from .cyclotomic import CycElem, root_combination
 from .numtheory import _trial_division, format_rational, nth_root_rational, parse_rational
 
@@ -72,24 +72,24 @@ class UndefinedTrigValue(ArithmeticError):
     """Raised when tan is evaluated at an odd multiple of pi/2."""
 
 
-@dataclass(frozen=True)
-class Angle:
+class Angle(FrozenRecord):
     """A rational multiple theta = p/q of pi, normalised to 0 <= p/q < 2.
 
     The constructor insists on the normal form (q >= 1, gcd(p, q) = 1,
     0 <= p < 2q); use :meth:`normalized` to build one from arbitrary p, q.
     """
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
-        if self.q < 1:
-            raise ValueError(f"denominator must be positive, got {self.q}")
-        if gcd(self.p, self.q) != 1:
-            raise ValueError(f"{self.p}/{self.q} is not in lowest terms")
-        if not 0 <= self.p < 2 * self.q:
-            raise ValueError(f"numerator {self.p} outside [0, {2 * self.q}) for denominator {self.q}")
+    def __init__(self, p: int, q: int):
+        if q < 1:
+            raise ValueError(f"denominator must be positive, got {q}")
+        if gcd(p, q) != 1:
+            raise ValueError(f"{p}/{q} is not in lowest terms")
+        if not 0 <= p < 2 * q:
+            raise ValueError(f"numerator {p} outside [0, {2 * q}) for denominator {q}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     @classmethod
     def normalized(cls, p: int, q: int) -> "Angle":
@@ -127,17 +127,19 @@ class Case(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(FrozenRecord):
     """Verdict for one (function, angle) pair: the case, and ``value``, the
     least rational power's exact value (None for NEVER and UNDEFINED).
     ``minimal_n`` (1, 2 or None) is read off the case; ``witness``, the
     value as a field element (None at a pole), is built when read."""
 
-    func: TrigFunc
-    angle: Angle
-    case: Case
-    value: Fraction | None
+    __slots__ = ("func", "angle", "case", "value")
+
+    def __init__(self, func: TrigFunc, angle: Angle, case: Case, value: Fraction | None):
+        object.__setattr__(self, "func", func)
+        object.__setattr__(self, "angle", angle)
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "value", value)
 
     @property
     def minimal_n(self) -> int | None:
@@ -401,24 +403,24 @@ def classify(func: TrigFunc, angle: Angle) -> Classification:
     return _classification(func, angle, _powers((func,), angle, 1, 2).get(func))
 
 
-@dataclass(frozen=True)
-class ValueDescriptor:
+class ValueDescriptor(FrozenRecord):
     """A real number of the form sign * sqrt(square), sign in {+1, -1, 0}.
 
     Canonical form: sign = 0 iff square = 0; square >= 0.  Describes every
     value that a rational-square trig value can take, rational or not.
     """
 
-    sign: int
-    square: Fraction
+    __slots__ = ("sign", "square")
 
-    def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or 1, got {self.sign}")
-        if self.square < 0:
+    def __init__(self, sign: int, square: Fraction):
+        if sign not in (-1, 0, 1):
+            raise ValueError(f"sign must be -1, 0 or 1, got {sign}")
+        if square < 0:
             raise ValueError("square must be nonnegative")
-        if (self.sign == 0) != (self.square == 0):
+        if (sign == 0) != (square == 0):
             raise ValueError("sign 0 iff square 0")
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "square", square)
 
     @classmethod
     def from_rational(cls, value: Fraction) -> "ValueDescriptor":

@@ -1,5 +1,6 @@
 import cmath
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -483,3 +484,21 @@ def test_pow_does_no_wasted_product(monkeypatch):
         assert x ** n == powers[n], n
         counts.append(len(calls))
     assert counts == [0, 1, 2, 2, 3, 3, 4, 3]
+
+
+def test_divisor_cache_is_bounded_by_pairs_not_moduli():
+    """Witnesses are reduced modulo Phi_M through ``_cyclotomic_divisor``,
+    whose cache is bounded by the (j, c) pairs of the tails it keeps, not by
+    moduli: cos at twelve primes q near 10^4 (M = 4q, a tail of q - 1 pairs
+    each) and at q = 100003 (10^5 pairs, more than the whole cache holds)
+    retain under 4 MB, where one tail per modulus retained 20 MB."""
+    primes = (10007, 10009, 10037, 10039, 10061, 10067, 10069, 10079, 10091, 10093, 10099, 10103, 100003)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for q in primes:
+            trig_elem.__wrapped__(TrigFunc.COS, Angle(1, q))  # past trig_elem's own cache
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 4_000_000, retained
