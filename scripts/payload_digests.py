@@ -123,8 +123,9 @@ def oracle_grid(n_max=12):
 
 def large_alpha_oracle_grid():
     """irreducible 10^e n --oracle at e = 1, 8, ..., 295 and n = 2..12, where
-    the roots are too large for floats to carry most factors' coefficients,
-    so the subset oracle rebuilds them exactly."""
+    the roots are too large for floats to carry most factors' coefficients;
+    the subset oracle rebuilds them from the unit products and finishes
+    in integers."""
     for e in range(1, 296, 7):
         for n in range(2, 13):
             yield ["irreducible", str(10 ** e), str(n), "--oracle", "--json"]
@@ -132,8 +133,9 @@ def large_alpha_oracle_grid():
 
 def oracle_past_floats_grid():
     """irreducible --oracle at 10^400 and 1/10^400, outside the float range,
-    at n = 2 and 12, and at the square of (3^1047 + 2)/(7^591 + 4), 1000
-    digits over 1000, at n = 2 and 12; each as text and under --json."""
+    which the subset oracle never turns into a float, at n = 2 and 12, and
+    at the square of (3^1047 + 2)/(7^591 + 4), 1000 digits over 1000, at
+    n = 2 and 12; each as text and under --json."""
     square = str(Fraction(3 ** 1047 + 2, 7 ** 591 + 4) ** 2)
     for alpha in ("1" + "0" * 400, "1/1" + "0" * 400, square):
         for n in ("2", "12"):

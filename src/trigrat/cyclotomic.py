@@ -38,12 +38,10 @@ from functools import lru_cache, reduce
 from itertools import accumulate
 from math import gcd
 from operator import add, sub
-from typing import Iterable, Union
+from typing import Iterable
 
 from .numtheory import euler_phi, prime_divisors
 from .polynomials import RatPoly, _divide_monic, _format_terms, _monic_tail, _poly_mul, _power
-
-Scalar = Union[int, Fraction]
 
 
 # ----------------------------------------------------------------------
@@ -198,7 +196,7 @@ class CycElem:
 
     __slots__ = ("modulus", "_nums", "_den")
 
-    def __init__(self, modulus: int, coeffs: Iterable[Scalar]):
+    def __init__(self, modulus: int, coeffs: Iterable[int | Fraction]):
         cs = [Fraction(c) for c in coeffs]
         phi = euler_phi(modulus)
         if len(cs) != phi:
@@ -235,7 +233,7 @@ class CycElem:
         return elem
 
     @classmethod
-    def from_rational(cls, modulus: int, value: Scalar) -> "CycElem":
+    def from_rational(cls, modulus: int, value: int | Fraction) -> "CycElem":
         value = Fraction(value)
         phi = euler_phi(modulus)
         return cls._raw(modulus, [value.numerator] + [0] * (phi - 1), value.denominator)

@@ -15,8 +15,9 @@ power, so alpha^(1/n) = beta^(1/k), k = n/e, found without factoring n.
   a monic factor over Q is a product of x - alpha^(1/n) zeta_n^j over a
   subset closed under j -> n - j.  The scan rebuilds each such product at
   an admissible size, a multiple of k, in integers, after the substitution
-  x = y/Q that makes the target monic over Z, and confirms it by exact
-  division.
+  x = y/Q that makes the target monic over Z: each coefficient from the
+  unit product's float at unit scale and an integer root, with no field
+  arithmetic.  It confirms each candidate by exact division.
 * ``sqrt_in_cyclotomic`` writes sqrt(alpha) at the conductor of
   Q(sqrt(alpha)) in closed form, one combination of roots of unity, and
   checks it once by squaring, up to conductor MAX_WITNESS_MODULUS;
@@ -37,9 +38,7 @@ import cmath
 import enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import comb, gcd, inf, isqrt
-from typing import Union
+from math import gcd, isqrt
 
 from ._record import FrozenRecord
 from .cyclotomic import CycElem, root_combination, zeta_power
@@ -55,15 +54,13 @@ from .numtheory import (
 )
 from .polynomials import RatPoly, _divide_monic, _monic_tail, _poly_mul
 
-Scalar = Union[int, Fraction]
-
-_FLOAT_ERROR, _FLOAT_BOUND = 2.0 ** -43, 2.0 ** 40  # the subset oracle's float route, see _integer_coefficients
+_TOLERANCE = 2.0 ** -12  # the subset oracle's rounding at unit scale, see _integer_coefficients
 
 
 # ----------------------------------------------------------------------
 # irreducibility of x^n - alpha
 
-def binomial_irreducible(alpha: Scalar, n: int) -> bool:
+def binomial_irreducible(alpha: int | Fraction, n: int) -> bool:
     """Whether x^n - alpha is irreducible over Q (alpha a positive rational).
 
     Equivalent to the radical criterion: alpha is not a rational r-th power
@@ -88,7 +85,7 @@ class SubsetFactor(FrozenRecord):
         object.__setattr__(self, "cofactor", cofactor)
 
 
-def subset_factorizations(alpha: Scalar, n: int) -> list[SubsetFactor]:
+def subset_factorizations(alpha: int | Fraction, n: int) -> list[SubsetFactor]:
     """All monic rational factors of x^n - alpha of degree 1..n-1, in order
     of size, then of subset, found over subsets of the roots and confirmed
     by exact division in integers.
@@ -103,11 +100,9 @@ def subset_factorizations(alpha: Scalar, n: int) -> list[SubsetFactor]:
     the answer is [] at once.  With Q the denominator of beta, x = y/Q
     gives the target y^n - (beta Q^k)^e, monic over Z with roots
     M zeta_n^j, M = (beta Q^k)^(1/k), so its monic factors have integer
-    coefficients (Gauss).  A closed subset's constant term is
-    (-1)^s (+1 if sum(subset) = 0 mod n, else -1) M^s; its other
-    coefficients come from ``_integer_coefficients``; ``_divide_monic`` on
-    ints confirms it.  No float carries M's scale (see
-    ``_integer_coefficients``), so alpha has no range limit.
+    coefficients (Gauss).  ``_integer_coefficients`` rebuilds a closed
+    subset's candidate from its unit product, with no float at M's scale,
+    so alpha has no range limit, and ``_divide_monic`` on ints confirms it.
     """
     alpha = _check_positive(alpha)
     if not 2 <= n <= 12:
@@ -118,17 +113,15 @@ def subset_factorizations(alpha: Scalar, n: int) -> list[SubsetFactor]:
     k = n // e
     q = beta.denominator
     radicand = beta.numerator * q ** (k - 1)  # M^k
-    scale = inf if radicand >> 41 * k else float(radicand) ** (1 / k)  # past 2^41 nothing is rounded
     target = [-radicand ** e] + [0] * (n - 1) + [1]
     products = _unit_products(n)
     found: list[SubsetFactor] = []
     for s in range(k, n, k):
-        constant = (-1) ** s * radicand ** (s // k)
         for subset, unit in products[s]:
-            coeffs = _integer_coefficients(n, subset, unit, k, radicand, scale)
-            if coeffs is None:
+            factor = _integer_coefficients(unit, k, radicand)
+            if factor is None:
                 continue
-            factor = [constant if sum(subset) % n == 0 else -constant] + coeffs + [1]
+            factor.append(1)
             rest = target.copy()
             cofactor = _divide_monic(rest, *_monic_tail(factor))
             if not any(rest[:s]):
@@ -136,42 +129,49 @@ def subset_factorizations(alpha: Scalar, n: int) -> list[SubsetFactor]:
     return found
 
 
-def _integer_coefficients(n: int, subset: tuple, unit: tuple, k: int, radicand: int, scale: float) -> list[int] | None:
-    """The coefficients of y^1 .. y^(s-1) of the product of y - M zeta_n^j
-    over the subset, M = radicand^(1/k) (``scale`` in floats), as ints, or
-    None at the first that is not an integer.  The one d places below the
-    top is M^d u, u the unit product's (``unit`` in floats), |u| <= C(s, d).
-    The unit roots are within 2^5 units of 2^-53, each of the s <= 11 walk
-    steps adds a few, and M^d is off by d (ln M + 3) at most, so the float
-    is within _FLOAT_ERROR C(s, d) M^d, under 1/8 up to _FLOAT_BOUND; there
-    it is rounded, and rejected when farther than that from every integer.
-    (Two closed subsets of one size have unit products 0.61 or more apart
-    in some coefficient, so a rounded candidate that divides is its own
-    subset's.)  Past the bound u is rebuilt in Z[zeta_n]: (M^d u)^k =
-    radicand^d u^k must be an integer with a k-th root, signed as the float
-    u (|u| >= 1 when u^k is a nonzero integer)."""
-    s = len(subset)
+def _integer_coefficients(unit: tuple, k: int, radicand: int) -> list[int] | None:
+    """The coefficients of y^0 .. y^(s-1) of the product of y - M zeta_n^j
+    over a closed subset of size s, M = radicand^(1/k), as ints, or None at
+    the first that is not an integer; ``unit`` holds the floats of the unit
+    product's coefficients, those of the product of y - zeta_n^j.
+
+    The coefficient d = wk + t places below the top is c = M^d u, u the
+    unit product's, a real algebraic integer with |u| <= C(s, d).  If c is
+    an integer, so is (c / radicand^w)^k = radicand^t u^k, hence u^k, and
+    c is u's sign times the k-th root of radicand^t |u^k|, times
+    radicand^w.  So u^k is rounded to p, and c is rejected when u^k is
+    farther than _TOLERANCE from p, or, at p = 0, u itself (a nonzero
+    algebraic integer with integer u^k has |u| >= 1), or when
+    radicand^t |p| has no integer k-th root.  No float carries M, and the
+    constant term is the step d = s, where u = +-1.
+
+    The unit roots are within 2^5 units of 2^-53 and each of the s <= 11
+    walk steps adds a few, so the float u is within 2^-43 C(s, d) < 2^-33
+    of the true one, and u^k within k C(s, d)^k 2^-43.  Over n <= 12,
+    k | n, k <= n/2 and k | s < n that is largest at n = 12, k = 6, s = 6,
+    d = 3, 6 C(6, 3)^6 = 3.84 10^8 < 2^29, so an integer u^k is within
+    2^-14 of its float and rounds to it, inside _TOLERANCE.  An accepted
+    candidate's unit coefficient, |p|^(1/k) with u's sign, is within
+    _TOLERANCE of the float u, so within _TOLERANCE + 2^-33 of its
+    subset's; two closed subsets of one size have unit products 0.61 or
+    more apart in some coefficient, so a candidate that divides is its own
+    subset's product."""
+    s = len(unit) - 1
     coeffs = []
-    for i in range(1, s):
-        d = s - i
-        weight = comb(s, d) * scale ** d
-        if weight <= _FLOAT_BOUND:
-            value = unit[i] * scale ** d
-            c = round(value)
-            if abs(value - c) > weight * _FLOAT_ERROR:
-                return None
-        else:
-            power = (root_combination(n, [(sum(t), (-1) ** d) for t in combinations(subset, d)]) ** k).as_rational()
-            if power is None:
-                return None
-            whole, part = divmod(d, k)
-            power = radicand ** part * abs(int(power))
-            c = integer_nth_root(power, k)
-            if c ** k != power:
-                return None
-            c *= radicand ** whole if unit[i] > 0 else -radicand ** whole
-        coeffs.append(c)
-    return coeffs
+    for d in range(1, s + 1):
+        u = unit[s - d]
+        uk = u ** k
+        p = round(uk)
+        if abs(uk - p if p else u) > _TOLERANCE:
+            return None
+        whole, part = divmod(d, k)
+        power = radicand ** part * abs(p)
+        c = integer_nth_root(power, k)
+        if c ** k != power:
+            return None
+        c *= radicand ** whole
+        coeffs.append(c if u > 0 else -c)
+    return coeffs[::-1]
 
 
 def _unscaled(coeffs: list[int], q: int) -> RatPoly:
@@ -432,7 +432,7 @@ def _quadratic_conductor(d: int) -> int:
     return d if d % 4 == 1 else 4 * d
 
 
-def sqrt_in_cyclotomic(alpha: Scalar) -> tuple[int, CycElem]:
+def sqrt_in_cyclotomic(alpha: int | Fraction) -> tuple[int, CycElem]:
     """An exact square-root witness: the smallest cyclotomic modulus f with
     sqrt(alpha) in Q(zeta_f), together with the element itself.
 
@@ -544,7 +544,7 @@ def _conductor_divides(beta: Fraction, m: int) -> bool:
     return m % two_part == 0
 
 
-def nth_root_in_cyclotomic(alpha: Scalar, n: int, m: int) -> RootMembershipVerdict:
+def nth_root_in_cyclotomic(alpha: int | Fraction, n: int, m: int) -> RootMembershipVerdict:
     """Decide whether the positive real n-th root of alpha lies in Q(zeta_m).
 
     The exponent is first reduced (``numtheory._root_reduction``): with e

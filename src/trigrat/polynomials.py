@@ -24,9 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Iterable, Sequence, Union
-
-Scalar = Union[int, Fraction]
+from typing import Iterable, Sequence
 
 
 def _poly_mul(a: Sequence, b: Sequence) -> list:
@@ -82,7 +80,7 @@ class RatPoly:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
+    def __init__(self, coeffs: Iterable[int | Fraction] = ()):
         cs = [Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
@@ -95,7 +93,7 @@ class RatPoly:
         return (RatPoly, (self.coeffs,))
 
     @classmethod
-    def monomial(cls, degree: int, coeff: Scalar = 1) -> "RatPoly":
+    def monomial(cls, degree: int, coeff: int | Fraction = 1) -> "RatPoly":
         return cls([0] * degree + [coeff])
 
     @property

@@ -7,7 +7,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from math import gcd, inf, prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -201,13 +201,15 @@ def test_large_alpha_grid_agrees_with_the_radical_criterion():
         assert all(f.factor * f.cofactor == target for f in found), (alpha, n)
 
 
-@given(st.integers(1, 10 ** 4), st.integers(1, 10 ** 4), st.integers(1, 12),
+@given(st.integers(1, 10 ** 40), st.integers(1, 10 ** 40), st.integers(1, 12),
        st.integers(1, 12), st.integers(2, 12))
 @settings(max_examples=60, deadline=None)
 def test_integer_scan_matches_exact_reference_on_powers(a, b, k, s, n):
     """alpha = (a/b)^k * s: the scan finds exactly the factors, subsets and
     cofactors of the exact per-subset rebuild, and a factor iff the radical
-    criterion says reducible."""
+    criterion says reducible.  a and b up to 10^40 take the roots' modulus
+    M after the substitution x = y/Q from 1 to far past 2^53, where no float
+    at M's scale could hold a coefficient."""
     alpha = Fraction(a, b) ** k * s
     found = subset_factorizations(alpha, n)
     assert subset_keys(found) == subset_keys(reference_exact_subset_factorizations(alpha, n))
@@ -228,33 +230,35 @@ def test_every_factor_of_a_perfect_power_is_found(alpha, n, count):
         assert f.factor.degree == len(f.subset)
 
 
-def test_past_the_float_bound_coefficients_are_rebuilt_exactly(monkeypatch):
-    """In x^4 - 10^48 the coefficients 10^12 and 10^24 of the cubic factors
-    have weights 3 * 10^12 and 3 * 10^24, past the float bound, and are
-    rebuilt in Z[zeta_4]; at (1/1009)^12, n = 12, the roots' modulus after
-    the substitution is 1 and nothing is.  Forced through the float route,
-    10^24 (no double) rounds wrong and the cubics are lost."""
-    rebuilt = []
-    combination = kummer.root_combination
+@pytest.mark.parametrize("alpha, n, count", [
+    (10 ** 48, 4, 6),
+    (10 ** 300, 12, 62),
+    (Fraction(1, 1009) ** 12, 12, 62),
+    (10 ** 400, 2, 2),
+    (10 ** 400, 12, 6),
+    (Fraction(1, 10 ** 400), 2, 2),
+    (Fraction(1, 10 ** 400), 12, 6),
+], ids=["10^48-4", "10^300-12", "1009^-12-12", "10^400-2", "10^400-12", "10^-400-2", "10^-400-12"])
+def test_subset_oracle_builds_no_field_element(monkeypatch, alpha, n, count):
+    """Every candidate coefficient is rebuilt at unit scale and finished in
+    integers, whatever the size of the roots: no combination of roots of
+    unity is laid out and none is raised to a power."""
+    def forbidden(*args):
+        raise AssertionError("field element built by the subset oracle")
 
-    def counting(n, terms):
-        rebuilt.append(n)
-        return combination(n, terms)
-
-    monkeypatch.setattr(kummer, "root_combination", counting)
-    assert len(subset_factorizations(10 ** 48, 4)) == 6
-    assert rebuilt
-    rebuilt.clear()
-    assert len(subset_factorizations(Fraction(1, 1009) ** 12, 12)) == 62
-    assert rebuilt == []
-    monkeypatch.setattr(kummer, "_FLOAT_BOUND", inf)
-    assert [f.factor.degree for f in subset_factorizations(10 ** 48, 4)] == [1, 1, 2, 2]
+    monkeypatch.setattr(kummer, "root_combination", forbidden)
+    monkeypatch.setattr(CycElem, "__pow__", forbidden)
+    found = subset_factorizations(alpha, n)
+    assert len(found) == count
+    target = RatPoly.monomial(n) - alpha
+    assert all(f.factor * f.cofactor == target for f in found)
 
 
 def test_closed_subsets_of_one_size_are_far_apart():
     """Two closed subsets of one size have unit products that differ by more
     than 1/4 in some coefficient (0.61 at the closest, n = 11), above twice
-    the float route's error bound: a rounded candidate that divides is the
+    the distance, _TOLERANCE + 2^-33, at which an accepted candidate's unit
+    coefficients lie from its subset's: a candidate that divides is the
     product over its own subset."""
     closest = min(
         max(abs(x - y) for x, y in zip(first, second))
@@ -263,7 +267,22 @@ def test_closed_subsets_of_one_size_are_far_apart():
         for (_, first), (_, second) in itertools.combinations(products, 2)
     )
     assert 0.6 < closest < 0.61
-    assert kummer._FLOAT_BOUND * kummer._FLOAT_ERROR == 1 / 8
+    assert 2 * (kummer._TOLERANCE + 2 ** -33) < closest
+
+
+def test_a_unit_coefficient_near_zero_is_not_rounded_to_zero():
+    """At alpha = 1/4, n = 12 (k = 6), the subset {0, 1, 4, 6, 8, 11} has
+    unit coefficients u = +-(sqrt(3) - 1) at d = 1, 2, 4, 5, and u^6 = 0.15
+    rounds to 0; a rebuilt coefficient 0 is kept only when u itself is
+    within the tolerance of 0, or that subset is listed with another
+    subset's factor."""
+    unit = dict(kummer._unit_products(12)[6])[(0, 1, 4, 6, 8, 11)]
+    for i in (1, 2, 4, 5):
+        assert abs(abs(unit[i]) - (3 ** 0.5 - 1)) < 1e-12
+        assert round(unit[i] ** 6) == 0
+    found = subset_factorizations(Fraction(1, 4), 12)
+    assert found
+    assert subset_keys(found) == subset_keys(reference_exact_subset_factorizations(Fraction(1, 4), 12))
 
 
 @pytest.mark.parametrize("alpha, n, divisions", [
@@ -332,9 +351,9 @@ def test_generic_alpha_rebuilds_no_constant_term(monkeypatch):
     sizes = []
     rebuild = kummer._integer_coefficients
 
-    def counting(n, subset, *args):
-        sizes.append(len(subset))
-        return rebuild(n, subset, *args)
+    def counting(unit, *args):
+        sizes.append(len(unit) - 1)
+        return rebuild(unit, *args)
 
     monkeypatch.setattr(kummer, "_integer_coefficients", counting)
     assert subset_factorizations(5, 12) == []
