@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Time trigrat's cold start: fresh processes of a bare interpreter, of
-``import trigrat.cli`` and of one ``classify``.
+``import trigrat.cli``, and of one ``classify``, ``root-member`` and
+``verify sweep`` each.
 
     python3 scripts/cold_start.py [--runs N] [--root CHECKOUT]
 
-Each of the three commands runs N times (default 21) in a fresh process,
+Each of the five commands runs N times (default 21) in a fresh process,
 interleaved, under two settings:
 
 * ``bytecode``: the package is compiled by one untimed run, then read
@@ -42,6 +43,9 @@ COMMANDS = {
     "python -c pass": ["-c", "pass"],
     "import trigrat.cli": ["-c", "import trigrat.cli"],
     "classify cos 1/3 --json": ["-m", "trigrat", "classify", "cos", "1/3", "--json"],
+    "root-member 4/9 2 12 --json": ["-m", "trigrat", "root-member", "4/9", "2", "12", "--json"],
+    "verify sweep --q-max 32 --n-max 8 --json": ["-m", "trigrat", "verify", "sweep", "--q-max", "32", "--n-max", "8",
+                                                 "--json"],
 }
 
 
@@ -91,13 +95,13 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"{args.runs} fresh processes each, wall time in ms; Python {sys.version.split()[0]}, "
           f"{os.cpu_count()} CPUs")
-    print(f"{'setting':<12} {'command':<26} {'q1':>7} {'median':>7} {'q3':>7} {'trigrat':>8}")
+    print(f"{'setting':<12} {'command':<41} {'q1':>7} {'median':>7} {'q3':>7} {'trigrat':>8}")
     for (setting, name), samples in times.items():
         q1, _, q3 = (1000 * t for t in statistics.quantiles(samples, n=4))
         median = 1000 * statistics.median(samples)
         bare = 1000 * statistics.median(times[setting, "python -c pass"])
         share = "" if name == "python -c pass" else f"{median - bare:8.1f}"
-        print(f"{setting:<12} {name:<26} {q1:7.1f} {median:7.1f} {q3:7.1f} {share}")
+        print(f"{setting:<12} {name:<41} {q1:7.1f} {median:7.1f} {q3:7.1f} {share}")
     return 0
 
 

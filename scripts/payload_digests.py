@@ -195,11 +195,47 @@ def sweep_subsets_grid():
         yield argv + ["--json"]
 
 
-def usage_digest():
-    """The digest of USAGE_ARGV, with argparse's wrapping fixed at 80
-    columns rather than the terminal's width."""
+# command lines that the CLI reads from each command's declaration, and
+# the ones it must hand to argparse: abbreviations, --opt=value, '--'
+# before a negative angle, a negative number, a missing or extra
+# positional, a bad int, an empty value, another command's or target's
+# option, repeated options, and --json before the verify target
+ARGV_SHAPES = [
+    ["eval", "--pow", "2", "cos", "1/3"], ["eval", "cos", "--pow", "2", "1/3"], ["eval", "cos", "1/3", "--pow", "2"],
+    ["eval", "cos", "1/3", "--pow", "2", "--pow", "3"], ["eval", "cos", "1/3", "--po", "2"],
+    ["eval", "cos", "1/3", "--pow=2"], ["eval", "cos", "1/3", "--pow", "-2"], ["eval", "cos", "1/3", "--pow", ""],
+    ["eval", "sin", "--pow", "3", "--", "-1/6"], ["eval", "cos", "1/3", "--pow", "x"],
+    ["classify", "cos", "-2"], ["classify", "cos", "--", "-1/3"], ["classify", "--", "cos", "1/3"],
+    ["classify", "cos", "1/3", "--js"], ["classify", "cos", "1/3", "--pow", "2"], ["classify", "", "1/3"],
+    ["classify", "cos", "1/3", "-"],
+    ["root-member", "--json", "4/9", "2", "12"], ["root-member", "4/9", "--json", "2", "12"],
+    ["root-member", "4/9", "2"], ["root-member", "4/9", "2", "12", "5"], ["root-member", "4/9", "2", "1x"],
+    ["irreducible", "4", "2", "--oracle", "--oracle"], ["irreducible", "--oracle", "4", "2"],
+    ["irreducible", "4", "2", "--or"], ["irreducible", "4", "2", "--oracle=1"],
+    ["irreducible", "2", "3", "--q-max", "3"],
+    ["sqrt-embed", ""], ["sqrt-embed", "-4"], ["gauss", "1x"], ["gauss", "-5"], ["group", ""], ["group", "3", "--json"],
+    ["verify", "sweep", "--q-max", "3", "--q-max", "4", "--n-max", "2"], ["verify", "sweep", "--q", "3", "--n", "2"],
+    ["verify", "sweep", "--q-max=3", "--n-max=2"], ["verify", "sweep", "--funcs", "", "--q-max", "3"],
+    ["verify", "sweep", "--funcs", "-cos"], ["verify", "gauss", "--m-max", "-3"], ["verify", "gauss", "--q-max", "3"],
+    ["verify", "sweep", "--m-max", "3"], ["verify", "group", "--n-max"], ["verify", "remark", "--json", "--json"],
+    ["verify", "--json", "sweep", "--q-max", "3", "--n-max", "2"], ["verify", "--json", "gauss", "--m-max", "5"],
+    ["verify", "--js", "remark"], ["verify", "--", "remark"], ["verify", "remark", "extra"],
+]
+
+
+def argv_shapes():
+    """ARGV_SHAPES, each as text and under --json."""
+    for argv in ARGV_SHAPES:
+        yield argv
+        yield argv + ["--json"]
+
+
+def usage_digest(lines=USAGE_ARGV):
+    """The digest of the command lines ``lines``, by default USAGE_ARGV,
+    with argparse's wrapping fixed at 80 columns rather than the
+    terminal's width."""
     with patch.dict(os.environ, {"COLUMNS": "80"}):
-        return commands_digest(USAGE_ARGV)
+        return commands_digest(lines)
 
 
 def sweep_digest(q_max, n_max, funcs="cos,sin,tan"):
@@ -237,6 +273,7 @@ GRIDS = {
     "irreducible --oracle outside the float range and at 1000 digits, text and --json":
         lambda: commands_digest(oracle_past_floats_grid()),
     "classify as text: 100<=q<200, slow witnesses, modulus refusals": lambda: commands_digest(text_classify_grid()),
+    "argv shapes, text and --json": lambda: usage_digest(argv_shapes()),
 }
 
 

@@ -7,24 +7,27 @@ values.  ``--json`` switches any subcommand to machine-readable output.
 Each ``verify`` target has its own parser and takes only the options it
 reads, so an option another target reads is a usage error.
 
-Each command has one entry in ``COMMANDS``: its help text, a function that
-declares its arguments, and its handler.  ``run_cli`` parses a command
-line with the parser of its command alone, built on that command's first
-use and kept for later calls, so a process builds only the parsers of the
-commands it runs.  The full parser (``build_parser``) is built from the
-same table, and only for ``trigrat -h``, a missing or unknown command, or
-an argument left over; every output and exit code is the one the full
-parser gives.
+Each command has one entry in ``COMMANDS``: its help text, the declaration
+of its arguments (of each verify target's, for ``verify``), and its
+handler.  That one declaration feeds both argparse and ``_read``, which
+reads a well-formed line straight from it, so a process that runs only
+such lines builds no parser and never imports argparse.  Any line the
+reader declines goes to argparse, so help and usage errors are still
+argparse's: ``run_cli`` parses it with the parser of its command alone,
+built on that command's first use and kept for later calls.  The full
+parser (``build_parser``) is built from the same table, and only for
+``trigrat -h``, a missing or unknown command, or an argument left over;
+every output and exit code is the one the full parser gives.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from typing import Callable, NamedTuple
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .kummer import (
     MAX_WITNESS_MODULUS,
@@ -42,6 +45,9 @@ from .kummer import (
 from .numtheory import euler_phi, format_rational, parse_rational
 from .sweep import SweepConfig, verify_theorem_sweep
 from .trig import Angle, Case, TrigFunc, UndefinedTrigValue, classify, power_rational
+
+if TYPE_CHECKING:
+    import argparse
 
 
 def _json_text(value, newline: str = "\n") -> str:
@@ -260,73 +266,76 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _classify_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("func", help="cos, sin or tan")
-    # a leading '-' reads as an option, so a negative angle follows '--'
-    p.add_argument("theta", help="rational angle p/q (in units of pi); put a negative angle"
-                                 " after --, as in: classify cos -- -1/3")
+def _arg(flag: str, **keywords) -> tuple[str, dict]:
+    """One argument: the flag and keywords of its ``add_argument`` call."""
+    return flag, keywords
 
 
-def _eval_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("func")
-    p.add_argument("theta", help="rational angle p/q (in units of pi); put a negative angle"
-                                 " after -- and the options before it, as in: eval cos --pow 2 -- -1/3")
-    p.add_argument("--pow", dest="n", type=int, default=1, metavar="N",
-                   help="exponent (default 1)")
-
-
-def _root_member_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("alpha")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
-
-
-def _irreducible_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("alpha")
-    p.add_argument("n", type=int)
-    p.add_argument("--oracle", action="store_true",
-                   help="cross-check with the exhaustive subset factor scan")
-
-
-def _verify_arguments(p: argparse.ArgumentParser) -> None:
-    targets = p.add_subparsers(dest="target", required=True)
-    sweep = targets.add_parser("sweep", help="the theorem at every reduced angle and exponent")
-    sweep.add_argument("--q-max", type=int, default=24, help="largest denominator")
-    sweep.add_argument("--n-max", type=int, default=8, help="largest exponent")
-    sweep.add_argument("--funcs", default="cos,sin,tan", help="comma-separated functions")
-    gauss = targets.add_parser("gauss", help="the Gauss sum case check at every modulus")
-    gauss.add_argument("--m-max", type=int, default=60, help="largest modulus")
-    group = targets.add_parser("group", help="the root-permutation group at every n")
-    group.add_argument("--n-max", type=int, default=8, help="largest n")
-    targets.add_parser("remark", help="the octic factorization over Q(zeta_8)")
-    for target in targets.choices.values():  # unless given here, keep a --json given before the target
-        target.add_argument("--json", action="store_true", default=argparse.SUPPRESS, help="machine-readable output")
+_JSON = _arg("--json", action="store_true", help="machine-readable output")  # taken by every command and target
 
 
 class _Command(NamedTuple):
     help: str
-    arguments: Callable[[argparse.ArgumentParser], object]  # declares all but --json
-    handler: Callable[[argparse.Namespace], int]
+    arguments: tuple[tuple[str, dict], ...]  # all but --json, declared once for argparse and the reader
+    handler: Callable[[argparse.Namespace | SimpleNamespace], int]
+    targets: dict[str, tuple[str, tuple[tuple[str, dict], ...]]] | None = None  # verify: name -> (help, arguments)
 
 
 # in the order ``trigrat -h`` lists them
 COMMANDS = {
-    "classify": _Command("least exponent making func(pi*theta)^n rational", _classify_arguments, _cmd_classify),
-    "eval": _Command("exact value of func(pi*theta)^n when rational", _eval_arguments, _cmd_eval),
-    "gauss": _Command("quadratic Gauss sum for one modulus, with case check",
-                      lambda p: p.add_argument("m", type=int), _cmd_gauss),
-    "sqrt-embed": _Command("cyclotomic witness for sqrt(alpha)", lambda p: p.add_argument("alpha"), _cmd_sqrt_embed),
-    "root-member": _Command("is alpha^(1/n) an element of Q(zeta_m)?", _root_member_arguments, _cmd_root_member),
-    "irreducible": _Command("is x^n - alpha irreducible over Q?", _irreducible_arguments, _cmd_irreducible),
-    "group": _Command("axioms and relation for the root-permutation group",
-                      lambda p: p.add_argument("n", type=int), _cmd_group),
-    "verify": _Command("batch verification runs", _verify_arguments, _cmd_verify),
+    "classify": _Command("least exponent making func(pi*theta)^n rational", (
+        _arg("func", help="cos, sin or tan"),
+        # a leading '-' reads as an option, so a negative angle follows '--'
+        _arg("theta", help="rational angle p/q (in units of pi); put a negative angle"
+                           " after --, as in: classify cos -- -1/3"),
+    ), _cmd_classify),
+    "eval": _Command("exact value of func(pi*theta)^n when rational", (
+        _arg("func"),
+        _arg("theta", help="rational angle p/q (in units of pi); put a negative angle"
+                           " after -- and the options before it, as in: eval cos --pow 2 -- -1/3"),
+        _arg("--pow", dest="n", type=int, default=1, metavar="N", help="exponent (default 1)"),
+    ), _cmd_eval),
+    "gauss": _Command("quadratic Gauss sum for one modulus, with case check", (_arg("m", type=int),), _cmd_gauss),
+    "sqrt-embed": _Command("cyclotomic witness for sqrt(alpha)", (_arg("alpha"),), _cmd_sqrt_embed),
+    "root-member": _Command("is alpha^(1/n) an element of Q(zeta_m)?", (
+        _arg("alpha"), _arg("n", type=int), _arg("m", type=int),
+    ), _cmd_root_member),
+    "irreducible": _Command("is x^n - alpha irreducible over Q?", (
+        _arg("alpha"),
+        _arg("n", type=int),
+        _arg("--oracle", action="store_true", help="cross-check with the exhaustive subset factor scan"),
+    ), _cmd_irreducible),
+    "group": _Command("axioms and relation for the root-permutation group", (_arg("n", type=int),), _cmd_group),
+    "verify": _Command("batch verification runs", (), _cmd_verify, {
+        "sweep": ("the theorem at every reduced angle and exponent", (
+            _arg("--q-max", type=int, default=24, help="largest denominator"),
+            _arg("--n-max", type=int, default=8, help="largest exponent"),
+            _arg("--funcs", default="cos,sin,tan", help="comma-separated functions"),
+        )),
+        "gauss": ("the Gauss sum case check at every modulus", (
+            _arg("--m-max", type=int, default=60, help="largest modulus"),
+        )),
+        "group": ("the root-permutation group at every n", (_arg("--n-max", type=int, default=8, help="largest n"),)),
+        "remark": ("the octic factorization over Q(zeta_8)", ()),
+    }),
 }
 
 
 def _declare(parser: argparse.ArgumentParser, command: _Command) -> argparse.ArgumentParser:
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
-    command.arguments(parser)
+    """Declare ``command``'s arguments, --json first, on ``parser``; each
+    verify target gets a subparser that takes --json after its options."""
+    import argparse
+
+    for flag, keywords in (_JSON, *command.arguments):
+        parser.add_argument(flag, **keywords)
+    if command.targets:
+        subparsers = parser.add_subparsers(dest="target", required=True)
+        for name, (help, arguments) in command.targets.items():
+            target = subparsers.add_parser(name, help=help)
+            for flag, keywords in arguments:
+                target.add_argument(flag, **keywords)
+            # unless given here, keep a --json given before the target
+            target.add_argument(_JSON[0], **_JSON[1], default=argparse.SUPPRESS)
     return parser
 
 
@@ -335,14 +344,18 @@ def _command_parser(name: str) -> argparse.ArgumentParser:
     """The parser of one command alone, built on its first use and shared by
     later calls; its prog, usage, help and errors are those of the
     command's subparser in :func:`build_parser`."""
+    import argparse
+
     return _declare(argparse.ArgumentParser(prog=f"trigrat {name}"), COMMANDS[name])
 
 
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    """The full parser, every command a subparser, built on first use.
-    ``run_cli`` needs it only for ``trigrat -h``, a missing or unknown
-    command, and the top-level "unrecognized arguments" error."""
+    """The full ``argparse`` parser, every command a subparser, built on
+    first use.  ``run_cli`` needs it only for ``trigrat -h``, a missing or
+    unknown command, and the top-level "unrecognized arguments" error."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="trigrat",
         description="Exact rationality of powers of cos, sin and tan at rational multiples of pi.",
@@ -353,27 +366,83 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read(command: _Command, tokens: list[str]) -> SimpleNamespace | None:
+    """The arguments of a well-formed line of ``command`` (the tokens after
+    its name), read straight from its declaration; they equal what its
+    parser's ``parse_known_args`` gives.  None declines the line, for the
+    parser to read: a token that starts with '-' and is not one of the
+    command's option strings (help, an abbreviation, --opt=value, '--', a
+    negative number), an option with no value or a value that starts with
+    '-', a missing or extra positional, or a value its type refuses.  A
+    verify line must name its target first.  Only what the commands declare
+    is read: positionals of one value, and options stored or set True."""
+    values = {}
+    arguments = command.arguments
+    if command.targets:
+        if not tokens or tokens[0] not in command.targets:
+            return None
+        values["target"] = tokens[0]
+        arguments = command.targets[tokens[0]][1]
+        tokens = tokens[1:]
+    options, positionals = {}, []
+    for flag, keywords in (_JSON, *arguments):
+        if flag.startswith("-"):
+            dest = keywords.get("dest", flag.lstrip("-").replace("-", "_"))
+            options[flag] = dest, keywords
+            values[dest] = keywords.get("default", False if keywords.get("action") == "store_true" else None)
+        else:
+            positionals.append((flag, keywords))
+    positionals.reverse()
+    tokens = iter(tokens)
+    for token in tokens:
+        if token.startswith("-"):
+            if token not in options:
+                return None
+            dest, keywords = options[token]
+            if keywords.get("action") == "store_true":
+                values[dest] = True
+                continue
+            token = next(tokens, "-")  # no value reads as one that starts with '-'
+            if token.startswith("-"):
+                return None
+        elif positionals:
+            dest, keywords = positionals.pop()
+        else:
+            return None
+        convert = keywords.get("type")
+        if convert is not None:
+            try:
+                token = convert(token)
+            except (TypeError, ValueError):
+                return None
+        values[dest] = token
+    return None if positionals else SimpleNamespace(**values)
+
+
 def run_cli(argv: list[str] | None = None) -> int:
     """Run one command line; return its exit code.
 
-    A line that starts with a command name is parsed by that command's
-    own parser, which gives the same arguments, help and errors as the
-    full parser, whose top level takes the name and hands the rest to the
-    command's subparser.  Only an argument left over is reported from the
-    top level, so the full parser prints that error, and every line that
-    does not start with a command."""
+    A line that starts with a command name is read from that command's
+    declaration (``_read``) when it is well formed.  Otherwise it is
+    parsed by that command's own parser, which gives the same arguments,
+    help and errors as the full parser, whose top level takes the name
+    and hands the rest to the command's subparser.  Only an argument left
+    over is reported from the top level, so the full parser prints that
+    error, and every line that does not start with a command."""
     argv = sys.argv[1:] if argv is None else argv
-    try:
-        if argv and argv[0] in COMMANDS:
-            name = argv[0]
-            args, extras = _command_parser(name).parse_known_args(argv[1:])
-            if extras:
-                build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
-        else:
-            args = build_parser().parse_args(argv)
-            name = args.command
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    name = argv[0] if argv and argv[0] in COMMANDS else None
+    args = None if name is None else _read(COMMANDS[name], argv[1:])
+    if args is None:
+        try:
+            if name is not None:
+                args, extras = _command_parser(name).parse_known_args(argv[1:])
+                if extras:
+                    build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+            else:
+                args = build_parser().parse_args(argv)
+                name = args.command
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         return COMMANDS[name].handler(args)
     except (ValueError, ZeroDivisionError) as exc:

@@ -15,16 +15,18 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, prod
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse the interchange form ``a/b`` or ``a`` (reduced, '-' allowed)."""
     text = text.strip()
-    if not _RATIONAL_RE.match(text):
+    match = _RATIONAL_RE.match(text)
+    if not match:
         raise ValueError(f"not a rational literal: {text!r}")
+    numerator, denominator = match.groups()
     try:
-        return Fraction(text)
+        return Fraction(int(numerator), int(denominator or 1))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in rational literal: {text!r}") from None
 
@@ -135,6 +137,11 @@ def nth_root_rational(alpha: Fraction, n: int) -> Fraction | None:
     """
     alpha = _check_positive(alpha)
     _check_natural(n, 1)
+    return _exact_root(alpha, n)
+
+
+def _exact_root(alpha: Fraction, n: int) -> Fraction | None:
+    """:func:`nth_root_rational` of a checked alpha > 0 and n >= 1."""
     num_root = integer_nth_root(alpha.numerator, n)
     if num_root**n != alpha.numerator:
         return None
@@ -147,7 +154,8 @@ def nth_root_rational(alpha: Fraction, n: int) -> Fraction | None:
 def _root_reduction(alpha: Fraction, n: int) -> tuple[int, Fraction]:
     """(e, beta) with alpha = beta^e, beta > 0 rational and e the largest
     divisor of n at which alpha is a rational e-th power, so that
-    alpha^(1/n) = beta^(1/k) for k = n/e.
+    alpha^(1/n) = beta^(1/k) for k = n/e.  The caller checks alpha > 0
+    and n >= 1.
 
     alpha = 1 is 1^n.  Any other alpha has a part a > 1, its numerator or
     denominator, and a = c^e with c >= 2 gives 2^e <= a, so e is at most
@@ -158,7 +166,7 @@ def _root_reduction(alpha: Fraction, n: int) -> tuple[int, Fraction]:
         return n, alpha
     bound = min(n, max(alpha.numerator.bit_length(), alpha.denominator.bit_length()))
     for e in range(bound, 0, -1):  # e = 1 ends it: beta = alpha
-        if n % e == 0 and (beta := nth_root_rational(alpha, e)) is not None:
+        if n % e == 0 and (beta := _exact_root(alpha, e)) is not None:
             return e, beta
 
 

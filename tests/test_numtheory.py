@@ -242,6 +242,19 @@ def test_parse_format_roundtrip(num, den):
     assert parse_rational(format_rational(value)) == value
 
 
+@given(st.sampled_from(["", "+", "-"]), st.integers(0, 10 ** 30), st.one_of(st.none(), st.integers(0, 10 ** 6)),
+       st.sampled_from(["", "00"]), st.sampled_from(["", " ", "\n"]))
+def test_parse_rational_reads_what_fraction_reads(sign, num, den, zeros, space):
+    """Signed, unreduced, zero-padded and space-padded literals read as
+    ``Fraction`` reads them; a zero denominator is a ValueError saying so."""
+    text = f"{space}{sign}{zeros}{num}" + ("" if den is None else f"/{zeros}{den}") + space
+    if den == 0:
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_rational(text)
+    else:
+        assert parse_rational(text) == Fraction(text)
+
+
 @pytest.mark.parametrize("bad", ["", "1/0", "abc", "1.5", "1/2/3", "+ 1", "2 /3", "0x10"])
 def test_parse_rational_rejects_junk(bad):
     with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 import argparse
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import subprocess
 import sys
@@ -738,7 +740,8 @@ def test_cli_prints_the_full_parsers_help_and_usage_errors(capsys):
 
 
 def test_a_command_builds_only_its_own_parser(monkeypatch, capsys):
-    """The first classify of a process constructs one ArgumentParser, its
+    """A well-formed classify is read from its declaration and builds no
+    ArgumentParser; a line the reader declines builds one, the command's
     own, not the full parser with all eight subparsers."""
     built = []
     init = argparse.ArgumentParser.__init__
@@ -751,8 +754,154 @@ def test_a_command_builds_only_its_own_parser(monkeypatch, capsys):
     cli._command_parser.cache_clear()
     cli.build_parser.cache_clear()
     assert run_cli(["classify", "cos", "1/3"]) == 0
-    assert run_cli(["classify", "sin", "1/6"]) == 0
+    assert run_cli(["classify", "sin", "1/6", "--json"]) == 0
+    assert built == []
+    assert run_cli(["classify", "--js", "cos", "1/3"]) == 0
+    assert run_cli(["classify", "--js", "sin", "1/6"]) == 0
     assert built == ["trigrat classify"]
+
+
+def _imports(argv):
+    """The exit code of ``python -m trigrat argv`` and the modules it
+    imports, as ``-X importtime`` lists them."""
+    result = subprocess.run([sys.executable, "-X", "importtime", "-m", "trigrat", *argv],
+                            capture_output=True, text=True, timeout=60)
+    return result.returncode, {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()}
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "cos", "1/3", "--json"],
+    ["root-member", "4/9", "2", "12", "--json"],
+    ["verify", "sweep", "--q-max", "3", "--json"],
+], ids=["classify", "root-member", "verify-sweep"])
+def test_a_well_formed_line_never_imports_argparse(argv):
+    """A fresh process that runs a well-formed line imports no argparse;
+    one whose line the reader declines does."""
+    code, modules = _imports(argv)
+    assert code == 0 and "trigrat.cli" in modules
+    assert "argparse" not in modules
+    code, modules = _imports([argv[0], "--js", *argv[1:-1]])
+    assert code == 0 and "argparse" in modules
+
+
+def _option_strings():
+    """Every option string of every command and verify target."""
+    flags = {cli._JSON[0]}
+    for command in cli.COMMANDS.values():
+        for arguments in (command.arguments, *(a for _, a in (command.targets or {}).values())):
+            flags.update(flag for flag, _ in arguments if flag.startswith("-"))
+    return sorted(flags)
+
+
+# what a line may hold: option strings, the forms the reader hands to
+# argparse, and values
+ODD_TOKENS = ["--js", "--po", "--or", "--q", "--n-m", "-h", "--help", "--", "-", "--pow=2", "--json=1", "-2", "-1/3"]
+VALUES = st.one_of(
+    st.sampled_from(["", "cos", "sin", "tan", "sweep", "gauss", "group", "remark", "x", "1x", "a b", "cos,tan"]),
+    st.integers(-3, 40).map(str),
+    st.fractions(min_value=-2, max_value=2, max_denominator=12).map(str),
+)
+TOKENS = st.one_of(st.sampled_from(_option_strings() + ODD_TOKENS), VALUES)
+
+
+@st.composite
+def command_lines(draw):
+    """A command and the tokens after its name: either any tokens at all,
+    or its positionals and options in any order, each option 0-2 times,
+    --json before or after a verify target, and maybe one token
+    inserted, replaced or deleted."""
+    name = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    command = cli.COMMANDS[name]
+    if draw(st.booleans()):
+        return name, draw(st.lists(TOKENS, max_size=8))
+    arguments, head = command.arguments, []
+    if command.targets:
+        target = draw(st.sampled_from(sorted(command.targets)))
+        arguments, head = command.targets[target][1], [target]
+
+    def value(keywords):
+        return draw(st.one_of(st.integers(0, 40).map(str), VALUES) if "type" in keywords else VALUES)
+
+    chunks = [[value(keywords)] for flag, keywords in arguments if not flag.startswith("-")]
+    for flag, keywords in (cli._JSON, *arguments):
+        if flag.startswith("-"):
+            for _ in range(draw(st.integers(0, 2))):
+                chunks.append([flag] if keywords.get("action") else [flag, value(keywords)])
+    tokens = [token for chunk in draw(st.permutations(chunks)) for token in chunk]
+    edit = draw(st.sampled_from(["none", "none", "insert", "replace", "delete"]))
+    if edit == "insert":
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(TOKENS))
+    elif edit != "none" and tokens:
+        at = draw(st.integers(0, len(tokens) - 1))
+        tokens[at:at + 1] = [draw(TOKENS)] if edit == "replace" else []
+    if head and draw(st.integers(0, 3)) == 0:
+        head = ["--json", *head]
+    return name, head + tokens
+
+
+def parsed(name, tokens):
+    """argparse's namespace for ``tokens`` under the command's own parser,
+    and what it leaves over; its usage errors are raised as AssertionError."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            args, extras = cli._command_parser(name).parse_known_args(list(tokens))
+    except SystemExit:
+        raise AssertionError(f"argparse refuses {name} {tokens}: {err.getvalue()}") from None
+    return vars(args), extras
+
+
+@given(command_lines())
+@settings(max_examples=600)
+def test_the_reader_gives_argparses_namespace_whenever_it_reads_a_line(line):
+    name, tokens = line
+    read = cli._read(cli.COMMANDS[name], tokens)
+    if read is not None:
+        assert parsed(name, tokens) == (vars(read), []), (name, tokens)
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--pow", "2", "cos", "1/3"],
+    ["eval", "cos", "--pow", "2", "1/3"],
+    ["eval", "cos", "1/3", "--pow", "2"],
+    ["eval", "cos", "1/3", "--pow", "2", "--json", "--pow", "3"],
+    ["root-member", "4/9", "--json", "2", "12"],
+    ["irreducible", "--oracle", "4", "2", "--oracle"],
+    ["sqrt-embed", ""],
+    ["classify", "", ""],
+    ["verify", "sweep", "--q-max", "3", "--json", "--q-max", "4"],
+    ["verify", "remark"],
+])
+def test_the_reader_reads_options_anywhere_and_the_last_value(argv):
+    """Options before, between and after positionals, a repeated --pow
+    (the last one wins), a repeated --oracle and empty positionals are
+    read, to argparse's namespace."""
+    read = cli._read(cli.COMMANDS[argv[0]], argv[1:])
+    assert read is not None
+    assert parsed(argv[0], argv[1:]) == (vars(read), [])
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--json", "sweep"],
+    ["verify", "sweep", "--q-max=3"],
+    ["verify", "sweep", "--q", "3"],
+    ["verify", "gauss", "--q-max", "3"],
+    ["verify", "sweep", "--q-max"],
+    ["verify", "sweep", "--funcs"],
+    ["verify", "sweep", "--funcs", "--json"],
+    ["verify"],
+    ["eval", "cos", "1/3", "--pow", "-2"],
+    ["eval", "cos", "1/3", "--pow", "x"],
+    ["classify", "cos", "--", "-1/3"],
+    ["classify", "cos", "-2"],
+    ["classify", "cos", "1/3", "-h"],
+    ["classify", "cos", "1/3", "-"],
+    ["root-member", "4/9", "2"],
+    ["root-member", "4/9", "2", "12", "5"],
+    ["gauss", ""],
+])
+def test_the_reader_declines_what_argparse_must_read(argv):
+    assert cli._read(cli.COMMANDS[argv[0]], argv[1:]) is None
 
 
 def test_cli_help_lists_every_command(capsys, monkeypatch):
