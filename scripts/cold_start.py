@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Time trigrat's cold start: fresh processes of a bare interpreter, of
-``import trigrat.cli``, and of one ``classify``, ``root-member`` and
-``verify sweep`` each.
+``import trigrat.cli``, of one ``classify``, ``root-member`` and
+``verify sweep`` each, and of one ``classify`` line that the CLI's reader
+declines (``--js``), so that argparse parses it.
 
     python3 scripts/cold_start.py [--runs N] [--root CHECKOUT]
 
-Each of the five commands runs N times (default 21) in a fresh process,
+Each of the six commands runs N times (default 21) in a fresh process,
 interleaved, under two settings:
 
 * ``bytecode``: the package is compiled by one untimed run, then read
@@ -46,6 +47,7 @@ COMMANDS = {
     "root-member 4/9 2 12 --json": ["-m", "trigrat", "root-member", "4/9", "2", "12", "--json"],
     "verify sweep --q-max 32 --n-max 8 --json": ["-m", "trigrat", "verify", "sweep", "--q-max", "32", "--n-max", "8",
                                                  "--json"],
+    "classify --js cos 1/3": ["-m", "trigrat", "classify", "--js", "cos", "1/3"],
 }
 
 

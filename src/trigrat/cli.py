@@ -9,15 +9,11 @@ reads, so an option another target reads is a usage error.
 
 Each command has one entry in ``COMMANDS``: its help text, the declaration
 of its arguments (of each verify target's, for ``verify``), and its
-handler.  That one declaration feeds both argparse and ``_read``, which
-reads a well-formed line straight from it, so a process that runs only
-such lines builds no parser and never imports argparse.  Any line the
-reader declines goes to argparse, so help and usage errors are still
-argparse's: ``run_cli`` parses it with the parser of its command alone,
-built on that command's first use and kept for later calls.  The full
-parser (``build_parser``) is built from the same table, and only for
-``trigrat -h``, a missing or unknown command, or an argument left over;
-every output and exit code is the one the full parser gives.
+handler.  That one declaration feeds both ``_read``, which reads a
+well-formed line straight from it, and the argparse parser
+(``build_parser``), which reads every line the reader declines and so
+gives help and usage errors.  A process that runs only well-formed lines
+builds no parser and never imports argparse.
 """
 
 from __future__ import annotations
@@ -150,8 +146,9 @@ def _cmd_root_member(args) -> int:
     verdict = nth_root_in_cyclotomic(alpha, args.n, args.m)
 
     def human():
+        base = format_rational(alpha) if alpha.denominator == 1 else f"({format_rational(alpha)})"
         text = (
-            f"{format_rational(alpha)}^(1/{args.n}) in Q(zeta_{args.m}): {verdict.answer}"
+            f"{base}^(1/{args.n}) in Q(zeta_{args.m}): {verdict.answer}"
             f"  [{verdict.justification}]"
         )
         if verdict.witness is not None:
@@ -321,56 +318,37 @@ COMMANDS = {
 }
 
 
-def _declare(parser: argparse.ArgumentParser, command: _Command) -> argparse.ArgumentParser:
-    """Declare ``command``'s arguments, --json first, on ``parser``; each
-    verify target gets a subparser that takes --json after its options."""
-    import argparse
-
-    for flag, keywords in (_JSON, *command.arguments):
-        parser.add_argument(flag, **keywords)
-    if command.targets:
-        subparsers = parser.add_subparsers(dest="target", required=True)
-        for name, (help, arguments) in command.targets.items():
-            target = subparsers.add_parser(name, help=help)
-            for flag, keywords in arguments:
-                target.add_argument(flag, **keywords)
-            # unless given here, keep a --json given before the target
-            target.add_argument(_JSON[0], **_JSON[1], default=argparse.SUPPRESS)
-    return parser
-
-
-@lru_cache(maxsize=None)
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """The parser of one command alone, built on its first use and shared by
-    later calls; its prog, usage, help and errors are those of the
-    command's subparser in :func:`build_parser`."""
-    import argparse
-
-    return _declare(argparse.ArgumentParser(prog=f"trigrat {name}"), COMMANDS[name])
-
-
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    """The full ``argparse`` parser, every command a subparser, built on
-    first use.  ``run_cli`` needs it only for ``trigrat -h``, a missing or
-    unknown command, and the top-level "unrecognized arguments" error."""
+    """The ``argparse`` parser, every command a subparser and each verify
+    target a subparser of ``verify``, built on first use."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="trigrat",
         description="Exact rationality of powers of cos, sin and tan at rational multiples of pi.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        _declare(sub.add_parser(name, help=command.help), command)
+        sub = commands.add_parser(name, help=command.help)
+        for flag, keywords in (_JSON, *command.arguments):
+            sub.add_argument(flag, **keywords)
+        if command.targets:
+            targets = sub.add_subparsers(dest="target", required=True)
+            for target_name, (help, arguments) in command.targets.items():
+                target = targets.add_parser(target_name, help=help)
+                for flag, keywords in arguments:
+                    target.add_argument(flag, **keywords)
+                # unless given here, keep a --json given before the target
+                target.add_argument(_JSON[0], **_JSON[1], default=argparse.SUPPRESS)
     return parser
 
 
 def _read(command: _Command, tokens: list[str]) -> SimpleNamespace | None:
     """The arguments of a well-formed line of ``command`` (the tokens after
-    its name), read straight from its declaration; they equal what its
-    parser's ``parse_known_args`` gives.  None declines the line, for the
-    parser to read: a token that starts with '-' and is not one of the
+    its name), read straight from its declaration; they equal what the
+    command's subparser in ``build_parser`` gives.  None declines the line,
+    for the parser to read: a token that starts with '-' and is not one of the
     command's option strings (help, an abbreviation, --opt=value, '--', a
     negative number), an option with no value or a value that starts with
     '-', a missing or extra positional, or a value its type refuses.  A
@@ -423,26 +401,17 @@ def run_cli(argv: list[str] | None = None) -> int:
     """Run one command line; return its exit code.
 
     A line that starts with a command name is read from that command's
-    declaration (``_read``) when it is well formed.  Otherwise it is
-    parsed by that command's own parser, which gives the same arguments,
-    help and errors as the full parser, whose top level takes the name
-    and hands the rest to the command's subparser.  Only an argument left
-    over is reported from the top level, so the full parser prints that
-    error, and every line that does not start with a command."""
+    declaration (``_read``) when it is well formed.  Every other line is
+    parsed by ``build_parser``, which prints help and usage errors."""
     argv = sys.argv[1:] if argv is None else argv
     name = argv[0] if argv and argv[0] in COMMANDS else None
     args = None if name is None else _read(COMMANDS[name], argv[1:])
     if args is None:
         try:
-            if name is not None:
-                args, extras = _command_parser(name).parse_known_args(argv[1:])
-                if extras:
-                    build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
-            else:
-                args = build_parser().parse_args(argv)
-                name = args.command
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
+        name = args.command
     try:
         return COMMANDS[name].handler(args)
     except (ValueError, ZeroDivisionError) as exc:

@@ -964,6 +964,8 @@ _REFUSALS = {
      0, "3000000042000000147^(1/2) in Q(zeta_12): YES  [galois_invariance]"
         "  witness = 2000000014*z12 - 1000000007*z12^3\n"),
     (["root-member", "3000000042000000147", "2", "6"], 0, "3000000042000000147^(1/2) in Q(zeta_6): NO  [galois_invariance]\n"),
+    (["root-member", "1/4", "2", "1"], 0, "(1/4)^(1/2) in Q(zeta_1): YES  [exponent_reduced]  witness = 1/2\n"),
+    (["root-member", "4", "2", "1"], 0, "4^(1/2) in Q(zeta_1): YES  [exponent_reduced]  witness = 2\n"),
     (["sqrt-embed", "1000000016000000063"], 2, ""),
     (["root-member", "2", "1000000007", "12"], 0, "2^(1/1000000007) in Q(zeta_12): NO  [theorem_1_3]\n"),
     (["irreducible", "2", "1000000007"], 0, "x^1000000007 - 2 is irreducible over Q\n"),
@@ -981,7 +983,8 @@ def test_large_prime_factors_answer_within_a_second(argv, code, out):
     no n-th root of alpha forms 2^n at a large prime n, the spread check
     trial-divides M no further than 2^20, and an integer root of a
     1000-digit number takes Newton steps, not one big power per bit: each
-    answers, or refuses with a message, in a fresh process within 1 s."""
+    answers, or refuses with a message, in a fresh process within 1 s.
+    A fractional alpha is printed in brackets before its root."""
     start = time.perf_counter()
     result = subprocess.run([sys.executable, "-m", "trigrat", *argv], capture_output=True, text=True, timeout=20)
     assert time.perf_counter() - start < 1.0, argv

@@ -718,31 +718,40 @@ def test_other_commands_answer_or_refuse_within_the_budget(argv):
     assert (result.returncode == 2) == ("error: " in result.stderr), (argv, result.stderr)
 
 
-def _usage_argv():
-    """The help and usage-error command lines of the digest script's
-    "usage errors and help" grid."""
+def _digest_script():
+    """scripts/payload_digests.py, loaded as a module."""
     path = Path(__file__).resolve().parents[1] / "scripts" / "payload_digests.py"
     spec = importlib.util.spec_from_file_location("payload_digests", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.USAGE_ARGV
+    return module
 
 
 def test_cli_prints_the_full_parsers_help_and_usage_errors(capsys):
-    """Every help and usage-error line gives through ``run_cli`` the exit
-    code, stdout and stderr of the full parser, although ``run_cli`` parses
-    a line that names a command with that command's parser alone."""
-    for argv in _usage_argv():
+    """Every help and usage-error line of the digest script's "usage
+    errors and help" grid gives through ``run_cli`` the exit code, stdout
+    and stderr that the full parser gives when it parses the line alone."""
+    for argv in _digest_script().USAGE_ARGV:
         got = (run_cli(list(argv)), *capsys.readouterr())
         with pytest.raises(SystemExit) as exc:
             cli.build_parser().parse_args(list(argv))
         assert got == (int(exc.value.code or 0), *capsys.readouterr()), argv
 
 
-def test_a_command_builds_only_its_own_parser(monkeypatch, capsys):
+def test_the_argparse_facing_digests_are_pinned():
+    """The digest script's two grids of lines that argparse reads, or that
+    the reader must decline, print their pinned digests: help, usage
+    errors and odd argv shapes keep their bytes."""
+    script = _digest_script()
+    assert script.usage_digest() == "9e2423d2c090ce9a5ecac5565ac77f425c235ec62c4e1f355d3a2e55ff8d85f4"
+    assert script.usage_digest(script.argv_shapes()) == (
+        "c596e3e1de5ff1562b892e045dfa5a720b92bbebd60d4aa21c1a8f196bb502d8")
+
+
+def test_the_first_declined_line_builds_the_full_parser_once(monkeypatch, capsys):
     """A well-formed classify is read from its declaration and builds no
-    ArgumentParser; a line the reader declines builds one, the command's
-    own, not the full parser with all eight subparsers."""
+    ArgumentParser; the first line the reader declines builds the full
+    parser, and a later declined line reuses it."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -751,14 +760,15 @@ def test_a_command_builds_only_its_own_parser(monkeypatch, capsys):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    cli._command_parser.cache_clear()
     cli.build_parser.cache_clear()
     assert run_cli(["classify", "cos", "1/3"]) == 0
     assert run_cli(["classify", "sin", "1/6", "--json"]) == 0
     assert built == []
     assert run_cli(["classify", "--js", "cos", "1/3"]) == 0
+    assert built and built[0] == "trigrat"
+    count = len(built)
     assert run_cli(["classify", "--js", "sin", "1/6"]) == 0
-    assert built == ["trigrat classify"]
+    assert len(built) == count
 
 
 def _imports(argv):
@@ -840,15 +850,18 @@ def command_lines(draw):
 
 
 def parsed(name, tokens):
-    """argparse's namespace for ``tokens`` under the command's own parser,
-    and what it leaves over; its usage errors are raised as AssertionError."""
+    """The full parser's namespace for the line ``name tokens``, less the
+    command, and what it leaves over; its usage errors are raised as
+    AssertionError."""
     err = io.StringIO()
     try:
         with contextlib.redirect_stderr(err):
-            args, extras = cli._command_parser(name).parse_known_args(list(tokens))
+            args, extras = cli.build_parser().parse_known_args([name, *tokens])
     except SystemExit:
         raise AssertionError(f"argparse refuses {name} {tokens}: {err.getvalue()}") from None
-    return vars(args), extras
+    values = vars(args)
+    assert values.pop("command") == name
+    return values, extras
 
 
 @given(command_lines())
