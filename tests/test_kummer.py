@@ -964,8 +964,6 @@ _REFUSALS = {
      0, "3000000042000000147^(1/2) in Q(zeta_12): YES  [galois_invariance]"
         "  witness = 2000000014*z12 - 1000000007*z12^3\n"),
     (["root-member", "3000000042000000147", "2", "6"], 0, "3000000042000000147^(1/2) in Q(zeta_6): NO  [galois_invariance]\n"),
-    (["root-member", "1/4", "2", "1"], 0, "(1/4)^(1/2) in Q(zeta_1): YES  [exponent_reduced]  witness = 1/2\n"),
-    (["root-member", "4", "2", "1"], 0, "4^(1/2) in Q(zeta_1): YES  [exponent_reduced]  witness = 2\n"),
     (["sqrt-embed", "1000000016000000063"], 2, ""),
     (["root-member", "2", "1000000007", "12"], 0, "2^(1/1000000007) in Q(zeta_12): NO  [theorem_1_3]\n"),
     (["irreducible", "2", "1000000007"], 0, "x^1000000007 - 2 is irreducible over Q\n"),
@@ -977,6 +975,10 @@ _REFUSALS = {
                  f"  factor x^6 - {_SQUARE_BASE}  (cofactor x^6 + {_SQUARE_BASE})\n"
                  f"  factor x^6 + {_SQUARE_BASE}  (cofactor x^6 - {_SQUARE_BASE})\n",
                  id="oracle-1000-digit-square"),
+    pytest.param(["root-member", "1/4", "2", "1"], 0,
+                 "(1/4)^(1/2) in Q(zeta_1): YES  [exponent_reduced]  witness = 1/2\n", id="fraction-in-brackets"),
+    pytest.param(["root-member", "4", "2", "1"], 0,
+                 "4^(1/2) in Q(zeta_1): YES  [exponent_reduced]  witness = 2\n", id="integer-bare"),
 ])
 def test_large_prime_factors_answer_within_a_second(argv, code, out):
     """No command trial-divides alpha up to its square root or factors n,
