@@ -13,9 +13,12 @@ whose names contain one of them (``oracle`` picks the three subset-oracle grids)
 
 A grid's digest is taken over each command line, its exit code, then its
 stdout and stderr, in order; each sweep grid is one command, and its
-digest is that of its stdout alone.  These are the formats of the digest tests in
-``tests/``, so the digests of the grids they share are the ones pinned
-there.
+digest is that of its stdout alone.
+
+``tests/test_payload_digests.py`` pins the digest of every grid named in
+GRIDS, and fails on a grid with no pin or a pin with no grid.  A change
+that alters a grid's bytes on purpose updates its pin there and gives
+the reason in CHANGES.md.
 """
 
 import hashlib
@@ -64,8 +67,7 @@ def classify_eval_grid(q_max):
 
 def high_power_grid():
     """eval --pow N for cos, sin, tan at 1/q, N in {31, 64, 257, 1000} up to
-    the exponent limit, q in {3, 4, 5, 6, 7, 12, 60, 97}; the tests pin the
-    part at q <= 12."""
+    the exponent limit, q in {3, 4, 5, 6, 7, 12, 60, 97}."""
     for q in (3, 4, 5, 6, 7, 12, 60, 97):
         for func in FUNCS:
             for n in (31, 64, 257, 1000):
@@ -81,6 +83,24 @@ def three_odd_primes_grid():
             for func in FUNCS:
                 for n in (1, 2, 3, 12):
                     yield ["eval", func, f"{p}/{q}", "--pow", str(n), "--json"]
+
+
+def odd_primes_witness_grid():
+    """Witnesses at moduli with three and four odd primes: classify --json
+    for cos, sin, tan at p/q with p in {1, 2q - 1}, q in {105, 385, 1155,
+    4199}; root-member 3 2 m at m in {420, 1540, 4620, 9240} and
+    root-member 5 2 m at m in {2310, 4620}; gauss at 1155 and 4620;
+    sqrt-embed at 1155 and 2310."""
+    for q in (105, 385, 1155, 4199):
+        for p in (1, 2 * q - 1):
+            for func in FUNCS:
+                yield ["classify", func, f"{p}/{q}", "--json"]
+    for alpha, moduli in (("3", (420, 1540, 4620, 9240)), ("5", (2310, 4620))):
+        for m in moduli:
+            yield ["root-member", alpha, "2", str(m), "--json"]
+    for command, moduli in (("gauss", (1155, 4620)), ("sqrt-embed", (1155, 2310))):
+        for m in moduli:
+            yield [command, str(m), "--json"]
 
 
 def cold_classify_grid(*options):
@@ -106,18 +126,17 @@ def text_classify_grid():
         yield ["classify", func, theta]
 
 
-def oracle_grid(n_max=12):
-    """irreducible --oracle at n = 2..n_max for coprime a/b with a, b <= 12,
+def oracle_grid():
+    """irreducible --oracle at n = 2..12 for coprime a/b with a, b <= 12,
     and at the (n, k) of the kummer benchmark's perfect powers (a/b)^k
-    with n <= n_max, a <= 9 prime to b, b in 1001..1010; the tests pin the
-    part at n_max = 8."""
+    with a <= 9 prime to b, b in 1001..1010."""
     for alpha in coprime_fractions(12):
-        for n in range(2, n_max + 1):
+        for n in range(2, 13):
             yield ["irreducible", alpha, str(n), "--oracle", "--json"]
     for n, k in ((2, 4), (3, 6), (4, 2), (6, 3), (2, 2)):
         for b in range(1001, 1011):
             for a in range(1, 10):
-                if n <= n_max and gcd(a, b) == 1:
+                if gcd(a, b) == 1:
                     yield ["irreducible", str(Fraction(a, b) ** k), str(n), "--oracle", "--json"]
 
 
@@ -274,6 +293,8 @@ GRIDS = {
         lambda: commands_digest(oracle_past_floats_grid()),
     "classify as text: 100<=q<200, slow witnesses, modulus refusals": lambda: commands_digest(text_classify_grid()),
     "argv shapes, text and --json": lambda: usage_digest(argv_shapes()),
+    "witnesses at three and four odd primes: classify, root-member, gauss, sqrt-embed":
+        lambda: commands_digest(odd_primes_witness_grid()),
 }
 
 

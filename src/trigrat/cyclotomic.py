@@ -264,6 +264,10 @@ class CycElem:
         return (self.modulus, self._nums, self._den) == (other.modulus, other._nums, other._den)
 
     def __hash__(self) -> int:
+        # a rational element equals its rational, so it must hash as one
+        rational = self.as_rational()
+        if rational is not None:
+            return hash(rational)
         return hash((self.modulus, self._nums, self._den))
 
     def _coerce(self, other) -> "CycElem | None":

@@ -181,40 +181,39 @@ def _unscaled(coeffs: list[int], q: int) -> RatPoly:
 
 @lru_cache(maxsize=11)  # one entry per n in 2..12
 def _unit_products(n: int) -> tuple:
-    """The (subset, real coefficients) pairs of ``_real_subset_products`` at
-    the roots of unity zeta_n^j, in a tuple indexed by subset size."""
-    closed = _real_subset_products([cmath.exp(2j * cmath.pi * j / n) for j in range(n)])
-    return tuple(tuple(entry for entry in closed if len(entry[0]) == s) for s in range(n))
+    """``_real_subset_products`` at the roots of unity zeta_n^j, as tuples."""
+    return tuple(map(tuple, _real_subset_products([cmath.exp(2j * cmath.pi * j / n) for j in range(n)])))
 
 
-def _real_subset_products(roots: list[complex]) -> list[tuple[tuple[int, ...], tuple[float, ...]]]:
+def _real_subset_products(roots: list[complex]) -> list[list[tuple[tuple[int, ...], tuple[float, ...]]]]:
     """(subset, real parts of the coefficients of the product of x - roots[j]
     over it) for the proper nonempty subsets closed under j -> n - j, in
-    ``itertools.combinations`` order.  Depth first: each j <= n/2 is taken
-    or skipped, each j > n/2 taken iff n - j was, so only the 2^(n//2+1) - 2
-    closed subsets are built, each from its parent's product."""
+    one list per subset size s = 0..n-1, each in ``itertools.combinations``
+    order.  Depth first: each j <= n/2 is taken, then skipped, each j > n/2
+    taken iff n - j was, so only the 2^(n//2+1) - 2 closed subsets are
+    built, each from its parent's product, and taking before skipping
+    visits the subsets of one size in lexicographic order."""
     n = len(roots)
-    closed = []
+    by_size: list[list] = [[] for _ in range(n)]
 
     def walk(subset, coeffs, j):
         if j == n:
             if subset:
-                closed.append((subset, tuple(c.real for c in coeffs)))
+                by_size[len(subset)].append((subset, tuple(c.real for c in coeffs)))
             return
         free = 2 * j <= n  # else j is taken iff its partner n - j was
         taken = free or n - j in subset
-        if free or not taken:
-            walk(subset, coeffs, j + 1)
         if taken and len(subset) < n - 1:  # the full set is not proper
             root = roots[j]
             child = [0j - root * coeffs[0]]  # (x - root) * coeffs
             child += [a - root * b for a, b in zip(coeffs, coeffs[1:])]
             child.append(coeffs[-1])
             walk(subset + (j,), child, j + 1)
+        if free or not taken:
+            walk(subset, coeffs, j + 1)
 
     walk((), [complex(1.0)], 0)
-    closed.sort(key=lambda entry: (len(entry[0]), entry[0]))
-    return closed
+    return by_size
 
 
 def subset_unity_product(n: int, subset: frozenset[int]) -> CycElem:

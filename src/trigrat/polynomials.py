@@ -114,6 +114,9 @@ class RatPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
+        # a constant equals its coefficient, so it must hash as one
+        if len(self.coeffs) <= 1:
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash(self.coeffs)
 
     def __add__(self, other) -> "RatPoly":

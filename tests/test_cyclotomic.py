@@ -278,6 +278,16 @@ def test_as_rational_completeness():
     assert zeta(8).as_rational() is None
 
 
+@pytest.mark.parametrize("value", [0, 1, -3, Fraction(1, 2), Fraction(-7, 3)])
+def test_rational_elements_and_constants_hash_as_their_rational(value):
+    """A rational CycElem and a constant RatPoly equal their rational, so
+    each hashes as it and forms a one-element set with it."""
+    for elem in (CycElem.from_rational(1, value), CycElem.from_rational(12, value), RatPoly([value])):
+        assert elem == value
+        assert hash(elem) == hash(value)
+        assert len({elem, value}) == 1
+
+
 @given(elements(), st.integers(1, 4))
 def test_embed_preserves_arithmetic(x, k):
     m = x.modulus

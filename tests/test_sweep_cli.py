@@ -1,14 +1,12 @@
 import argparse
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
 import subprocess
 import sys
 from fractions import Fraction
 from math import gcd
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -188,7 +186,7 @@ def test_witness_and_power_decisions_agree():
     assert (pairs, squares) == (73392, 24)
 
 
-def test_sweep_builds_no_witness(monkeypatch, capsys):
+def test_sweep_builds_no_witness(monkeypatch, payload_digests):
     """The sweep decides every case from its powers: with field elements
     and Phi_M disabled, and the trig caches empty, it prints the same
     payload."""
@@ -199,9 +197,7 @@ def test_sweep_builds_no_witness(monkeypatch, capsys):
     monkeypatch.setattr("trigrat.cyclotomic._cyclotomic_int_coeffs", forbidden)
     trig_elem.cache_clear()
     classify.cache_clear()
-    code, out, _ = run(capsys, "verify", "sweep", "--q-max", "48", "--n-max", "12", "--funcs", "tan,sin,cos", "--json")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_48_12_DIGEST
+    assert payload_digests.sweep_digest(48, 12, "tan,sin,cos") == SWEEP_48_12_DIGEST
 
 
 def test_sweep_surveys_one_representative_per_orbit(monkeypatch):
@@ -718,34 +714,15 @@ def test_other_commands_answer_or_refuse_within_the_budget(argv):
     assert (result.returncode == 2) == ("error: " in result.stderr), (argv, result.stderr)
 
 
-def _digest_script():
-    """scripts/payload_digests.py, loaded as a module."""
-    path = Path(__file__).resolve().parents[1] / "scripts" / "payload_digests.py"
-    spec = importlib.util.spec_from_file_location("payload_digests", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_cli_prints_the_full_parsers_help_and_usage_errors(capsys):
+def test_cli_prints_the_full_parsers_help_and_usage_errors(capsys, payload_digests):
     """Every help and usage-error line of the digest script's "usage
     errors and help" grid gives through ``run_cli`` the exit code, stdout
     and stderr that the full parser gives when it parses the line alone."""
-    for argv in _digest_script().USAGE_ARGV:
+    for argv in payload_digests.USAGE_ARGV:
         got = (run_cli(list(argv)), *capsys.readouterr())
         with pytest.raises(SystemExit) as exc:
             cli.build_parser().parse_args(list(argv))
         assert got == (int(exc.value.code or 0), *capsys.readouterr()), argv
-
-
-def test_the_argparse_facing_digests_are_pinned():
-    """The digest script's two grids of lines that argparse reads, or that
-    the reader must decline, print their pinned digests: help, usage
-    errors and odd argv shapes keep their bytes."""
-    script = _digest_script()
-    assert script.usage_digest() == "9e2423d2c090ce9a5ecac5565ac77f425c235ec62c4e1f355d3a2e55ff8d85f4"
-    assert script.usage_digest(script.argv_shapes()) == (
-        "c596e3e1de5ff1562b892e045dfa5a720b92bbebd60d4aa21c1a8f196bb502d8")
 
 
 def test_the_first_declined_line_builds_the_full_parser_once(monkeypatch, capsys):
@@ -1045,34 +1022,10 @@ def test_decision_paths_build_no_power_table(monkeypatch, capsys):
     }
 
 
-def grid_digest(capsys, q_max):
-    """sha256 over `classify --json` and `eval --pow 1..4 --json` for cos,
-    sin and tan at every reduced angle with q <= q_max: each command line,
-    its exit code, then its stdout and stderr."""
-    digest = hashlib.sha256()
-    for angle in reduced_angles(q_max):
-        for func in ("cos", "sin", "tan"):
-            commands = [["classify", func, str(angle)]]
-            commands += [["eval", func, str(angle), "--pow", str(n)] for n in range(1, 5)]
-            for argv in commands:
-                argv.append("--json")
-                code, out, err = run(capsys, *argv)
-                digest.update(f"{' '.join(argv)}\n{code}\n{out}{err}".encode())
-    return digest.hexdigest()
-
-
-def sweep_digest(capsys, q_max, n_max):
-    code, out, _ = run(capsys, "verify", "sweep", "--q-max", str(q_max), "--n-max", str(n_max), "--json")
-    assert code == 0
-    return hashlib.sha256(out.encode()).hexdigest()
-
-
-# the same digests as printed by the code that expanded every power densely
-# in the power basis
+# classify_eval_grid(12) and verify sweep q<=12 n<=8 of the digest script,
+# as printed by the code that expanded every power densely in the power basis
 GRID_12_DIGEST = "9fee70126c649227baecd1844c6848c0767d43aaf0c7c29c9db595145f13749c"
-GRID_30_DIGEST = "0a51256d41cd0df42e593e0c6d1c8f300428dff3d42d32b6d30d4053e1a69908"
 SWEEP_12_8_DIGEST = "025caea64e5345f0423266febeec002229b2d9f74fef276c4214d34309b7c80e"
-SWEEP_32_8_DIGEST = "0b4454e4edee6b5c78e0ad96b78ed21a8c4769af13c2a151426bf35407561da2"
 
 
 # verify sweep --q-max 48 --n-max 12 --json, in each order of --funcs: the
@@ -1082,51 +1035,8 @@ SWEEP_48_12_DIGEST = "1965a4216f5d774c970a8131682714e66e62fbfd764a2e1bf227a60bfd
 
 
 @pytest.mark.parametrize("funcs", ["tan,sin,cos", "cos,sin,tan", "sin,tan,cos"])
-def test_sweep_payload_is_the_same_in_each_function_order(capsys, funcs):
-    code, out, _ = run(capsys, "verify", "sweep", "--q-max", "48", "--n-max", "12", "--funcs", funcs, "--json")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_48_12_DIGEST
-
-
-def test_payloads_match_dense_power_digests(capsys):
-    assert sweep_digest(capsys, 32, 8) == SWEEP_32_8_DIGEST
-    assert grid_digest(capsys, 30) == GRID_30_DIGEST
-
-
-# eval --pow N --json for cos, sin and tan at 1/q, q in {3, 4, 5, 6, 7, 12},
-# N in {31, 64, 257, 1000}, as printed when powers came from
-# square-and-multiply
-HIGH_POWER_DIGEST = "1c9b533cf4f9f52e98eba6e3b14bb4ee0a70597a94b3a98177db5ef7029e1ba8"
-
-
-def test_high_power_payloads_match_digest(capsys):
-    digest = hashlib.sha256()
-    for q in (3, 4, 5, 6, 7, 12):
-        for func in ("cos", "sin", "tan"):
-            for n in (31, 64, 257, 1000):
-                argv = ["eval", func, f"1/{q}", "--pow", str(n), "--json"]
-                code, out, err = run(capsys, *argv)
-                digest.update(f"{' '.join(argv)}\n{code}\n{out}{err}".encode())
-    assert digest.hexdigest() == HIGH_POWER_DIGEST
-
-
-# classify --json for cos, sin and tan at p/q, p in {1, 7, 2q - 1} coprime
-# to q, 100 <= q < 200 (a cold modulus lcm(2q, 4) per q), as printed with
-# Phi_m built from the dense Moebius product and each witness coordinate
-# written through a Fraction
-COLD_CLASSIFY_DIGEST = "d11d011d5f5978321889d240c5f9a21d4d621687a1b0f944b622c1087fcf8c89"
-
-
-def test_cold_moduli_payloads_match_digest(capsys):
-    digest = hashlib.sha256()
-    for q in range(100, 200):
-        for p in (1, 7, 2 * q - 1):
-            if gcd(p, q) == 1:
-                for func in ("cos", "sin", "tan"):
-                    argv = ["classify", func, f"{p}/{q}", "--json"]
-                    code, out, err = run(capsys, *argv)
-                    digest.update(f"{' '.join(argv)}\n{code}\n{out}{err}".encode())
-    assert digest.hexdigest() == COLD_CLASSIFY_DIGEST
+def test_sweep_payload_is_the_same_in_each_function_order(payload_digests, funcs):
+    assert payload_digests.sweep_digest(48, 12, funcs) == SWEEP_48_12_DIGEST
 
 
 def test_text_classify_builds_no_field_element(monkeypatch, capsys):
@@ -1151,7 +1061,7 @@ def test_text_classify_builds_no_field_element(monkeypatch, capsys):
             run_cli(["classify", func, theta, "--json"])
 
 
-def test_decision_paths_build_no_dense_power(monkeypatch, capsys):
+def test_decision_paths_build_no_dense_power(monkeypatch, payload_digests):
     """classify, eval and the sweep write every power down by the binomial
     theorem: with field products and powers disabled they still print the
     payloads of the dense code."""
@@ -1163,5 +1073,5 @@ def test_decision_paths_build_no_dense_power(monkeypatch, capsys):
     trig_elem.cache_clear()
     classify.cache_clear()
 
-    assert grid_digest(capsys, 12) == GRID_12_DIGEST
-    assert sweep_digest(capsys, 12, 8) == SWEEP_12_8_DIGEST
+    assert payload_digests.commands_digest(payload_digests.classify_eval_grid(12)) == GRID_12_DIGEST
+    assert payload_digests.sweep_digest(12, 8) == SWEEP_12_8_DIGEST
