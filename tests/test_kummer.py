@@ -705,6 +705,25 @@ def test_sqrt_witness_is_one_combination_checked_once(monkeypatch, capsys):
     assert products == [60]
 
 
+# the script's oracle grid, irreducible --oracle --json for coprime a/b with
+# a, b <= 12 and the kummer benchmark's perfect powers: its part at n <= 8
+# is pinned here (the whole grid in test_payload_digests.py), and every call
+# of the whole grid exits 0, the subset oracle agreeing with the radical
+# criterion throughout
+ORACLE_8_DIGEST = "5d85bc2ac9865cd7f7fb965feec9946ac35445f1ea75e8c31ecc6ca320ea0227"
+
+
+def test_oracle_payloads_match_per_subset_digest(payload_digests):
+    assert payload_digests.commands_digest(payload_digests.oracle_grid(8)) == ORACLE_8_DIGEST
+
+
+def test_full_oracle_grid_matches_per_subset_digest(capsys, payload_digests):
+    for argv in payload_digests.oracle_grid():
+        assert run_cli(argv) == 0, argv
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["oracle_reducible"] is not payload["irreducible"], argv
+
+
 def test_sqrt_rejects_nonpositive():
     with pytest.raises(ValueError):
         sqrt_in_cyclotomic(0)
