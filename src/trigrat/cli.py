@@ -49,38 +49,45 @@ if TYPE_CHECKING:
 def _json_text(value, newline: str = "\n") -> str:
     """The text of ``json.dumps(value, sort_keys=True, indent=2)``, for the
     types a payload holds: dicts with str keys, lists, str, int, bool and
-    None.  Anything else raises ``TypeError``.  Strings go through the
-    escaper ``json.dumps`` uses, and a list of strings is joined at once.
-    ``newline`` is the line break and indent of the value's own depth."""
-    if isinstance(value, str):
+    None.  Each value is dispatched on its exact type, so a subclass of
+    one of these (an ``enum.IntEnum`` member, a str subclass), which no
+    payload holds, raises ``TypeError`` as anything else does.  Strings go
+    through the escaper ``json.dumps`` uses, and a list of strings is joined
+    at once: quoted as it is when it is all printable ASCII but quotes and
+    backslashes, which the escaper leaves unchanged.  ``newline`` is the
+    line break and indent of the value's own depth."""
+    kind = type(value)
+    if kind is str:
         return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
     if value is None:
         return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
     inner = newline + "  "
     sep = "," + inner
-    if isinstance(value, list):
+    if kind is list:
         if not value:
             return "[]"
-        try:
-            body = sep.join(map(encode_basestring_ascii, value))
-        except TypeError:
+        if list(map(type, value)).count(str) < len(value):
             body = sep.join([_json_text(item, inner) for item in value])
+        else:
+            text = "".join(value)
+            if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+                body = '"' + f'"{sep}"'.join(value) + '"'  # nothing the escaper would change
+            else:
+                body = sep.join(map(encode_basestring_ascii, value))
         return f"[{inner}{body}{newline}]"
-    if isinstance(value, dict):
+    if kind is dict:
         if not value:
             return "{}"
-        if not all(isinstance(key, str) for key in value):
+        if list(map(type, value)).count(str) < len(value):
             raise TypeError("a payload's keys are str")
         body = sep.join([f"{encode_basestring_ascii(key)}: {_json_text(value[key], inner)}"
                          for key in sorted(value)])
         return f"{{{inner}{body}{newline}}}"
-    raise TypeError(f"a payload holds no {type(value).__name__}")
+    raise TypeError(f"a payload holds no {kind.__name__}")
 
 
 def _emit(args, payload, human) -> None:

@@ -17,6 +17,11 @@ what the classification and the predicted value lists say must happen:
 
 Every rational power found is recorded as a hit; every broken expectation
 as a violation.  A clean sweep is a report with an empty violation list.
+A survey of a never-rational function with no rational power, the common
+case, is checked in one scan of its powers.  Otherwise the base value is
+looked up in the odd and the even list once per survey, not once per hit,
+and each hit is compared with the power of the classified value num/den
+as the two integers num^k and den^k (``_check``).
 
 The case of each angle is decided from its powers alone, by the verdict
 ``classify`` gives (``trig._classification``): x rational makes it
@@ -72,7 +77,9 @@ class SweepConfig(FrozenRecord):
     ``trig.MAX_POWER_EXPONENT``, the largest exponent ``power_rational``
     computes, and ``q_max`` at most ``trig.MAX_TRIG_MODULUS // 4``, the
     largest bound at which every M = lcm(2q, 4) is within that limit (then
-    so is every spread, as it is below q)."""
+    so is every spread, as it is below q).  ``funcs`` is kept as a tuple
+    of ``TrigFunc`` members, so the config is hashable; any other member is
+    refused with ValueError."""
 
     __slots__ = ("q_max", "n_max", "funcs")
 
@@ -86,8 +93,12 @@ class SweepConfig(FrozenRecord):
             raise ValueError(f"n_max must be >= 1, got {n_max}")
         if n_max > MAX_POWER_EXPONENT:
             raise ValueError(f"n_max must be <= {MAX_POWER_EXPONENT}, got {n_max}")
+        funcs = tuple(funcs)
         if not funcs:
             raise ValueError("funcs must not be empty")
+        for func in funcs:
+            if not isinstance(func, TrigFunc):
+                raise ValueError(f"funcs must hold TrigFunc members only, got {func!r}")
         if len(set(funcs)) < len(funcs):
             raise ValueError(f"funcs must not repeat a function, got {','.join(map(str, funcs))}")
         object.__setattr__(self, "q_max", q_max)
@@ -194,7 +205,8 @@ def reduced_angles(q_max: int) -> list[Angle]:
 
 def _check(func: TrigFunc, angle: Angle, n_max: int, values) -> tuple[list[Hit], list[Violation], Case]:
     """Hits and violations of one function at one angle, from its powers
-    ``values`` at n = 1, 2, ... (None at a pole)."""
+    ``values`` at n = 1, 2, ... (None at a pole), checked as the module
+    docstring says."""
     hits: list[Hit] = []
     violations: list[Violation] = []
 
@@ -204,22 +216,29 @@ def _check(func: TrigFunc, angle: Angle, n_max: int, values) -> tuple[list[Hit],
     classification = _classification(func, angle, values)
     case = classification.case
 
-    is_pole = func is TrigFunc.TAN and angle.q == 2
-    if is_pole != (case is Case.UNDEFINED):
+    undefined = case is Case.UNDEFINED
+    if (func is TrigFunc.TAN and angle.q == 2) != undefined:
         violation(None, "pole misclassified")
-    if case is Case.UNDEFINED:
+    if undefined:
+        return hits, violations, case
+    values = values[:n_max]
+    never = case is Case.NEVER
+    if never and values.count(None) == len(values):
         return hits, violations, case
 
-    odd_list = theorem_value_list(func, "odd")
-    even_list = theorem_value_list(func, "even")
-    base = value_descriptor(classification) if case is not Case.NEVER else None
+    rational, square = case is Case.VALUE_RATIONAL, case is Case.SQUARE_RATIONAL
+    if not never:
+        base = value_descriptor(classification)
+        outside = (base not in theorem_value_list(func, "even"), base not in theorem_value_list(func, "odd"))
+        num, den = classification.value.numerator, classification.value.denominator
 
     first_hit_n = None
-    for n, value in zip(range(1, n_max + 1), values):
+    for n, value in enumerate(values, 1):
+        odd = n % 2
         if value is None:
-            if case is Case.VALUE_RATIONAL:
+            if rational:
                 violation(n, "power of a rational value is irrational")
-            if case is Case.SQUARE_RATIONAL and n % 2 == 0:
+            elif square and not odd:
                 violation(n, "even power with rational square is irrational")
             continue
 
@@ -227,17 +246,16 @@ def _check(func: TrigFunc, angle: Angle, n_max: int, values) -> tuple[list[Hit],
         if first_hit_n is None:
             first_hit_n = n
 
-        if case is Case.NEVER:
+        if never:
             violation(n, "rational power in a never-rational class", value)
             continue
-        if case is Case.SQUARE_RATIONAL and n % 2 == 1:
-            violation(n, "odd power of an irrational value is rational", value)
-        expected = classification.value ** (n if case is Case.VALUE_RATIONAL else n // 2)
-        if case is Case.VALUE_RATIONAL or n % 2 == 0:
-            if value != expected:
+        if rational or not odd:
+            k = n if rational else n // 2
+            if value.numerator != num ** k or value.denominator != den ** k:
                 violation(n, "power disagrees with classified base value", value)
-        allowed = odd_list if n % 2 == 1 else even_list
-        if base is not None and base not in allowed:
+        else:
+            violation(n, "odd power of an irrational value is rational", value)
+        if outside[odd]:
             violation(n, "base value outside the predicted list", value)
 
     minimal_n = classification.minimal_n  # read off the case

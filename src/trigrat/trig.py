@@ -337,6 +337,12 @@ def _powers(funcs, angle: Angle, first: int, last: int) -> dict[TrigFunc, list[F
     return values
 
 
+# The members ``_decide`` tells apart, read as module globals: on Python 3.11
+# each read of ``TrigFunc.TAN`` goes through the enum metaclass's attribute
+# hook (about 0.1 us), and a sweep at q <= 32, n <= 8 makes 1352 decisions.
+_COS, _TAN = TrigFunc.COS, TrigFunc.TAN
+
+
 def _decide(func: TrigFunc, n: int, c: dict[int, int] | None, s: dict[int, int] | None) -> Fraction | None:
     """func(pi*theta)^n when rational, else None, from the moved slots C of
     (2 cos)^n and S of (2 sin)^n, which are independent: cos^n or sin^n is
@@ -345,9 +351,11 @@ def _decide(func: TrigFunc, n: int, c: dict[int, int] | None, s: dict[int, int] 
     proportional: S = 0, or S and C have the same slots and
     S[x] * C[i] == S[i] * C[x] for each (C != 0 off the poles); then it
     equals S[i] / C[i]."""
-    if func is not TrigFunc.TAN:
-        v = c if func is TrigFunc.COS else s
-        return Fraction(v.get(0, 0), 2 ** n) if v.keys() <= {0} else None
+    if func is not _TAN:
+        v = c if func is _COS else s
+        if len(v) > 1 or v and 0 not in v:  # a slot other than slot 0
+            return None
+        return Fraction(v.get(0, 0), 1 << n)
     if s.keys() != c.keys():  # S = lambda * C has the support of C unless lambda = 0
         return None if s else Fraction(0)
     i, ci = next(iter(c.items()))

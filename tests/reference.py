@@ -26,8 +26,13 @@ checks:
 * ``trig_embedding_error`` checks a trig witness, which no verdict
   reads, in floats at every embedding sigma_c of Q(zeta_M), not by exact
   arithmetic in the power basis;
+* ``reference_check`` checks one survey hit by hit: each hit raises the
+  classified value to its power as a Fraction and looks the base value up
+  in the list of its parity, where ``sweep._check`` scans a never-rational
+  survey once and looks the base value up once per parity;
 * ``reference_sweep`` surveys every reduced angle, not one representative
-  per Galois orbit, each function on its own (``_survey``);
+  per Galois orbit, each function on its own (``_survey``), and checks
+  each survey with ``reference_check``;
 * ``reference_subset_factorizations`` multiplies every subset of roots out
   from scratch in floats, rebuilds every real-looking candidate with
   ``limit_denominator`` and divides it over Q, the oracle's design before
@@ -59,6 +64,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
 
+from trigrat import sweep
 from trigrat.cyclotomic import CycElem, _power_table, root_combination, zeta_power
 from trigrat.kummer import SubsetFactor, gauss_sum, sqrt_in_cyclotomic
 from trigrat.numtheory import (
@@ -71,8 +77,16 @@ from trigrat.numtheory import (
     prime_factorization,
 )
 from trigrat.polynomials import RatPoly, _divide_monic, _monic_tail, _poly_mul
-from trigrat.sweep import Hit, SweepReport, Violation, _check, reduced_angles
-from trigrat.trig import MAX_POLYGON_SPREAD, Case, TrigFunc, UndefinedTrigValue, _powers
+from trigrat.sweep import Hit, SweepReport, Violation, reduced_angles
+from trigrat.trig import (
+    MAX_POLYGON_SPREAD,
+    Case,
+    TrigFunc,
+    UndefinedTrigValue,
+    _powers,
+    theorem_value_list,
+    value_descriptor,
+)
 
 
 def mobius(n: int) -> int:
@@ -299,11 +313,69 @@ def reference_sqrt_member(beta, m: int) -> CycElem | None:
     return descended.embed(m)
 
 
+def reference_check(func, angle, n_max, values):
+    """Hits, violations and case of one function at one angle, from its
+    powers ``values`` at n = 1, 2, ... (None at a pole), as ``sweep._check``
+    gives them.  The case is read through ``sweep._classification`` when
+    called, so a classification a test plants there is read here too."""
+    hits = []
+    violations = []
+
+    def violation(n, reason, value=None):
+        violations.append(Violation(func, angle, n, reason, value))
+
+    classification = sweep._classification(func, angle, values)
+    case = classification.case
+
+    is_pole = func is TrigFunc.TAN and angle.q == 2
+    if is_pole != (case is Case.UNDEFINED):
+        violation(None, "pole misclassified")
+    if case is Case.UNDEFINED:
+        return hits, violations, case
+
+    odd_list = theorem_value_list(func, "odd")
+    even_list = theorem_value_list(func, "even")
+    base = value_descriptor(classification) if case is not Case.NEVER else None
+
+    first_hit_n = None
+    for n, value in zip(range(1, n_max + 1), values):
+        if value is None:
+            if case is Case.VALUE_RATIONAL:
+                violation(n, "power of a rational value is irrational")
+            if case is Case.SQUARE_RATIONAL and n % 2 == 0:
+                violation(n, "even power with rational square is irrational")
+            continue
+
+        hits.append(Hit(func, angle, n, value))
+        if first_hit_n is None:
+            first_hit_n = n
+
+        if case is Case.NEVER:
+            violation(n, "rational power in a never-rational class", value)
+            continue
+        if case is Case.SQUARE_RATIONAL and n % 2 == 1:
+            violation(n, "odd power of an irrational value is rational", value)
+        expected = classification.value ** (n if case is Case.VALUE_RATIONAL else n // 2)
+        if case is Case.VALUE_RATIONAL or n % 2 == 0:
+            if value != expected:
+                violation(n, "power disagrees with classified base value", value)
+        allowed = odd_list if n % 2 == 1 else even_list
+        if base is not None and base not in allowed:
+            violation(n, "base value outside the predicted list", value)
+
+    minimal_n = classification.minimal_n
+    if minimal_n is not None and minimal_n <= n_max and first_hit_n != minimal_n:
+        violation(first_hit_n, "least rational exponent mismatch")
+    if minimal_n is None and first_hit_n is not None:
+        violation(first_hit_n, "hit despite no classified minimal exponent")
+    return hits, violations, case
+
+
 def _survey(func, angle, n_max):
     """Hits, violations and case for one (func, angle) pair, exponents
-    1..n_max: ``sweep._check`` on the powers ``trig._powers`` reads for
+    1..n_max: ``reference_check`` on the powers ``trig._powers`` reads for
     that one function."""
-    return _check(func, angle, n_max, _powers((func,), angle, 1, max(n_max, 2)).get(func))
+    return reference_check(func, angle, n_max, _powers((func,), angle, 1, max(n_max, 2)).get(func))
 
 
 def reference_sweep(config):

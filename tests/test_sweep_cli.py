@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import enum
 import hashlib
 import io
 import json
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from reference import reference_sweep
+from reference import reference_check, reference_sweep
 from trigrat import cli, kummer, sweep
 from trigrat.cli import run_cli
 from trigrat.cyclotomic import CycElem
@@ -33,6 +34,8 @@ from trigrat.trig import (
     Case,
     Classification,
     TrigFunc,
+    _classification,
+    _powers,
     classify,
     trig_elem,
 )
@@ -75,6 +78,14 @@ def test_sweep_config_validation():
     SweepConfig(q_max=MAX_TRIG_MODULUS // 4, n_max=1)
     with pytest.raises(ValueError, match=f"q_max must be <= {MAX_TRIG_MODULUS // 4}"):
         SweepConfig(q_max=MAX_TRIG_MODULUS // 4 + 1, n_max=1)
+
+
+def test_sweep_config_holds_a_tuple_of_trig_funcs():
+    """``funcs`` is refused unless every member is a TrigFunc, and kept as
+    a tuple, so a config given a list is hashable."""
+    with pytest.raises(ValueError, match="funcs must hold TrigFunc members only, got 'cos'"):
+        verify_theorem_sweep(SweepConfig(4, 2, ("cos",)))
+    assert hash(SweepConfig(4, 2, [COS])) == hash(SweepConfig(4, 2, (COS,)))
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +173,91 @@ def test_misclassified_representatives_survey_their_orbits(monkeypatch):
     assert orbit.violations == brute.violations
     assert orbit.case_counts == brute.case_counts
     assert report_text(orbit) == report_text(brute)
+
+
+REASONS = {
+    "pole misclassified",
+    "power of a rational value is irrational",
+    "even power with rational square is irrational",
+    "rational power in a never-rational class",
+    "odd power of an irrational value is rational",
+    "power disagrees with classified base value",
+    "base value outside the predicted list",
+    "least rational exponent mismatch",
+    "hit despite no classified minimal exponent",
+}
+
+
+def check_outcome(check, func, angle, n_max, values):
+    """Hits, violations and case from ``check``, or the type and text of
+    the exception it raised."""
+    try:
+        return check(func, angle, n_max, values)
+    except Exception as error:
+        return type(error), str(error)
+
+
+def power_faults(func, angle, values):
+    """The powers ``values`` (n = 1..8) of one survey with one entry
+    wrong: a list at a pole, or None for the list elsewhere; None in place
+    of a rational power; a wrong rational; a rational odd power of a value
+    with a rational square; a rational power of a never-rational value."""
+    if values is None:
+        yield [None] * 8
+        return
+    yield None
+    case = _classification(func, angle, values).case
+    for i, value in enumerate(values):
+        if value is not None:
+            faults = (None, value + 1, -value - 1)
+        elif case is Case.SQUARE_RATIONAL:  # an odd power
+            faults = (values[1] ** (i + 1),)
+        else:  # a never-rational value
+            faults = (Fraction(1, 2),)
+        for fault in faults:
+            yield values[:i] + [fault] + values[i + 1:]
+
+
+def test_check_matches_reference_check(monkeypatch):
+    """The sweep's check gives the hits, violations and case that the
+    frozen hit-by-hit check gives, or raises what it raises: on every
+    function and reduced angle with q <= 24, at n_max 1, 2 and 8, on the
+    same powers with one entry wrong (``power_faults``), and with each
+    other case planted as the classification of a survey off the poles.
+    Across the faults every reason of a violation occurs."""
+    surveys = []
+    for angle in reduced_angles(24):
+        powers = _powers((COS, SIN, TAN), angle, 1, 8)
+        surveys += [(func, angle, powers.get(func)) for func in (COS, SIN, TAN)]
+    planted = {}
+    decide = sweep._classification
+    monkeypatch.setattr(sweep, "_classification",
+                        lambda func, angle, values: planted.get((func, angle)) or decide(func, angle, values))
+    reasons = set()
+
+    def compare(func, angle, values, faulty):
+        for n_max in (1, 2, 8):
+            head = None if values is None else values[:max(n_max, 2)]
+            outcome = check_outcome(sweep._check, func, angle, n_max, head)
+            assert outcome == check_outcome(reference_check, func, angle, n_max, head), (func, angle, n_max, head)
+            if not faulty:
+                assert outcome[1] == [], (func, angle, n_max)
+            elif isinstance(outcome[1], list):
+                reasons.update(v.reason for v in outcome[1])
+
+    for func, angle, values in surveys:
+        compare(func, angle, values, False)
+        for faulty in power_faults(func, angle, values):
+            compare(func, angle, faulty, True)
+        if values is not None:
+            true_case = _classification(func, angle, values).case
+            rational = next((v for v in values if v is not None), Fraction(1, 2))
+            for case in [case for case in Case if case is not true_case]:
+                value = rational if case in (Case.VALUE_RATIONAL, Case.SQUARE_RATIONAL) else None
+                planted[func, angle] = Classification(func, angle, case, value)
+                compare(func, angle, values, True)
+            planted.clear()
+    assert reasons == REASONS
 
 
 def test_witness_and_power_decisions_agree():
@@ -470,7 +566,16 @@ def test_json_writer_prints_what_json_dumps_prints(tree):
     assert cli._json_text(tree) == json.dumps(tree, sort_keys=True, indent=2)
 
 
-@pytest.mark.parametrize("value", [1.5, (1, 2), {1: "a"}, {"a": [0.5]}, ["a", ("b",)], {None: 1}, {"a": {2: 3}}])
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+class Text(str):
+    pass
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), {1: "a"}, {"a": [0.5]}, ["a", ("b",)], {None: 1}, {"a": {2: 3}},
+                                   Level.LOW, Text("a"), ["a", Text("b")], {Text("a"): 1}, {"a": [Level.LOW]}])
 def test_json_writer_refuses_what_no_payload_holds(value):
     with pytest.raises(TypeError):
         cli._json_text(value)
