@@ -23,9 +23,12 @@ then also compile argparse, fractions, json and the rest (an import of
 those took 146 ms that way against 29 ms, 2-core Xeon, Python 3.11).
 
 Prints the median and quartiles of each command's wall time in ms, and
-trigrat's share of a fresh process: each median less that of the bare
-interpreter.  Standard library only; exits 1 when a command fails or
-imports trigrat from anywhere but the copy.
+trigrat's share of a fresh process: the median over the N rounds of the
+command's time less the bare interpreter's in the same round, in ms and
+as a ratio to the bare interpreter's time in that round.  A shared
+machine's speed drifts between runs; the ratio compares across them.
+Standard library only; exits 1 when a command fails or imports trigrat
+from anywhere but the copy.
 """
 
 from __future__ import annotations
@@ -97,12 +100,14 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"{args.runs} fresh processes each, wall time in ms; Python {sys.version.split()[0]}, "
           f"{os.cpu_count()} CPUs")
-    print(f"{'setting':<12} {'command':<41} {'q1':>7} {'median':>7} {'q3':>7} {'trigrat':>8}")
+    print(f"{'setting':<12} {'command':<41} {'q1':>7} {'median':>7} {'q3':>7} {'trigrat':>8} {'/bare':>6}")
     for (setting, name), samples in times.items():
         q1, _, q3 = (1000 * t for t in statistics.quantiles(samples, n=4))
         median = 1000 * statistics.median(samples)
-        bare = 1000 * statistics.median(times[setting, "python -c pass"])
-        share = "" if name == "python -c pass" else f"{median - bare:8.1f}"
+        bare = times[setting, "python -c pass"]
+        shares = [t - b for t, b in zip(samples, bare)]
+        ratios = [s / b for s, b in zip(shares, bare)]
+        share = "" if samples is bare else f"{1000 * statistics.median(shares):8.1f} {statistics.median(ratios):6.3f}"
         print(f"{setting:<12} {name:<41} {q1:7.1f} {median:7.1f} {q3:7.1f} {share}")
     return 0
 

@@ -331,11 +331,14 @@ def build_parser() -> argparse.ArgumentParser:
     target a subparser of ``verify``, built on first use."""
     import argparse
 
+    indent = " " * len("usage: trigrat ")
     parser = argparse.ArgumentParser(
         prog="trigrat",
+        # one layout on every Python: 3.13's argparse moved the "..." up
+        usage=f"%(prog)s [-h]\n{indent}{{{','.join(COMMANDS)}}}\n{indent}...",
         description="Exact rationality of powers of cos, sin and tan at rational multiples of pi.",
     )
-    commands = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True, prog="trigrat")
     for name, command in COMMANDS.items():
         sub = commands.add_parser(name, help=command.help)
         for flag, keywords in (_JSON, *command.arguments):

@@ -17,8 +17,8 @@ odd radical (the radical of m's odd part), is built one binomial x^k - 1
 at a time, each multiplied in or divided out exactly in linear time
 (Arnold & Monagan, Math. Comp. 80, 2011); for even m, R = 2r and
 Phi_2r(x) = Phi_r(-x), or x + 1 when r = 1, so the prime 2 adds no
-binomial.  Only Phi_m's nonzero tail is cached, for the moduli used last
-and up to a number of (j, c) pairs over all of them
+binomial.  The long division reads Phi_m's nonzero tail off Phi_R, and
+only the tail built last is kept, if it has at most 2^15 (j, c) pairs
 (``_cyclotomic_divisor``).  The polynomial arithmetic itself (the
 convolution, the monic long division and square-and-multiply) is the
 shared kernel of ``polynomials``; ``minimal_polynomial`` runs the same
@@ -41,23 +41,23 @@ from operator import add, sub
 from typing import Iterable
 
 from .numtheory import euler_phi, prime_divisors
-from .polynomials import RatPoly, _divide_monic, _format_terms, _monic_tail, _poly_mul, _power
+from .polynomials import RatPoly, _divide_monic, _format_terms, _poly_mul, _power
 
 
 # ----------------------------------------------------------------------
 # cyclotomic polynomials (integer arithmetic throughout)
 
-def _cyclotomic_int_coeffs(m: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_m, constant term first.
+def _radical_cyclotomic(m: int) -> tuple[list[int], int]:
+    """Phi_R's integer coefficients, constant term first, for R = rad(m),
+    and m/R: then Phi_m(x) = Phi_R(x^(m/R)).
 
     With r the odd radical of m (the product of its odd primes), Phi_r is
     the Moebius product of the binomials x^(r/d) - 1 over the d | r, with
     exponent mu(d) = (-1)^|S| for d the product of a set S of those
     primes.  For even m, Phi_2r(x) = Phi_r(-x) when r > 1 and Phi_2 is
     x + 1, so the prime 2 adds no binomial and every even modulus costs
-    half the steps.  Then Phi_m(x) = Phi_R(x^(m/R)) for R = rad(m), that
-    is r or 2r.  Each binomial costs linear time (Arnold & Monagan,
-    "Calculating cyclotomic polynomials", Math. Comp. 80, 2011):
+    half the steps; R is r or 2r.  Each binomial costs linear time (Arnold
+    & Monagan, "Calculating cyclotomic polynomials", Math. Comp. 80, 2011):
     multiplying by x^k - 1 is a shift and a subtraction, and dividing by
     it runs q[i] = q[i-k] - num[i] up from the constant term, along each
     residue class mod k when k is small, else one block of k at a time.
@@ -96,37 +96,35 @@ def _cyclotomic_int_coeffs(m: int) -> tuple[int, ...]:
         else:
             coeffs[1::2] = [-c for c in coeffs[1::2]]
         r *= 2
-    stride = m // r
+    return coeffs, m // r
+
+
+def _cyclotomic_int_coeffs(m: int) -> tuple[int, ...]:
+    """Integer coefficients of Phi_m, constant term first."""
+    coeffs, stride = _radical_cyclotomic(m)
     spread = [0] * (stride * (len(coeffs) - 1) + 1)
     spread[::stride] = coeffs
     return tuple(spread)
 
 
-# The (j, c) pairs of tails that ``_cyclotomic_divisor`` keeps, over all
-# moduli: about 3 MB at some 90 bytes a pair.  A benchmark child asks for at
-# most about 3400 (the 50 moduli M < 800 of a cold-classify batch), while
-# the tail of Phi_M at q near 10^4 alone has about 10^4.
+# The most (j, c) pairs of the tail ``_cyclotomic_divisor`` keeps, about 3 MB at
+# some 90 bytes a pair; Phi_M has 10^4 at q near 10^4, 10^6 at M = 4000012.
 _DIVISOR_PAIRS = 2 ** 15
-_divisors: dict[int, tuple[int, tuple]] = {}  # modulus -> (phi, tail), least recently used first
-_divisor_pairs = 0  # the pairs _divisors holds
+_kept_divisor: tuple = (None, None)  # (m, divisor) built last within the bound
 
 
 def _cyclotomic_divisor(m: int) -> tuple[int, tuple]:
-    """Phi_m as the long division reads it: its degree phi(m) and its
-    nonzero lower coefficients (see ``polynomials._monic_tail``).  The
-    tails used last are kept, _DIVISOR_PAIRS pairs at most; a tail longer
-    than that is rebuilt whenever it is asked for."""
-    global _divisor_pairs
-    divisor = _divisors.pop(m, None)
-    if divisor is None:
-        divisor = _monic_tail(_cyclotomic_int_coeffs(m))
-        size = len(divisor[1])
-        if size > _DIVISOR_PAIRS:
-            return divisor
-        _divisor_pairs += size
-        while _divisor_pairs > _DIVISOR_PAIRS:
-            _divisor_pairs -= len(_divisors.pop(next(iter(_divisors)))[1])
-    _divisors[m] = divisor
+    """Phi_m as ``_divide_monic`` reads it: its degree phi(m) and its nonzero
+    lower coefficients as (j, c) pairs, read off Phi_R's with j times m/R.
+    Only the tail built last is kept, as a witness is mostly built and then
+    squared at one modulus, and only if it has at most _DIVISOR_PAIRS pairs."""
+    global _kept_divisor
+    if _kept_divisor[0] == m:
+        return _kept_divisor[1]
+    coeffs, stride = _radical_cyclotomic(m)
+    divisor = stride * (len(coeffs) - 1), tuple((j * stride, c) for j, c in enumerate(coeffs[:-1]) if c)
+    if len(divisor[1]) <= _DIVISOR_PAIRS:
+        _kept_divisor = m, divisor
     return divisor
 
 

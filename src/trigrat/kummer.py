@@ -396,7 +396,7 @@ def gauss_sum_case_check(m: int) -> bool:
         exact_ok = g2.as_rational() == -m
         expected = 1j * m ** 0.5
     else:
-        exact_ok = g2 == zeta_power(m, m // 4) * (2 * m)
+        exact_ok = g2 == root_combination(m, [(m // 4, 2 * m)])
         expected = (1 + 1j) * m ** 0.5
     numeric_ok = abs(g.numeric_eval() - expected) < 1e-6 * max(1.0, m)
     return exact_ok and numeric_ok

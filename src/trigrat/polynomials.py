@@ -11,10 +11,9 @@ ring whose elements support ``+``, ``-`` and ``*`` with each other and with
 ``minimal_polynomial``).  ``_poly_mul`` is the dense convolution,
 ``_divide_monic`` the long division by a monic polynomial, which reads the
 divisor as its nonzero tail (``_monic_tail``; for Phi_m,
-``cyclotomic._cyclotomic_divisor`` keeps the tails used most recently, up
-to 2^15 (j, c) pairs over all moduli, and keeps no tail longer than
-that), and ``_power`` square-and-multiply for ``RatPoly`` and ``CycElem``
-powers; ``_format_terms`` prints ``RatPoly`` and ``CycElem`` alike.
+``cyclotomic._cyclotomic_divisor`` reads it off Phi_R and keeps only the
+tail built last, if it has at most 2^15 (j, c) pairs), and ``_power``
+square-and-multiply for ``RatPoly`` and ``CycElem`` powers; ``_format_terms`` prints ``RatPoly`` and ``CycElem`` alike.
 Zero coefficients are skipped by truthiness; a ``CycElem`` is always
 truthy, so over Q(zeta_m) every product is formed.  The names are
 private: the span tracer of ``perfbench/tracer.py`` wraps every public

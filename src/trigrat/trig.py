@@ -44,7 +44,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd, lcm, prod
 
 from ._record import FrozenRecord
@@ -276,8 +276,8 @@ def _moved_slots(sign: int, m: int, e: int, k: int, row) -> dict[int, int]:
 
 # The largest M = lcm(2q, 4) at which ``trig_elem`` builds a value: M slots
 # reduced modulo Phi_M, in memory linear in M.  In a fresh process on a
-# 2-core Xeon with Python 3.11, classify tan --json took 2.2 s and 484 MB
-# at 1/1000003 (M = 4000012), 6.1 s and 1216 MB at 1/2499997 (M = 9999988).
+# 2-core Xeon with Python 3.11, classify tan --json took 2.7-2.9 s and
+# 252 MB at 1/1000003 (M = 4000012), text classify 0.9 s and 236 MB.
 # ``classify`` refuses the same M, so --json changes no exit code.  Every M
 # within the limit has spread (p - 1 over its odd primes) below 2^20, so
 # ``classify`` meets MAX_POLYGON_SPREAD only past this limit.
@@ -310,8 +310,8 @@ def trig_elem(func: TrigFunc, angle: Angle) -> CycElem:
     r = m // gcd(s, m)
     # (w - 1) * sum(k * u^k) = -(1 + u) * sum(k * u^k): collecting powers of u
     # (u^r = 1) leaves r - 1 at u^0 and 2j - 1 at u^j, over the denominator r.
-    terms = [(-quarter, r - 1)] + [(j * s - quarter, 2 * j - 1) for j in range(1, r)]
-    return root_combination(m, terms, r)
+    terms = ((j * s - quarter, 2 * j - 1) for j in range(1, r))
+    return root_combination(m, chain([(-quarter, r - 1)], terms), r)
 
 
 # The largest exponent ``power_rational`` computes.  The numerator's

@@ -9,8 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trigrat import cyclotomic
 from trigrat.cyclotomic import (
+    _DIVISOR_PAIRS,
     CycElem,
+    _cyclotomic_divisor,
     _cyclotomic_int_coeffs,
     _power_table,
     cyclotomic_polynomial,
@@ -19,7 +22,8 @@ from trigrat.cyclotomic import (
     zeta_power,
 )
 from trigrat.numtheory import divisors, euler_phi
-from trigrat.polynomials import RatPoly, _poly_mul
+from trigrat.kummer import sqrt_in_cyclotomic
+from trigrat.polynomials import RatPoly, _monic_tail, _poly_mul
 from trigrat.trig import Angle, TrigFunc, trig_elem
 
 from reference import (
@@ -498,10 +502,10 @@ def test_pow_does_no_wasted_product(monkeypatch):
 
 def test_divisor_cache_is_bounded_by_pairs_not_moduli():
     """Witnesses are reduced modulo Phi_M through ``_cyclotomic_divisor``,
-    whose cache is bounded by the (j, c) pairs of the tails it keeps, not by
-    moduli: cos at twelve primes q near 10^4 (M = 4q, a tail of q - 1 pairs
-    each) and at q = 100003 (10^5 pairs, more than the whole cache holds)
-    retain under 4 MB, where one tail per modulus retained 20 MB."""
+    which keeps one tail of at most _DIVISOR_PAIRS (j, c) pairs: cos at
+    twelve primes q near 10^4 (M = 4q, a tail of q - 1 pairs each) and at
+    q = 100003 (10^5 pairs, more than it keeps) retain under 4 MB, where
+    one tail per modulus retained 20 MB."""
     primes = (10007, 10009, 10037, 10039, 10061, 10067, 10069, 10079, 10091, 10093, 10099, 10103, 100003)
     tracemalloc.start()
     try:
@@ -512,3 +516,51 @@ def test_divisor_cache_is_bounded_by_pairs_not_moduli():
     finally:
         tracemalloc.stop()
     assert retained < 4_000_000, retained
+
+
+@pytest.fixture
+def phi_builds(monkeypatch):
+    """The moduli at which Phi is built from here on, one entry a build."""
+    builds = []
+    build = cyclotomic._radical_cyclotomic
+
+    def counting(m):
+        builds.append(m)
+        return build(m)
+
+    monkeypatch.setattr(cyclotomic, "_radical_cyclotomic", counting)
+    return builds
+
+
+def test_a_witness_and_its_powers_build_phi_once(phi_builds):
+    """The tail of the modulus reduced last is kept: sqrt_in_cyclotomic at
+    a fresh conductor builds Phi once for its witness and the check of its
+    square, and x ** 8 builds it once for its three squarings."""
+    x = zeta(7) + 1
+    expected = x * x * x * x * x * x * x * x
+    zeta(5)
+    phi_builds.clear()
+    assert sqrt_in_cyclotomic(4003)[0] == 16012
+    assert phi_builds == [16012]
+    zeta(5)
+    phi_builds.clear()
+    assert x ** 8 == expected
+    assert phi_builds == [7]
+
+
+def test_a_tail_over_the_pair_bound_is_rebuilt_and_not_kept(phi_builds):
+    """Phi_40009 has 40008 (j, c) pairs below its leading term, more than
+    _DIVISOR_PAIRS: it is built on each request, and the tail kept before
+    it stays kept."""
+    _cyclotomic_divisor(7)
+    phi_builds.clear()
+    divisors = [_cyclotomic_divisor(40009) for _ in range(2)]
+    _cyclotomic_divisor(7)
+    assert phi_builds == [40009, 40009]
+    assert divisors[0] == divisors[1] == (40008, tuple((j, 1) for j in range(40008)))
+    assert len(divisors[0][1]) > _DIVISOR_PAIRS
+
+
+def test_the_tail_read_off_phi_r_is_the_tail_of_the_dense_phi():
+    for m in range(1, 3001):
+        assert _cyclotomic_divisor(m) == _monic_tail(_cyclotomic_int_coeffs(m)), m

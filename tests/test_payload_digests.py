@@ -5,18 +5,8 @@ alters a grid on purpose updates its pin here and gives the reason in
 CHANGES.md."""
 
 import re
-import sys
 
 import pytest
-
-# Python 3.13's argparse keeps "..." on the usage line of the command list,
-# so the two grids that print argparse's usage and help differ from 3.13 on
-if sys.version_info < (3, 13):
-    USAGE = "9e2423d2c090ce9a5ecac5565ac77f425c235ec62c4e1f355d3a2e55ff8d85f4"
-    ARGV_SHAPES = "c596e3e1de5ff1562b892e045dfa5a720b92bbebd60d4aa21c1a8f196bb502d8"
-else:
-    USAGE = "d27ecd6b2eac92e1b73de535b1083f939d891eb153ba3a9324d874e685880217"
-    ARGV_SHAPES = "1c4e7fac5a1fdf387cc19547a9ff6c525eff3992afbe90d1c305fdde663e097d"
 
 PINS = {
     "classify+eval q<=60": "20211efc6c62501836e3698464b7e506db912f809b57ceef26a46af4ab8dd3ad",
@@ -36,7 +26,7 @@ PINS = {
         "e2b531367379b74071fc02459cec58e88533a7ecaed9b53610e7f28e2e7a356f",
     "verify sweep q<=1000 n<=12": "fd75d1d376fc9c64f4ad24ef3d88639289c90416cdf843a1b5f6d24c34fb93b5",
     "verify sweep q<=12 n<=1000": "d4311314c7bb3d6b8718a2aabdc3d4cb970ff4af58d57c8b41eb7f7aa13b0f87",
-    "usage errors and help": USAGE,
+    "usage errors and help": "9e2423d2c090ce9a5ecac5565ac77f425c235ec62c4e1f355d3a2e55ff8d85f4",
     "group 2..12, verify gauss|group|remark, text and --json":
         "72785bcb091809a4d9498e04efe532665080df943309b8f3e327823a066690af",
     "verify sweep q<=24 n<=8 --funcs subsets, verify refusals, text and --json":
@@ -45,7 +35,7 @@ PINS = {
         "a25913dc5fbed8000ae68c6b8353779fba61e2279c07f0cf1334f8430b92b11e",
     "classify as text: 100<=q<200, slow witnesses, modulus refusals":
         "d7734b1c28c07956835e0bdfae44b1fafc420049d2d4d272cd4501c80733843d",
-    "argv shapes, text and --json": ARGV_SHAPES,
+    "argv shapes, text and --json": "c596e3e1de5ff1562b892e045dfa5a720b92bbebd60d4aa21c1a8f196bb502d8",
     "witnesses at three and four odd primes: classify, root-member, gauss, sqrt-embed":
         "c2dcf9e66c4f496d29551367ca0f9f8dbddb9d968b60b89a2194c25ade5f7e03",
 }

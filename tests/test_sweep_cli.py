@@ -290,7 +290,7 @@ def test_sweep_builds_no_witness(monkeypatch, payload_digests):
         raise AssertionError("field element or Phi_M built in the sweep")
 
     monkeypatch.setattr(CycElem, "_store", forbidden)
-    monkeypatch.setattr("trigrat.cyclotomic._cyclotomic_int_coeffs", forbidden)
+    monkeypatch.setattr("trigrat.cyclotomic._radical_cyclotomic", forbidden)
     trig_elem.cache_clear()
     classify.cache_clear()
     assert payload_digests.sweep_digest(48, 12, "tan,sin,cos") == SWEEP_48_12_DIGEST

@@ -223,6 +223,20 @@ def test_classify_keeps_the_verdict_alone():
     assert retained < 100_000, retained
 
 
+def test_a_tan_witness_lays_out_its_terms_as_they_come():
+    """trig_elem hands tan's r terms to root_combination one at a time, not
+    as a list: the witness at 1/100003 (M = 400012, r = 200006 terms)
+    peaks under 35 MB, where a list of the terms peaked at 49 MB."""
+    tracemalloc.start()
+    try:
+        x = trig_elem.__wrapped__(TAN, Angle(1, 100003))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.modulus == 400012
+    assert peak < 35_000_000, peak
+
+
 def test_classification_json_contains_witness():
     data = classify(COS, Angle(1, 4)).to_json()
     assert data["case"] == "square_rational"
