@@ -215,6 +215,18 @@ def sweep_subsets_grid():
         yield argv + ["--json"]
 
 
+def sweep_boundaries_grid():
+    """verify sweep --json with --funcs cos, sin, tan and sin,cos at q_max
+    in {1, 2, 3, 5, 6, 7, 13, 26} and n_max in {1, 2, 3}: bounds on either
+    side of q = 2h for odd h, where h is read off the survey at 2h rather
+    than surveyed, and one-function sweeps whose partner the survey at 2h
+    reads without booking it."""
+    for funcs in ("cos", "sin", "tan", "sin,cos"):
+        for q_max in (1, 2, 3, 5, 6, 7, 13, 26):
+            for n_max in (1, 2, 3):
+                yield ["verify", "sweep", "--q-max", str(q_max), "--n-max", str(n_max), "--funcs", funcs, "--json"]
+
+
 # command lines that the CLI reads from each command's declaration, and
 # the ones it must hand to argparse: abbreviations, --opt=value, '--'
 # before a negative angle, a negative number, a missing or extra
@@ -296,6 +308,8 @@ GRIDS = {
     "argv shapes, text and --json": lambda: usage_digest(argv_shapes()),
     "witnesses at three and four odd primes: classify, root-member, gauss, sqrt-embed":
         lambda: commands_digest(odd_primes_witness_grid()),
+    "verify sweep --json, --funcs cos|sin|tan|sin,cos, q<=1,2,3,5,6,7,13,26, n<=1,2,3":
+        lambda: commands_digest(sweep_boundaries_grid()),
 }
 
 

@@ -45,9 +45,32 @@ no hit and no violation there is never-rational throughout the orbit and is
 booked without more work; for the others every other member is surveyed as
 well, since the rational values and their checks differ from member to
 member.  By the paper that happens only at q in {1, 2, 3, 4, 6}, but the
-sweep decides it from the survey, not from that list.  The orbit step
-trusts the power decisions to be Galois-invariant at the members it does
-not survey; the tests compare the report with a survey of every angle.
+sweep decides it from the survey, not from that list.
+
+Two reflections, each exact in the same Q(zeta_M), join the Galois action,
+so that one angle is surveyed per class of the group they generate:
+
+* theta -> pi - theta sends p/q to (q - p)/q (``_supplement``).  At odd q
+  it maps the odd orbit onto the even one; cos^n and tan^n become (-1)^n
+  times themselves and sin^n stays (``_supplement_powers``).  So an odd q
+  surveys its odd orbit only.
+* theta -> pi/2 - theta sends p/h to (h - 2p)/2h (``_complement``).  For
+  odd h > 1 it maps both orbits of h onto the one of 2h, with M = 4h on
+  both sides; cos and sin swap, and tan becomes 1/tan
+  (``_complement_powers``), which is never 0 at odd p over 2h, nor a pole
+  at p/h.  h = 1 is left out: tan 0 = 0 pairs with the pole at 1/2.  So an
+  odd h > 1 with 2h <= q_max is not surveyed at all; the survey at 2h runs
+  over the partner of each function (sin for cos, cos for sin) too, and h
+  is read off it.
+
+Every angle read off by a reflection is checked and booked with its own
+powers, as a survey of it would be, so its hits and violations are its
+own.  Where the image was not surveyed for the function, the image's orbit
+is NEVER there with no hit, and the representative's powers, all None,
+are read instead.  The orbit step trusts the power decisions to be
+Galois-invariant at the members it does not survey; the tests compare the
+report with a survey of every angle, and the reflections' powers with
+``trig._powers`` at both ends.
 """
 
 from __future__ import annotations
@@ -282,38 +305,103 @@ def _add(report: SweepReport, func: TrigFunc, result, members: int = 1) -> None:
     by_case[case] = by_case.get(case, 0) + members
 
 
+def _orbit(report: SweepReport, q: int, parity: int, funcs, powers_at) -> dict:
+    """Survey one (q, orbit) for ``funcs``: the representative for each,
+    every other member for each that is not NEVER there with no hit and no
+    violation.  ``powers_at(p, funcs)`` gives the powers at p/q; the checks
+    of the config's functions go into the report.  Returns the powers read,
+    by p."""
+    read = {}
+    for member, p in enumerate(_numerators(q, parity)):
+        angle, rest = Angle(p, q), []
+        powers = read[p] = powers_at(p, funcs)
+        for func in funcs:
+            result = _check(func, angle, report.config.n_max, powers.get(func))
+            hits, violations, case = result
+            clean = not member and case is Case.NEVER and not hits and not violations
+            if func in report.config.funcs:
+                _add(report, func, result, euler_phi(2 * q) if clean else 1)
+            if not clean:
+                rest.append(func)
+        if not rest:
+            break
+        funcs = rest
+    return read
+
+
+def _read(read: dict, p: int, func: TrigFunc):
+    """func's powers at p from a surveyed orbit's ``read``, or, where p was
+    not surveyed for func, the representative's: there the orbit is NEVER
+    with no hit, and every member's powers are None alike."""
+    powers = read.get(p, {})
+    return powers[func] if func in powers else next(iter(read.values()))[func]
+
+
+def _supplement(q: int, p: int) -> int:
+    """theta -> pi - theta: the p' with p'/q = 1 - p/q mod 2."""
+    return (q - p) % (2 * q)
+
+
+def _supplement_powers(func: TrigFunc, values):
+    """func(pi - theta)^n from func(theta)^n: (-1)^n times it for cos and
+    tan, itself for sin."""
+    if func is TrigFunc.SIN:
+        return values
+    return [v if i % 2 or v is None else -v for i, v in enumerate(values)]  # n = i + 1
+
+
+def _complement(h: int, p: int) -> int:
+    """theta -> pi/2 - theta: the p' with p'/(2h) = 1/2 - p/h mod 2."""
+    return (h - 2 * p) % (4 * h)
+
+
+def _complement_powers(func: TrigFunc, values):
+    """func(pi/2 - theta)^n from the powers of its partner at theta (sin
+    for cos, cos for sin, tan for tan): the same, but inverted for tan,
+    which is never 0 at odd p over 2h."""
+    if func is TrigFunc.TAN:
+        return [None if v is None else 1 / v for v in values]
+    return values
+
+
+# theta -> pi/2 - theta swaps cos and sin and inverts tan
+_PARTNER = {TrigFunc.COS: TrigFunc.SIN, TrigFunc.SIN: TrigFunc.COS, TrigFunc.TAN: TrigFunc.TAN}
+
+
 def verify_theorem_sweep(config: SweepConfig) -> SweepReport:
     """Run the full sweep described by ``config`` and collect the report.
 
-    Moduli run in increasing q.  Each (q, orbit) is surveyed at its least
-    p, the representative, for every function.  A function that is NEVER
-    there with no hit and no violation stands for the whole orbit: by
-    Galois invariance (module docstring) none of the phi(2q) members has a
-    rational power, so each counts as NEVER with ``n_max`` queries.  The
-    functions with any other outcome (a rational power, a pole, a
-    violation, a case other than NEVER) are surveyed at every other member
-    too, so their hits and violations are those of each angle on its own.
-    The report is that of a survey of every reduced angle, hits and
-    violations sorted alike.  Everything runs in this one process.
+    Moduli run in increasing q.  A q that is surveyed is surveyed in its
+    odd orbit (the only one of an even q), at its least p, the
+    representative, for every function.  A function that is NEVER there
+    with no hit and no violation stands for the whole orbit: by Galois
+    invariance none of the phi(2q) members has a rational power, so each
+    counts as NEVER with ``n_max`` queries.  The functions with any other
+    outcome (a rational power, a pole, a violation, a case other than
+    NEVER) are surveyed at every other member too.  The even orbit of an
+    odd q is read off the odd one by theta -> pi - theta.  At q = 2h, h odd
+    and above 1, the survey runs over the partner of each function too,
+    and both orbits of h are read off it by theta -> pi/2 - theta, so h is
+    not surveyed on its own.  Each angle read off is checked with its own
+    powers, as if surveyed, so hits and violations are those of each angle
+    on its own.  The report is that of a survey of every reduced angle,
+    hits and violations sorted alike.  Everything runs in this one process.
     """
     report = SweepReport(config=config)
+    funcs, last = config.funcs, max(config.n_max, 2)
+    partnered = tuple(dict.fromkeys(funcs + tuple(_PARTNER[func] for func in funcs)))
     for q in range(1, config.q_max + 1):
-        for parity in (1, 0) if q % 2 else (1,):
-            funcs = config.funcs
-            for member, p in enumerate(_numerators(q, parity)):
-                angle, rest = Angle(p, q), []
-                powers = _powers(funcs, angle, 1, max(config.n_max, 2))
-                for func in funcs:
-                    result = _check(func, angle, config.n_max, powers.get(func))
-                    hits, violations, case = result
-                    if not member and case is Case.NEVER and not hits and not violations:
-                        _add(report, func, result, euler_phi(2 * q))
-                    else:
-                        _add(report, func, result)
-                        rest.append(func)
-                if not rest:
-                    break
-                funcs = rest
+        if q % 2 and 1 < q <= config.q_max // 2:
+            continue  # read off the survey at 2q
+        h = q // 2 if q % 4 == 2 and q > 2 else 0
+        read = _orbit(report, q, 1, partnered if h else funcs, lambda p, rest: _powers(rest, Angle(p, q), 1, last))
+        if q % 2:
+            _orbit(report, q, 0, funcs, lambda p, rest: {
+                f: _supplement_powers(f, _read(read, _supplement(q, p), f)) for f in rest})
+        elif h:
+            for parity in (1, 0):
+                _orbit(report, h, parity, funcs, lambda p, rest: {
+                    f: _complement_powers(f, _read(read, _complement(h, p), _PARTNER[f])) for f in rest})
     report.hits.sort(key=Hit.sort_key)
     report.violations.sort(key=Violation.sort_key)
     return report

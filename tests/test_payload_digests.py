@@ -38,6 +38,8 @@ PINS = {
     "argv shapes, text and --json": "c596e3e1de5ff1562b892e045dfa5a720b92bbebd60d4aa21c1a8f196bb502d8",
     "witnesses at three and four odd primes: classify, root-member, gauss, sqrt-embed":
         "c2dcf9e66c4f496d29551367ca0f9f8dbddb9d968b60b89a2194c25ade5f7e03",
+    "verify sweep --json, --funcs cos|sin|tan|sin,cos, q<=1,2,3,5,6,7,13,26, n<=1,2,3":
+        "aeb17593a159a69978fd7af82e6705f6958885bb6370f7355a3723c4841f1212",
 }
 
 

@@ -7,7 +7,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd
+from math import cos, gcd, isclose, pi, sin
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,6 +18,7 @@ from trigrat import cli, kummer, sweep
 from trigrat.cli import run_cli
 from trigrat.cyclotomic import CycElem
 from trigrat.kummer import MAX_MEMBER_MODULUS, MAX_WITNESS_MODULUS
+from trigrat.numtheory import euler_phi
 from trigrat.polynomials import RatPoly
 from trigrat.sweep import (
     Hit,
@@ -147,29 +148,78 @@ def report_text(report):
 
 @pytest.mark.parametrize("funcs", [(COS, SIN, TAN), (TAN, SIN)])
 def test_orbit_sweep_matches_reference_sweep(funcs):
-    """One survey per Galois orbit prints the report of the brute sweep
-    over every reduced angle, byte for byte."""
-    config = SweepConfig(q_max=48, n_max=8, funcs=funcs)
+    """One survey per symmetry class prints the report of the brute sweep
+    over every reduced angle, byte for byte: at q <= 96 over all three
+    functions, at q <= 48 over tan and sin."""
+    config = SweepConfig(q_max=96 if len(funcs) == 3 else 48, n_max=8, funcs=funcs)
     assert report_text(verify_theorem_sweep(config)) == report_text(reference_sweep(config))
+
+
+@pytest.mark.parametrize("n_max", [1, 2])
+@pytest.mark.parametrize("funcs", [(COS,), (SIN,), (SIN, COS)])
+def test_orbit_sweep_matches_reference_sweep_at_the_least_exponents(funcs, n_max):
+    """The same at q <= 48 for the sweeps whose functions lack a partner
+    (cos alone reads h off sin at 2h, which it does not book) and at the
+    exponents 1 and 2, where a survey still reads two powers."""
+    config = SweepConfig(q_max=48, n_max=n_max, funcs=funcs)
+    assert report_text(verify_theorem_sweep(config)) == report_text(reference_sweep(config))
+
+
+def test_reflections_map_powers_onto_powers():
+    """The two reflections the sweep reads angles off by.  At every reduced
+    p/q with odd q <= 45: theta -> pi - theta (``sweep._supplement``) sends
+    p/q to p'/q with cos(pi p'/q) = -cos(pi p/q) and the same sin, and for
+    q > 1 theta -> pi/2 - theta (``sweep._complement``) sends it to p'/2q
+    with cos and sin swapped, both checked in floats, so each map is the
+    reflection and not another bijection of the orbit.  And the powers at
+    p'/q, turned by ``sweep._supplement_powers``, and those of the partner
+    at p'/2q, by ``sweep._complement_powers``, are ``trig._powers`` at p/q
+    for each function and n <= 8."""
+    funcs, partner = (COS, SIN, TAN), {COS: SIN, SIN: COS, TAN: TAN}
+    angles = 0
+    for angle in reduced_angles(45):
+        q, p = angle.q, angle.p
+        if q % 2 == 0:
+            continue
+        powers = _powers(funcs, angle, 1, 8)
+        image = sweep._supplement(q, p)
+        assert isclose(cos(pi * image / q), -cos(pi * p / q), abs_tol=1e-9), angle
+        assert isclose(sin(pi * image / q), sin(pi * p / q), abs_tol=1e-9), angle
+        there = _powers(funcs, Angle(image, q), 1, 8)
+        for func in funcs:
+            assert sweep._supplement_powers(func, there[func]) == powers[func], (func, angle)
+        if q > 1:
+            image = sweep._complement(q, p)
+            assert isclose(cos(pi * image / (2 * q)), sin(pi * p / q), abs_tol=1e-9), angle
+            assert isclose(sin(pi * image / (2 * q)), cos(pi * p / q), abs_tol=1e-9), angle
+            there = _powers(funcs, Angle(image, 2 * q), 1, 8)
+            for func in funcs:
+                assert sweep._complement_powers(func, there[partner[func]]) == powers[func], (func, angle)
+        angles += 1
+    assert angles == sum(2 * euler_phi(q) for q in range(1, 46, 2))
 
 
 def test_misclassified_representatives_survey_their_orbits(monkeypatch):
     """A representative with a violation makes the sweep survey every other
-    member of its orbit: with cos at 1/5 (the representative of the odd p
-    over 5) and 3/5 (a member) planted as SQUARE_RATIONAL, both sweeps
-    report the same violations, at both angles, and the same case counts."""
-    planted = {Angle(1, 5), Angle(3, 5)}
+    member of its orbit, also where the orbit is read off by a reflection:
+    with every function planted as SQUARE_RATIONAL at 1/5 (the
+    representative of the odd p over 5) and 3/5 (a member), both read off
+    q = 10 by theta -> pi/2 - theta, at 2/5, the representative of the even
+    p read off so, and at 2/7, read off 5/7 by theta -> pi - theta, both
+    sweeps report the same violations, at each planted angle, and the same
+    case counts."""
+    planted = {Angle(1, 5), Angle(3, 5), Angle(2, 5), Angle(2, 7)}
     decide = sweep._classification
 
     def faulty(func, angle, values):
-        if func is COS and angle in planted:
+        if angle in planted:
             return Classification(func, angle, Case.SQUARE_RATIONAL, Fraction(1, 2))
         return decide(func, angle, values)
 
     monkeypatch.setattr(sweep, "_classification", faulty)
     config = SweepConfig(q_max=12, n_max=8)
     orbit, brute = verify_theorem_sweep(config), reference_sweep(config)
-    assert {v.angle for v in orbit.violations} == planted
+    assert {(v.func, v.angle) for v in orbit.violations} == {(f, a) for f in (COS, SIN, TAN) for a in planted}
     assert orbit.violations == brute.violations
     assert orbit.case_counts == brute.case_counts
     assert report_text(orbit) == report_text(brute)
@@ -297,30 +347,30 @@ def test_sweep_builds_no_witness(monkeypatch, payload_digests):
 
 
 def test_sweep_surveys_one_representative_per_orbit(monkeypatch):
-    """One survey per (q, orbit), of its representative for every
+    """One survey per symmetry class, of its representative for every
     function, plus one of each other member of the orbits with a rational
-    power, for the functions that have one: by the paper those are the
-    orbits at q in {1, 2, 3, 4, 6}, for all three functions.  The orbits of
-    q are the odd p and, for odd q, the even p coprime to q in [0, 2q)."""
+    power: at q <= 32 the odd orbit is surveyed at p = 1 for q = 1, each
+    even q and each odd q above 16.  The even orbit of an odd q is read off
+    the odd one by theta -> pi - theta, and both orbits of odd q in 3..15
+    off the survey at 2q by theta -> pi/2 - theta.  By the paper the orbits with a
+    rational power are those at q in {1, 2, 3, 4, 6}; of those, only the
+    ones at q = 2, 4 and 6 have other members that are surveyed."""
     calls = []
     powers = sweep._powers
 
     def counted(funcs, angle, first, last):
-        calls.append((len(funcs), first, last))
+        calls.append((angle, len(funcs), first, last))
         return powers(funcs, angle, first, last)
 
     monkeypatch.setattr(sweep, "_powers", counted)
     report = verify_theorem_sweep(SweepConfig(q_max=32, n_max=8))
     assert report.clean
 
-    def orbits(q):
-        reduced = [p for p in range(2 * q) if gcd(p, q) == 1]
-        return [o for o in ([p for p in reduced if p % 2], [p for p in reduced if p % 2 == 0]) if o]
-
-    n_orbits = sum(len(orbits(q)) for q in range(1, 33))
-    other_members = sum(len(o) - 1 for q in (1, 2, 3, 4, 6) for o in orbits(q))
-    assert (n_orbits, other_members) == (48, 9)
-    assert calls == [(3, 1, 8)] * (n_orbits + other_members)
+    surveyed = sorted([1, *range(2, 33, 2), *range(17, 33, 2)])
+    members = {q: [p for p in range(1, 2 * q, 2) if gcd(p, q) == 1] for q in (2, 4, 6)}
+    assert (len(surveyed), sum(len(m) - 1 for m in members.values())) == (25, 7)
+    assert [call[0] for call in calls] == [Angle(p, q) for q in surveyed for p in members.get(q, [1])]
+    assert [call[1:] for call in calls] == [(3, 1, 8)] * 32
 
 
 def test_report_json_shape(small_report):

@@ -498,10 +498,12 @@ def test_folded_pascal_rows_match_dense_reference(monkeypatch):
 def test_sweep_lays_out_and_moves_each_power_once(monkeypatch, funcs):
     """cos, sin and tan of one angle share one stream of (2 cos)^n and one
     of (2 sin)^n, whose first two powers also decide the case: in a sweep
-    each (sign, M, e, k) is laid out and moved exactly once, whichever
+    each (sign, M, e, k) is laid out and moved at most once, whichever
     function comes first, and only the signs the functions need are
-    streamed (a cos sweep moves no sin power; a tan sweep streams none at
-    its poles, the two angles at q = 2)."""
+    streamed (a tan sweep streams none at its poles, the two angles at
+    q = 2).  The one exception is the survey at q = 2h, h odd and above 1,
+    which streams sin for a cos sweep too, since h's cos is read off sin at
+    2h (``sweep._complement``): at q <= 12, at M = 12 and 20."""
     counts = Counter()
     moved_slots = trig._moved_slots
 
@@ -512,8 +514,9 @@ def test_sweep_lays_out_and_moves_each_power_once(monkeypatch, funcs):
     monkeypatch.setattr(trig, "_moved_slots", counting)
     classify.cache_clear()
     verify_theorem_sweep(SweepConfig(q_max=12, n_max=8, funcs=funcs))
-    assert len(counts) == {(COS,): 216, (TAN,): 400}.get(funcs, 432)
-    assert {key[0] for key in counts} == ({1} if funcs == (COS,) else {1, -1})
+    assert len(counts) == {(COS,): 176, (TAN,): 240}.get(funcs, 272)
+    sin_moduli = {m for sign, m, e, k in counts if sign == -1}
+    assert sin_moduli == ({12, 20} if funcs == (COS,) else {4, 8, 12, 16, 20, 24, 28, 36, 44})
     assert set(counts.values()) == {1}
 
 
