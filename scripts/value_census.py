@@ -11,10 +11,11 @@ everything else.
 
 import argparse
 import json
+import sys
 from collections import Counter
 
 from trigrat.sweep import reduced_angles
-from trigrat.trig import Case, TrigFunc, classify, value_descriptor
+from trigrat.trig import Case, TrigFunc, classify, theorem_value_list, value_descriptor
 
 FUNCS = (TrigFunc.COS, TrigFunc.SIN, TrigFunc.TAN)
 
@@ -32,13 +33,21 @@ def census(q_max: int):
     return counts, first_seen
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> int:
+    """Print the census; 1, naming each value off the predicted list, if any."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--q-max", type=int, default=24, help="largest denominator (default 24)")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     counts, first_seen = census(args.q_max)
+    # the even list holds the odd one
+    outside = [
+        f"{func} {descriptor} at theta = {angle}"
+        for func in FUNCS
+        for descriptor, angle in first_seen[func].items()
+        if descriptor not in theorem_value_list(func, "even")
+    ]
 
     if args.json:
         payload = {
@@ -52,20 +61,23 @@ def main() -> None:
             for func in FUNCS
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
-        return
-
-    total = sum(sum(c.values()) for c in counts.values())
-    print(f"classified {total} (function, angle) pairs with q <= {args.q_max}\n")
-    for func in FUNCS:
-        parts = ", ".join(
-            f"{case}: {counts[func][case]}" for case in Case if counts[func][case]
-        )
-        print(f"{func}: {parts}")
-        for descriptor, angle in sorted(first_seen[func].items(), key=lambda kv: str(kv[0])):
-            print(f"    {str(descriptor):>10}  first at theta = {angle}")
-    print("\nevery value above is on the predicted finite list; run the sweep to")
-    print("check the powers themselves (trigrat verify sweep).")
+    else:
+        total = sum(sum(c.values()) for c in counts.values())
+        print(f"classified {total} (function, angle) pairs with q <= {args.q_max}\n")
+        for func in FUNCS:
+            parts = ", ".join(
+                f"{case}: {counts[func][case]}" for case in Case if counts[func][case]
+            )
+            print(f"{func}: {parts}")
+            for descriptor, angle in sorted(first_seen[func].items(), key=lambda kv: str(kv[0])):
+                print(f"    {str(descriptor):>10}  first at theta = {angle}")
+        if not outside:
+            print("\nevery value above is on the predicted finite list; run the sweep to")
+            print("check the powers themselves (trigrat verify sweep).")
+    for line in outside:
+        print(f"value off the predicted list: {line}", file=sys.stderr)
+    return 1 if outside else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

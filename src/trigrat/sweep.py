@@ -17,60 +17,53 @@ what the classification and the predicted value lists say must happen:
 
 Every rational power found is recorded as a hit; every broken expectation
 as a violation.  A clean sweep is a report with an empty violation list.
-A survey of a never-rational function with no rational power, the common
-case, is checked in one scan of its powers.  Otherwise the base value is
-looked up in the odd and the even list once per survey, not once per hit,
-and each hit is compared with the power of the classified value num/den
-as the two integers num^k and den^k (``_check``).
+A never-rational function with no rational power, the common case, is
+checked in one scan of its powers.  Otherwise the base value is looked up
+in the odd and the even list once per check, not once per hit, and each
+hit is compared with the power of the classified value num/den as the two
+integers num^k and den^k (``_check``).
 
 The case of each angle is decided from its powers alone, by the verdict
 ``classify`` gives (``trig._classification``): x rational makes it
 rational-at-n=1, x^2 rational rational-square, and anything else
 never-rational, since no least rational exponent is 3 or more.  Those are
-the survey's own first two powers, so the sweep builds no witness, no
+the first two powers it reads, so the sweep builds no witness, no
 Phi_M and no long division.
 
-The angles are not surveyed one by one but one Galois orbit at a time.  The
-three values at pi*p/q lie in Q(zeta_M), M = lcm(2q, 4), and for c prime to
-M the automorphism sigma_c (zeta_M -> zeta_M^c) sends cos(pi p/q) to cos(pi
-cp/q), and sin and tan to +-the same function at cp/q (the sign is that of
-sigma_c(i) = i^c).  sigma_c fixes Q, so x^n is rational exactly when
-sigma_c(x)^n is: which powers are rational, and hence the case, is the same
-at p/q and cp/q.  The c mod 2q run over all units mod 2q, so the orbit of p
-is p times those units, and the reduced p in [0, 2q) fall into at most two
-orbits of phi(2q) members each: the odd p (the units), and, for odd q, the
-even p (twice the units).  One representative, the least p, is surveyed per
-(q, orbit), for every function at once.  A function with no rational power,
-no hit and no violation there is never-rational throughout the orbit and is
-booked without more work; for the others every other member is surveyed as
-well, since the rational values and their checks differ from member to
-member.  By the paper that happens only at q in {1, 2, 3, 4, 6}, but the
-sweep decides it from the survey, not from that list.
-
-Two reflections, each exact in the same Q(zeta_M), join the Galois action,
-so that one angle is surveyed per class of the group they generate:
+One angle is surveyed per class of the group that the Galois action and
+two reflections generate, and every other angle is read off that survey by
+an exact map.  The three values at pi*p/q lie in Q(zeta_M), M = lcm(2q, 4).
+For p prime to M, sigma_p (zeta_M -> zeta_M^p) fixes Q and sends cos(pi/q)
+to cos(pi p/q), and sin and tan to i^(1-p) times themselves at p/q.  So
+cos^n at p/q equals cos^n at 1/q, and sin^n and tan^n at p/q equal their
+values at 1/q, times (-1)^n when p = 3 mod 4 (``_galois_powers``); an
+irrational power stays irrational.  The odd p in [0, 2q) prime to q, the
+units mod 2q, make up one orbit of phi(2q) members; for odd q the even p
+(twice the units) make up a second, which the first reflection reaches:
 
 * theta -> pi - theta sends p/q to (q - p)/q (``_supplement``).  At odd q
   it maps the odd orbit onto the even one; cos^n and tan^n become (-1)^n
-  times themselves and sin^n stays (``_supplement_powers``).  So an odd q
-  surveys its odd orbit only.
+  times themselves and sin^n stays (``_supplement_powers``).
 * theta -> pi/2 - theta sends p/h to (h - 2p)/2h (``_complement``).  For
   odd h > 1 it maps both orbits of h onto the one of 2h, with M = 4h on
   both sides; cos and sin swap, and tan becomes 1/tan
   (``_complement_powers``), which is never 0 at odd p over 2h, nor a pole
-  at p/h.  h = 1 is left out: tan 0 = 0 pairs with the pole at 1/2.  So an
-  odd h > 1 with 2h <= q_max is not surveyed at all; the survey at 2h runs
-  over the partner of each function (sin for cos, cos for sin) too, and h
-  is read off it.
+  at p/h.  h = 1 is left out: tan 0 = 0 pairs with the pole at 1/2.
 
-Every angle read off by a reflection is checked and booked with its own
-powers, as a survey of it would be, so its hits and violations are its
-own.  Where the image was not surveyed for the function, the image's orbit
-is NEVER there with no hit, and the representative's powers, all None,
-are read instead.  The orbit step trusts the power decisions to be
-Galois-invariant at the members it does not survey; the tests compare the
-report with a survey of every angle, and the reflections' powers with
-``trig._powers`` at both ends.
+So ``trig._powers`` runs once per class, at 1/q: for q = 1, every even q
+and every odd q above q_max/2, over the config's functions and, at q = 2h
+with h odd and above 1, over their partners (sin for cos, cos for sin) too.
+Every reduced angle is read off it: the odd orbit of q by the Galois map,
+the even orbit of an odd q by the Galois map followed by theta -> pi -
+theta, and both orbits of an odd h by the Galois map at 2h followed by
+theta -> pi/2 - theta.  Each angle read off is checked and booked with its
+own powers, as a survey of it would be.  One rule cuts the work: a
+function that is NEVER at the least p of an orbit, with no hit and no
+violation, is NEVER with no hit at every member, so the whole orbit is
+booked from that one check.  By the paper every other orbit is at q in
+{1, 2, 3, 4, 6}, but the sweep decides it from the check, not from that
+list.  The tests compare the report with a survey of every angle, and
+each map's powers with ``trig._powers`` at both ends.
 """
 
 from __future__ import annotations
@@ -296,7 +289,7 @@ def _numerators(q: int, parity: int):
 
 
 def _add(report: SweepReport, func: TrigFunc, result, members: int = 1) -> None:
-    """Book one survey's result for ``members`` angles of ``func``."""
+    """Book one check's result for ``members`` angles of ``func``."""
     hits, violations, case = result
     report.hits.extend(hits)
     report.violations.extend(violations)
@@ -305,36 +298,39 @@ def _add(report: SweepReport, func: TrigFunc, result, members: int = 1) -> None:
     by_case[case] = by_case.get(case, 0) + members
 
 
-def _orbit(report: SweepReport, q: int, parity: int, funcs, powers_at) -> dict:
-    """Survey one (q, orbit) for ``funcs``: the representative for each,
-    every other member for each that is not NEVER there with no hit and no
-    violation.  ``powers_at(p, funcs)`` gives the powers at p/q; the checks
-    of the config's functions go into the report.  Returns the powers read,
-    by p."""
-    read = {}
+def _orbit(report: SweepReport, q: int, parity: int, powers_at) -> None:
+    """Check and book one (q, orbit) for the config's functions, each at
+    the least p, and at every other member for each that is not NEVER
+    there with no hit and no violation.  ``powers_at(func, p)`` gives
+    func's powers at p/q."""
+    funcs = report.config.funcs
     for member, p in enumerate(_numerators(q, parity)):
         angle, rest = Angle(p, q), []
-        powers = read[p] = powers_at(p, funcs)
         for func in funcs:
-            result = _check(func, angle, report.config.n_max, powers.get(func))
+            result = _check(func, angle, report.config.n_max, powers_at(func, p))
             hits, violations, case = result
-            clean = not member and case is Case.NEVER and not hits and not violations
-            if func in report.config.funcs:
-                _add(report, func, result, euler_phi(2 * q) if clean else 1)
-            if not clean:
+            if not member and case is Case.NEVER and not hits and not violations:
+                _add(report, func, result, euler_phi(2 * q))
+            else:
+                _add(report, func, result)
                 rest.append(func)
         if not rest:
             break
         funcs = rest
-    return read
 
 
-def _read(read: dict, p: int, func: TrigFunc):
-    """func's powers at p from a surveyed orbit's ``read``, or, where p was
-    not surveyed for func, the representative's: there the orbit is NEVER
-    with no hit, and every member's powers are None alike."""
-    powers = read.get(p, {})
-    return powers[func] if func in powers else next(iter(read.values()))[func]
+def _odd_negated(values):
+    """The powers ``values`` at n = 1, 2, ... with the odd ones negated."""
+    return [v if i % 2 or v is None else -v for i, v in enumerate(values)]  # n = i + 1
+
+
+def _galois_powers(func: TrigFunc, p: int, values):
+    """func(pi p/q)^n from func(pi/q)^n, p odd and prime to q: the same for
+    cos, and for sin and tan (-1)^n times it when p = 3 mod 4.  None, a
+    pole, stays None."""
+    if func is TrigFunc.COS or p % 4 == 1 or values is None:
+        return values
+    return _odd_negated(values)
 
 
 def _supplement(q: int, p: int) -> int:
@@ -345,9 +341,7 @@ def _supplement(q: int, p: int) -> int:
 def _supplement_powers(func: TrigFunc, values):
     """func(pi - theta)^n from func(theta)^n: (-1)^n times it for cos and
     tan, itself for sin."""
-    if func is TrigFunc.SIN:
-        return values
-    return [v if i % 2 or v is None else -v for i, v in enumerate(values)]  # n = i + 1
+    return values if func is TrigFunc.SIN else _odd_negated(values)
 
 
 def _complement(h: int, p: int) -> int:
@@ -371,20 +365,16 @@ _PARTNER = {TrigFunc.COS: TrigFunc.SIN, TrigFunc.SIN: TrigFunc.COS, TrigFunc.TAN
 def verify_theorem_sweep(config: SweepConfig) -> SweepReport:
     """Run the full sweep described by ``config`` and collect the report.
 
-    Moduli run in increasing q.  A q that is surveyed is surveyed in its
-    odd orbit (the only one of an even q), at its least p, the
-    representative, for every function.  A function that is NEVER there
-    with no hit and no violation stands for the whole orbit: by Galois
-    invariance none of the phi(2q) members has a rational power, so each
-    counts as NEVER with ``n_max`` queries.  The functions with any other
-    outcome (a rational power, a pole, a violation, a case other than
-    NEVER) are surveyed at every other member too.  The even orbit of an
-    odd q is read off the odd one by theta -> pi - theta.  At q = 2h, h odd
-    and above 1, the survey runs over the partner of each function too,
-    and both orbits of h are read off it by theta -> pi/2 - theta, so h is
-    not surveyed on its own.  Each angle read off is checked with its own
-    powers, as if surveyed, so hits and violations are those of each angle
-    on its own.  The report is that of a survey of every reduced angle,
+    Moduli run in increasing q.  Each q that is not read off 2q is surveyed
+    once, at 1/q, and every angle of its class is read off that survey: its
+    odd orbit by the Galois map, the even orbit of an odd q by the Galois
+    map and theta -> pi - theta, and, at q = 2h with h odd and above 1 (a
+    survey that runs over the partner of each function too), both orbits
+    of h by the Galois map and theta -> pi/2 - theta.  Each orbit is
+    checked at its least p; a function NEVER there with no hit and no
+    violation counts as NEVER, with ``n_max`` queries, at all phi(2q)
+    members, and every other function is checked at every member with its
+    own powers.  The report is that of a survey of every reduced angle,
     hits and violations sorted alike.  Everything runs in this one process.
     """
     report = SweepReport(config=config)
@@ -394,14 +384,14 @@ def verify_theorem_sweep(config: SweepConfig) -> SweepReport:
         if q % 2 and 1 < q <= config.q_max // 2:
             continue  # read off the survey at 2q
         h = q // 2 if q % 4 == 2 and q > 2 else 0
-        read = _orbit(report, q, 1, partnered if h else funcs, lambda p, rest: _powers(rest, Angle(p, q), 1, last))
+        survey = _powers(partnered if h else funcs, Angle(1, q), 1, last)
+        _orbit(report, q, 1, lambda f, p: _galois_powers(f, p, survey.get(f)))
         if q % 2:
-            _orbit(report, q, 0, funcs, lambda p, rest: {
-                f: _supplement_powers(f, _read(read, _supplement(q, p), f)) for f in rest})
+            _orbit(report, q, 0, lambda f, p: _supplement_powers(f, _galois_powers(f, _supplement(q, p), survey[f])))
         elif h:
             for parity in (1, 0):
-                _orbit(report, h, parity, funcs, lambda p, rest: {
-                    f: _complement_powers(f, _read(read, _complement(h, p), _PARTNER[f])) for f in rest})
+                _orbit(report, h, parity, lambda f, p: _complement_powers(
+                    f, _galois_powers(_PARTNER[f], _complement(h, p), survey[_PARTNER[f]])))
     report.hits.sort(key=Hit.sort_key)
     report.violations.sort(key=Violation.sort_key)
     return report

@@ -24,7 +24,8 @@ no division by Phi_M (see ``_power_stream`` and ``_decide``).  One
 stream per sign yields the moved slots for k = first..last, stepping the
 folds of its Pascal rows, and cos, sin and tan are decided from the same
 two slot sets.  ``_powers`` is the one reader of powers: the sweep runs it
-once per angle over n = 1..n_max, ``classify`` over n = 1, 2 and
+once per symmetry class, at 1/q, over n = 1..n_max (``sweep`` reads every
+other angle off it), ``classify`` over n = 1, 2 and
 ``power_rational`` for one n, and nothing is kept past the stream.
 ``trig_elem`` lays out M slots; it and ``classify`` refuse M above
 MAX_TRIG_MODULUS, and ``_powers`` refuses M at which one term could
@@ -56,6 +57,11 @@ class TrigFunc(enum.Enum):
     COS = "cos"
     SIN = "sin"
     TAN = "tan"
+
+    # Members are singletons compared by identity; Enum.__hash__ is a Python
+    # function that hashes the name, and the sweep hashes members in its
+    # case counts, sort keys and power dicts.
+    __hash__ = object.__hash__
 
     @classmethod
     def parse(cls, text: str) -> "TrigFunc":
@@ -122,6 +128,8 @@ class Case(enum.Enum):
     SQUARE_RATIONAL = "square_rational"  # irrational value, rational square
     NEVER = "never"                      # no positive power is rational
     UNDEFINED = "undefined"              # tan at a pole
+
+    __hash__ = object.__hash__  # as for TrigFunc
 
     def __str__(self) -> str:
         return self.value

@@ -166,22 +166,30 @@ def test_orbit_sweep_matches_reference_sweep_at_the_least_exponents(funcs, n_max
 
 
 def test_reflections_map_powers_onto_powers():
-    """The two reflections the sweep reads angles off by.  At every reduced
+    """The three maps the sweep reads angles off by.  At every reduced p/q
+    with q <= 45 and p odd, the Galois map (``sweep._galois_powers``)
+    turns the powers at 1/q into ``trig._powers`` at p/q.  At every reduced
     p/q with odd q <= 45: theta -> pi - theta (``sweep._supplement``) sends
     p/q to p'/q with cos(pi p'/q) = -cos(pi p/q) and the same sin, and for
     q > 1 theta -> pi/2 - theta (``sweep._complement``) sends it to p'/2q
     with cos and sin swapped, both checked in floats, so each map is the
     reflection and not another bijection of the orbit.  And the powers at
     p'/q, turned by ``sweep._supplement_powers``, and those of the partner
-    at p'/2q, by ``sweep._complement_powers``, are ``trig._powers`` at p/q
-    for each function and n <= 8."""
+    at p'/2q, by ``sweep._complement_powers``, are ``trig._powers`` at p/q.
+    Every map is checked for each function and n <= 8."""
     funcs, partner = (COS, SIN, TAN), {COS: SIN, SIN: COS, TAN: TAN}
-    angles = 0
+    conjugates = angles = 0
     for angle in reduced_angles(45):
         q, p = angle.q, angle.p
+        powers = _powers(funcs, angle, 1, 8)
+        if p == 1:
+            first = powers  # the least odd p of each q, as the angles run in (q, p) order
+        if p % 2:
+            for func in funcs:
+                assert sweep._galois_powers(func, p, first.get(func)) == powers.get(func), (func, angle)
+            conjugates += 1
         if q % 2 == 0:
             continue
-        powers = _powers(funcs, angle, 1, 8)
         image = sweep._supplement(q, p)
         assert isclose(cos(pi * image / q), -cos(pi * p / q), abs_tol=1e-9), angle
         assert isclose(sin(pi * image / q), sin(pi * p / q), abs_tol=1e-9), angle
@@ -196,11 +204,12 @@ def test_reflections_map_powers_onto_powers():
             for func in funcs:
                 assert sweep._complement_powers(func, there[partner[func]]) == powers[func], (func, angle)
         angles += 1
+    assert conjugates == sum(euler_phi(2 * q) for q in range(1, 46))
     assert angles == sum(2 * euler_phi(q) for q in range(1, 46, 2))
 
 
 def test_misclassified_representatives_survey_their_orbits(monkeypatch):
-    """A representative with a violation makes the sweep survey every other
+    """A representative with a violation makes the sweep check every other
     member of its orbit, also where the orbit is read off by a reflection:
     with every function planted as SQUARE_RATIONAL at 1/5 (the
     representative of the odd p over 5) and 3/5 (a member), both read off
@@ -347,14 +356,13 @@ def test_sweep_builds_no_witness(monkeypatch, payload_digests):
 
 
 def test_sweep_surveys_one_representative_per_orbit(monkeypatch):
-    """One survey per symmetry class, of its representative for every
-    function, plus one of each other member of the orbits with a rational
-    power: at q <= 32 the odd orbit is surveyed at p = 1 for q = 1, each
-    even q and each odd q above 16.  The even orbit of an odd q is read off
-    the odd one by theta -> pi - theta, and both orbits of odd q in 3..15
-    off the survey at 2q by theta -> pi/2 - theta.  By the paper the orbits with a
-    rational power are those at q in {1, 2, 3, 4, 6}; of those, only the
-    ones at q = 2, 4 and 6 have other members that are surveyed."""
+    """One survey per symmetry class, at 1/q for every function, and no
+    other: at q <= 32 for q = 1, each even q and each odd q above 16.  Every
+    other angle is read off it, the odd orbit by the Galois map, the even
+    orbit of an odd q by it and theta -> pi - theta, and both orbits of odd
+    q in 3..15 by it and theta -> pi/2 - theta off the survey at 2q, also
+    at q in {1, 2, 3, 4, 6}, where the paper puts the orbits with a
+    rational power."""
     calls = []
     powers = sweep._powers
 
@@ -367,10 +375,9 @@ def test_sweep_surveys_one_representative_per_orbit(monkeypatch):
     assert report.clean
 
     surveyed = sorted([1, *range(2, 33, 2), *range(17, 33, 2)])
-    members = {q: [p for p in range(1, 2 * q, 2) if gcd(p, q) == 1] for q in (2, 4, 6)}
-    assert (len(surveyed), sum(len(m) - 1 for m in members.values())) == (25, 7)
-    assert [call[0] for call in calls] == [Angle(p, q) for q in surveyed for p in members.get(q, [1])]
-    assert [call[1:] for call in calls] == [(3, 1, 8)] * 32
+    assert len(surveyed) == 25
+    assert [call[0] for call in calls] == [Angle(1, q) for q in surveyed]
+    assert [call[1:] for call in calls] == [(3, 1, 8)] * 25
 
 
 def test_report_json_shape(small_report):

@@ -1,9 +1,13 @@
+import importlib.util
 import math
 import random
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -363,6 +367,26 @@ def test_theorem_value_list_even():
         theorem_value_list(COS, "both")
 
 
+def test_value_census_checks_every_value_against_the_list(monkeypatch, capsys):
+    """scripts/value_census.py at q <= 12 finds every base value on the
+    predicted list and exits 0; with sqrt(3) taken off tan's list it exits
+    1 and names that value at the first angle it occurs."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "value_census.py"
+    result = subprocess.run([sys.executable, str(path), "--q-max", "12"], capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert "every value above is on the predicted finite list" in result.stdout
+
+    spec = importlib.util.spec_from_file_location("value_census", path)
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    sqrt3 = ValueDescriptor(1, Fraction(3))
+    monkeypatch.setattr(census, "theorem_value_list", lambda func, parity: theorem_value_list(func, parity) - {sqrt3})
+    assert census.main(["--q-max", "12"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "value off the predicted list: tan sqrt(3) at theta = 1/3\n"
+    assert "every value above" not in out
+
+
 def test_value_descriptor_behaviour():
     d = ValueDescriptor.from_rational(Fraction(-1, 2))
     assert d.sign == -1 and d.square == Fraction(1, 4)
@@ -503,7 +527,9 @@ def test_sweep_lays_out_and_moves_each_power_once(monkeypatch, funcs):
     streamed (a tan sweep streams none at its poles, the two angles at
     q = 2).  The one exception is the survey at q = 2h, h odd and above 1,
     which streams sin for a cos sweep too, since h's cos is read off sin at
-    2h (``sweep._complement``): at q <= 12, at M = 12 and 20."""
+    2h (``sweep._complement``): at q <= 12, at M = 12 and 20.  The sweep
+    surveys only 1/q, at ten q <= 12 (1, the even q, 7, 9 and 11), and
+    each survey moves k = 1..8 once per sign it streams."""
     counts = Counter()
     moved_slots = trig._moved_slots
 
@@ -514,7 +540,7 @@ def test_sweep_lays_out_and_moves_each_power_once(monkeypatch, funcs):
     monkeypatch.setattr(trig, "_moved_slots", counting)
     classify.cache_clear()
     verify_theorem_sweep(SweepConfig(q_max=12, n_max=8, funcs=funcs))
-    assert len(counts) == {(COS,): 176, (TAN,): 240}.get(funcs, 272)
+    assert len(counts) == {(COS,): 96, (TAN,): 144}.get(funcs, 160)
     sin_moduli = {m for sign, m, e, k in counts if sign == -1}
     assert sin_moduli == ({12, 20} if funcs == (COS,) else {4, 8, 12, 16, 20, 24, 28, 36, 44})
     assert set(counts.values()) == {1}
